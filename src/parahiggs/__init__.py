@@ -7,7 +7,6 @@ rational or integer polynomial arithmetic.
 """
 
 from .errors import (
-    BaseCaseHypothesisViolated,
     BaseWallHit,
     BudgetExceeded,
     DeskScaleExceeded,
@@ -30,13 +29,10 @@ from .motive import (
     MotiveClass,
     Ring,
     parse_class,
-    reduce_high_sym,
     ring,
-    ring_ops,
     specialize_E,
     specialize_count,
     sym_cxp_coeff,
-    zeta_coeff,
     zeta_eval,
 )
 from .parabolic import (
@@ -61,10 +57,11 @@ from .chains import (
     chi_hom_rr,
     chi_skyscrapers,
     enumerate_degree_vectors,
-    hn_types_at,
+    filtration_types,
     necessary_conditions,
+    slopes_decrease,
 )
-from .walls import Ray, choose_ray, cross_ray, find_walls, is_on_wall, wall_positions
+from .walls import Ray, choose_ray, cross_ray, is_on_wall, wall_positions
 from .engine import ChainEngine
 from .higgs import (
     HiggsProblem,

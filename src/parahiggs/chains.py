@@ -1,4 +1,4 @@
-"""Euler characteristics, existence conditions and degree enumeration for chains.
+"""Euler characteristics, existence conditions, degree boxes and filtration types.
 
 The sign convention is pinned by chi(O_C) = 1 - g: for bundles E, F on the
 curve, chi(Hom(E,F)) = rk(E) deg(F) - rk(F) deg(E) + rk(E) rk(F) (1 - g).
@@ -79,6 +79,16 @@ def chi_ext_fiber(upper, lower, g, k):
     return -total
 
 
+def ext_exponent(parts, g, k):
+    """Affine fiber dimension of the iterated extensions of the given parts:
+    chi_ext_fiber of each later part (quotient side) over each earlier one."""
+    return sum(
+        chi_ext_fiber(parts[jj], parts[ii], g, k)
+        for ii in range(len(parts))
+        for jj in range(ii + 1, len(parts))
+    )
+
+
 # ---------------------------------------------------------------------------
 # necessary conditions for semistable chains of a given type
 
@@ -91,13 +101,12 @@ def _is_strictly_increasing(alpha):
     return all(alpha[i] > alpha[i - 1] for i in range(1, len(alpha)))
 
 
-def necessary_conditions(tau, alpha, k=None, apply_gap_condition=True):
+def necessary_conditions(tau, alpha, k=None):
     """Existence test for semistable chains of type tau at the given parameter.
 
     Conditions on rank dips and rises are applied only for strictly increasing
     parameters (their derivation needs it); the truncation conditions hold for
-    any parameter.  apply_gap_condition=False disables the equal-rank degree
-    gap test (a pruning-only debug toggle).
+    any parameter.
     """
     if any(n == 0 for n in tau.ranks):
         raise ValueError("necessary_conditions expects full-support types")
@@ -121,19 +130,18 @@ def necessary_conditions(tau, alpha, k=None, apply_gap_condition=True):
     # (2) equal-rank degree gap; for non-monotone parameters the map to the
     # lower index may vanish, in which case the high-index truncation is a
     # sub-chain, so the disjunction below is the honest necessary condition.
-    if apply_gap_condition:
-        for j in range(1, r + 1):
-            if n[j] != n[j - 1]:
-                continue
-            printed = P[j] - n[j] * k <= P[j - 1]
-            if increasing:
-                if not printed:
-                    return False
-            else:
-                mj = sum(n[j:])
-                suffix = Fraction(sum(shifted[j:]), mj) <= mu
-                if not (printed or suffix):
-                    return False
+    for j in range(1, r + 1):
+        if n[j] != n[j - 1]:
+            continue
+        printed = P[j] - n[j] * k <= P[j - 1]
+        if increasing:
+            if not printed:
+                return False
+        else:
+            mj = sum(n[j:])
+            suffix = Fraction(sum(shifted[j:]), mj) <= mu
+            if not (printed or suffix):
+                return False
 
     if not increasing:
         return True
@@ -440,27 +448,23 @@ def enumerate_gap_profiles(n_vec, alpha, weight_data, k=None):
 
 
 # ---------------------------------------------------------------------------
-# filtration-type enumeration helpers
+# filtration types
 
 
-def integer_compositions(n, min_parts=2):
-    """Ordered compositions of n into at least min_parts positive parts."""
-    out = []
-
-    def rec(remaining, acc):
-        if remaining == 0:
-            if len(acc) >= min_parts:
-                out.append(tuple(acc))
-            return
-        for part in range(1, remaining + 1):
-            rec(remaining - part, acc + [part])
-
-    rec(n, [])
-    return out
+def compositions(n):
+    """Ordered compositions of n into positive parts, in lexicographic order."""
+    if n == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(1, n + 1)
+        for rest in compositions(n - first)
+    ]
 
 
-def vector_compositions(ranks, min_parts=2, interval_support=False):
-    """Ordered tuples of nonzero vectors componentwise summing to ranks."""
+def vector_compositions(ranks):
+    """Rank profiles of proper filtrations: ordered tuples of at least two
+    nonzero interval-support vectors componentwise summing to ranks."""
     ranks = tuple(ranks)
     out = []
 
@@ -470,18 +474,12 @@ def vector_compositions(ranks, min_parts=2, interval_support=False):
 
     def rec(remaining, acc):
         if all(v == 0 for v in remaining):
-            if len(acc) >= min_parts:
+            if len(acc) >= 2:
                 out.append(tuple(acc))
             return
-        slots = [range(v + 1) for v in remaining]
-        for cand in itertools.product(*slots):
-            if all(c == 0 for c in cand):
-                continue
-            if cand == remaining and not acc:
-                continue  # proper filtrations only
-            if interval_support and not is_interval(cand):
-                continue
-            rec(tuple(v - c for v, c in zip(remaining, cand)), acc + [cand])
+        for cand in itertools.product(*[range(v + 1) for v in remaining]):
+            if is_interval(cand):
+                rec(tuple(v - c for v, c in zip(remaining, cand)), acc + [cand])
 
     rec(ranks, [])
     return out
@@ -506,80 +504,62 @@ def index_weight_splits(weight_data, profiles):
         )
 
 
-def hn_types_at(tau, alpha, equal_slope_at=None, max_abs_part_degree=None):
-    """Filtration types with strictly decreasing slopes at the given parameter.
+def filtration_types(tau, alpha, window=None):
+    """Filtration types of tau: tuples of parts whose degrees sum to tau's.
 
-    With equal_slope_at, part degree totals are pinned by the equal-slope
-    condition there (the wall constraint).  Without it the enumeration is
-    infinite in principle, so a part-degree window must be supplied; this
-    unpinned form exists for tests and oracles.
+    Parts range over interval-support rank profiles, then per-index weight
+    splits, then the degree vectors that enumerate_degree_vectors boxes at
+    alpha.  With no window each part's degree total is pinned by equal slope
+    at alpha, the wall case; with a window the totals run over
+    [-window, window].  No slope order is imposed: callers filter the tuples
+    with slopes_decrease at the parameter they need.
     """
     alpha = _alpha_fracs(alpha)
     k = tau.num_points
-    results = []
-    mu_wall = (
-        par_slope_alpha(tau, _alpha_fracs(equal_slope_at))
-        if equal_slope_at is not None
-        else None
-    )
-    for profiles in vector_compositions(tau.ranks, interval_support=True):
+    mu = par_slope_alpha(tau, alpha)
+    for profiles in vector_compositions(tau.ranks):
         for weight_parts in index_weight_splits(tau.weights, profiles):
-            part_degree_choices = []
-            feasible = True
+            choices = []
             for prof, wparts in zip(profiles, weight_parts):
-                wsum = sum((w.weight_sum() for w in wparts), Fraction(0))
-                if equal_slope_at is not None:
-                    a_wall = _alpha_fracs(equal_slope_at)
-                    need = mu_wall * sum(prof) - sum(
-                        n * a for n, a in zip(prof, a_wall)
+                if window is None:
+                    wsum = sum((w.weight_sum() for w in wparts), Fraction(0))
+                    total = (
+                        mu * sum(prof)
+                        - sum(n * a for n, a in zip(prof, alpha))
+                        - wsum
                     )
-                    t_j = need - wsum
-                    if t_j.denominator != 1:
-                        feasible = False
+                    if total.denominator != 1:
                         break
-                    totals = [int(t_j)]
+                    totals = [int(total)]
                 else:
-                    bound = max_abs_part_degree
-                    if bound is None:
-                        raise ValueError(
-                            "unpinned filtration enumeration needs a degree window"
-                        )
-                    totals = range(-bound, bound + 1)
-                choices = []
-                support = [i for i, v in enumerate(prof) if v]
-                for t_j in totals:
-                    block = tuple(support)
-                    sub_ranks = tuple(prof[i] for i in block)
-                    sub_weights = tuple(wparts[i] for i in block)
+                    totals = range(-window, window + 1)
+                block = [i for i, v in enumerate(prof) if v]
+                cands = []
+                for t in totals:
                     for dvec in enumerate_degree_vectors(
-                        sub_ranks, t_j, tuple(alpha[i] for i in block), sub_weights, k
+                        tuple(prof[i] for i in block),
+                        t,
+                        tuple(alpha[i] for i in block),
+                        tuple(wparts[i] for i in block),
+                        k,
                     ):
-                        full = [0] * (tau.length + 1)
-                        for pos, i in enumerate(block):
-                            full[i] = dvec[pos]
-                        choices.append(tuple(full))
-                if not choices:
-                    feasible = False
+                        degrees = [0] * (tau.length + 1)
+                        for i, d in zip(block, dvec):
+                            degrees[i] = d
+                        cands.append(ChainType(prof, tuple(degrees), wparts))
+                if not cands:
                     break
-                part_degree_choices.append(choices)
-            if not feasible:
-                continue
-            for degree_combo in itertools.product(*part_degree_choices):
-                sums = [
-                    sum(vec[i] for vec in degree_combo)
-                    for i in range(tau.length + 1)
-                ]
-                if tuple(sums) != tau.degrees:
-                    continue
-                parts = tuple(
-                    ChainType(prof, dvec, wparts)
-                    for prof, dvec, wparts in zip(
-                        profiles, degree_combo, weight_parts
-                    )
-                )
-                slopes = [par_slope_alpha(p, alpha) for p in parts]
-                if all(
-                    slopes[j] > slopes[j + 1] for j in range(len(slopes) - 1)
-                ):
-                    results.append(parts)
-    return results
+                choices.append(cands)
+            else:
+                for parts in itertools.product(*choices):
+                    if all(
+                        sum(p.degrees[i] for p in parts) == d
+                        for i, d in enumerate(tau.degrees)
+                    ):
+                        yield parts
+
+
+def slopes_decrease(parts, alpha):
+    """True when the parts' slopes at alpha strictly decrease (HN order)."""
+    slopes = [par_slope_alpha(p, alpha) for p in parts]
+    return all(slopes[j] > slopes[j + 1] for j in range(len(slopes) - 1))

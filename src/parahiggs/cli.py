@@ -21,6 +21,7 @@ from .parabolic import (
     frac,
     generate_generic_weights,
 )
+from .chains import compositions
 from .engine import ChainEngine
 from .higgs import HiggsProblem, higgs_computation
 from .stacks import bundle_stack_class, flag_class, gl_class, pbundle_stack_class
@@ -229,8 +230,7 @@ def _verify_checks(curve):
     ok = True
     for n in range(1, 4):
         for q in (2, 3):
-            comps = _all_compositions(n)
-            for r_vec in comps:
+            for r_vec in compositions(n):
                 cls = flag_class(n, r_vec, g)
                 got = specialize_count_plain(cls, q)
                 if got != oracles.gaussian_flag_count(n, r_vec, q):
@@ -286,20 +286,6 @@ def specialize_count_plain(cls, q):
         total += Fraction(c) * Fraction(q) ** m[0]
     den = sum(Fraction(c) * Fraction(q) ** e for e, c in enumerate(cls.den))
     return total / den
-
-
-def _all_compositions(n):
-    out = []
-
-    def rec(remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for v in range(1, remaining + 1):
-            rec(remaining - v, acc + [v])
-
-    rec(n, [])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .errors import (
-    BaseCaseHypothesisViolated,
     DeskScaleExceeded,
     EngineError,
     NonGenericWeights,
@@ -23,14 +22,14 @@ from .motive import ring, sym_cxp_coeff
 from .parabolic import ChainType, frac, genericity_check, par_slope_alpha
 from .chains import (
     _alpha_fracs,
-    chi_ext_fiber,
     chi_skyscrapers,
-    enumerate_degree_vectors,
+    compositions,
     enumerate_gap_profiles,
+    ext_exponent,
+    filtration_types,
     index_weight_splits,
-    integer_compositions,
     necessary_conditions,
-    vector_compositions,
+    slopes_decrease,
 )
 from .stacks import flag_class, pbundle_stack_class
 from . import walls as wallmod
@@ -45,20 +44,9 @@ class ChainEngine:
     evaluation schedule.
     """
 
-    def __init__(
-        self,
-        curve,
-        apply_gap_condition=True,
-        genericity_budget=5_000_000,
-        validate=False,
-        trace_walls=False,
-        seed_cache=None,
-    ):
+    def __init__(self, curve, trace_walls=False, seed_cache=None):
         self.curve = curve
         self.R = ring(curve.genus)
-        self.apply_gap_condition = apply_gap_condition
-        self.genericity_budget = genericity_budget
-        self.validate = validate
         self.trace_walls = trace_walls
         self.memo = {}
         self.seed_cache = dict(seed_cache or {})
@@ -108,9 +96,7 @@ class ChainEngine:
         if any(n == 0 for n in tau.ranks):
             return self._zero_padded(tau, alpha)
         self._check_generic(tau)
-        if not necessary_conditions(
-            tau, alpha, apply_gap_condition=self.apply_gap_condition
-        ):
+        if not necessary_conditions(tau, alpha):
             return self.R.zero
         if tau.total_rank > 1 and wallmod.is_on_wall(tau, alpha):
             raise WallHit(
@@ -158,7 +144,7 @@ class ChainEngine:
         key = (ws, N)
         ok = self._generic_cache.get(key)
         if ok is None:
-            ok = genericity_check(ws, N, self.genericity_budget)
+            ok = genericity_check(ws, N)
             self._generic_cache[key] = ok
         if not ok:
             raise NonGenericWeights(
@@ -166,26 +152,6 @@ class ChainEngine:
             )
 
     # ------------------------------------------------------------- base case
-
-    def chain_class_base(self, tau, alpha):
-        """Constant-rank product formula; demands the Hecke-regime inequalities.
-
-        Requires n|D| <= d_{i-1} - d_i + 2n|D| < alpha_i - alpha_{i-1} for all
-        i >= 1 (negative modification lengths yield the zero class directly,
-        since semistability forces injective maps in this regime).
-        """
-        alpha = self._normalize_alpha(tau, alpha)
-        if len(set(tau.ranks)) != 1 or tau.ranks[0] == 0:
-            raise BaseCaseHypothesisViolated("rank vector is not constant")
-        n = tau.ranks[0]
-        k = tau.num_points
-        for i in range(1, tau.length + 1):
-            gap = tau.degrees[i - 1] - tau.degrees[i] + 2 * n * k
-            if not gap < alpha[i] - alpha[i - 1]:
-                raise BaseCaseHypothesisViolated(
-                    f"stability gap at index {i} is not above the degree gap"
-                )
-        return self._base_case(tau, alpha)
 
     def _forced_vanishing(self, upper_datum, lower_datum, n):
         """Points where a chain map must vanish; exact for rank-one links."""
@@ -225,8 +191,10 @@ class ChainEngine:
         r = tau.length
         k = tau.num_points
         total = self.R.zero
-        for comp in integer_compositions(n, 2):
+        for comp in compositions(n):
             h = len(comp)
+            if h < 2:
+                continue
             if h >= 3 and len(set(comp)) != 1:
                 raise DeskScaleExceeded(
                     f"mixed-rank filtrations with {h} parts are beyond desk scale"
@@ -270,12 +238,7 @@ class ChainEngine:
             return ChainType((comp[j],) * (r + 1), degrees, weight_parts[j])
 
         def chi_of(cvec):
-            parts = [part_type(j, cvec[j]) for j in range(h)]
-            return sum(
-                chi_ext_fiber(parts[jj], parts[ii], g, k)
-                for ii in range(h)
-                for jj in range(ii + 1, h)
-            )
+            return ext_exponent([part_type(j, cvec[j]) for j in range(h)], g, k)
 
         def cls_of(j, c):
             return self.chain_class(part_type(j, c), alpha)
@@ -304,9 +267,6 @@ class ChainEngine:
                     raise EngineError("extension exponent is not affine")
                 if step >= 0:
                     raise EngineError("divergent filtration series")
-                if self.validate:
-                    assert cls_of(0, c1 + period) == cls_of(0, c1)
-                    assert cls_of(1, c2 - period) == cls_of(1, c2)
                 total = total + R.L_pow(chi0) * cls / (R.one - R.L_pow(step))
             return total
 
@@ -361,81 +321,38 @@ class ChainEngine:
 
     # ----------------------------------------------------------- wall strata
 
-    def strata_at_wall(self, tau, ray, t_wall, side):
-        """Equal-slope filtration strata on one side of a wall.
+    def strata_at_wall(self, tau, ray, t_wall):
+        """Equal-slope filtration strata on both sides of a wall.
 
-        Part degree totals are pinned by the equal-slope condition at the
-        wall; internal distributions are boxed by the (non-strict) conditions
-        at the wall parameter, which contain every side-chamber solution.
+        The wall's filtration types are enumerated once: part degree totals
+        are pinned by equal slope at the wall, internal distributions boxed by
+        the (non-strict) conditions there, which contain every side-chamber
+        solution.  A type goes to the side t_wall + 1 or t_wall - 1 whose
+        parameter makes its slopes strictly decrease.  All part slopes agree
+        at the wall, so that happens on at most one side.  Returns
+        ((plus, minus), count), count being the strata kept on both sides.
         """
         g = self.curve.genus
         k = tau.num_points
-        alpha_wall = ray.at(t_wall)
-        mu_wall = par_slope_alpha(tau, alpha_wall)
-        alpha_ord = ray.at(t_wall + side)
-        total = self.R.zero
+        order = {side: ray.at(t_wall + side) for side in (+1, -1)}
+        totals = {side: self.R.zero for side in order}
         count = 0
-        for profiles in vector_compositions(tau.ranks, interval_support=True):
-            for weight_parts in index_weight_splits(tau.weights, profiles):
-                part_candidates = []
-                feasible = True
-                for prof, wparts in zip(profiles, weight_parts):
-                    wsum = sum((d.weight_sum() for d in wparts), Fraction(0))
-                    need = mu_wall * sum(prof) - sum(
-                        nn * a for nn, a in zip(prof, alpha_wall)
-                    )
-                    t_j = need - wsum
-                    if t_j.denominator != 1:
-                        feasible = False
-                        break
-                    t_j = int(t_j)
-                    support = [i for i, v in enumerate(prof) if v]
-                    block = tuple(support)
-                    cands = []
-                    for dvec in enumerate_degree_vectors(
-                        tuple(prof[i] for i in block),
-                        t_j,
-                        tuple(alpha_wall[i] for i in block),
-                        tuple(wparts[i] for i in block),
-                        k,
-                    ):
-                        full = [0] * (tau.length + 1)
-                        for pos, i in enumerate(block):
-                            full[i] = dvec[pos]
-                        cands.append(ChainType(prof, tuple(full), wparts))
-                    if not cands:
-                        feasible = False
-                        break
-                    part_candidates.append(cands)
-                if not feasible:
-                    continue
-                for parts in itertools.product(*part_candidates):
-                    sums = [
-                        sum(p.degrees[i] for p in parts)
-                        for i in range(tau.length + 1)
-                    ]
-                    if tuple(sums) != tau.degrees:
-                        continue
-                    slopes = [par_slope_alpha(p, alpha_ord) for p in parts]
-                    if not all(
-                        slopes[j] > slopes[j + 1] for j in range(len(slopes) - 1)
-                    ):
-                        continue
-                    chi = sum(
-                        chi_ext_fiber(parts[jj], parts[ii], g, k)
-                        for ii in range(len(parts))
-                        for jj in range(ii + 1, len(parts))
-                    )
-                    cls = self.R.L_pow(chi)
-                    for p in parts:
-                        cls = cls * self._part_class_near(p, ray, t_wall, side)
-                        if cls.is_zero():
-                            break
-                    if cls.is_zero():
-                        continue
-                    total = total + cls
-                    count += 1
-        return total, count
+        for parts in filtration_types(tau, ray.at(t_wall)):
+            side = next(
+                (s for s, a in order.items() if slopes_decrease(parts, a)), None
+            )
+            if side is None:
+                continue
+            cls = self.R.L_pow(ext_exponent(parts, g, k))
+            for p in parts:
+                cls = cls * self._part_class_near(p, ray, t_wall, side)
+                if cls.is_zero():
+                    break
+            if cls.is_zero():
+                continue
+            totals[side] = totals[side] + cls
+            count += 1
+        return (totals[+1], totals[-1]), count
 
     def _part_class_near(self, part, ray, t_wall, side):
         """Part class in its own chamber adjacent to the wall, retrying past
@@ -471,20 +388,6 @@ class ChainEngine:
                     "class_hash": digest,
                 }
             )
-
-    def hn_stratum_class(self, parts, alpha):
-        """L^chi times the product of the part classes at one parameter."""
-        g = self.curve.genus
-        k = parts[0].num_points
-        chi = sum(
-            chi_ext_fiber(parts[jj], parts[ii], g, k)
-            for ii in range(len(parts))
-            for jj in range(ii + 1, len(parts))
-        )
-        cls = self.R.L_pow(chi)
-        for p in parts:
-            cls = cls * self.chain_class(p, alpha)
-        return cls
 
 
 def chain_key_str(tau, alpha, curve):

@@ -53,10 +53,6 @@ class UnboundedCandidates(UnboundedSearch):
     exit_code = 18
 
 
-class BaseCaseHypothesisViolated(EngineError):
-    exit_code = 19
-
-
 class NonGenericWeights(EngineError):
     exit_code = 3
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import NonIntegerDimension, NonPolynomialResult, NonGenericWeights
 from .motive import CurveData, ring
 from .parabolic import ChainType, WeightDatum, enumerate_weight_splits, genericity_check
-from .chains import enumerate_degree_vectors
+from .chains import compositions, enumerate_degree_vectors
 from .engine import ChainEngine
 
 
@@ -51,21 +51,6 @@ def chain_stability(r, g):
     return tuple(Fraction(i * (2 * g - 2)) for i in range(r + 1))
 
 
-def positive_compositions(n, parts):
-    out = []
-
-    def rec(remaining, slots, acc):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for v in range(1, remaining - slots + 2):
-            rec(remaining - v, slots - 1, acc + [v])
-
-    rec(n, parts, [])
-    return out
-
-
 def enumerate_fixed_types(problem):
     """All chain types of torus-fixed loci, with chain-side degrees.
 
@@ -80,7 +65,9 @@ def enumerate_fixed_types(problem):
     out = []
     for r in range(n):
         alpha = chain_stability(r, g)
-        for comp in positive_compositions(n, r + 1):
+        for comp in compositions(n):
+            if len(comp) != r + 1:
+                continue
             shift = (2 * g - 2) * sum(
                 comp[i] * (r - i) for i in range(r + 1)
             )

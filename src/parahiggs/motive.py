@@ -353,35 +353,6 @@ def ring(genus):
     return Ring(genus)
 
 
-def ring_ops(a, b, op):
-    """Dispatch arithmetic by name; the add/sub/mul/div/pow surface."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b
-    raise ValueError(f"unknown op {op!r}")
-
-
-@lru_cache(maxsize=None)
-def reduce_high_sym(i, genus):
-    """Large symmetric powers are projective bundles over the Jacobian:
-    [C^(i)] = Pic * (L^{i-g+1} - 1)/(L - 1) for i > 2g - 2."""
-    if i <= 2 * genus - 2:
-        raise ValueError("reduce_high_sym applies above degree 2g-2 only")
-    R = ring(genus)
-    e = i - genus + 1
-    num = MotiveClass(
-        genus, u_to_multivar(u_lpower_minus_one(e), R.nvars), U_ONE
-    )
-    return R.Pic * num / MotiveClass(genus, u_to_multivar(u_lpower_minus_one(1), R.nvars), U_ONE)
-
-
 # ---------------------------------------------------------------------------
 # curve data and zeta machinery
 
@@ -415,13 +386,6 @@ class CurveData:
                 raise InconsistentZeta(
                     f"functional equation fails at q={q}, index {i}"
                 )
-
-
-def zeta_coeff(curve, i):
-    """Class of the i-th symmetric power of the curve."""
-    if i < 0:
-        raise ValueError("symmetric power index must be nonnegative")
-    return ring(curve.genus).C(i)
 
 
 def _zeta_numerator_classes(curve):

@@ -79,15 +79,6 @@ def p_items_sorted(p):
     return sorted(p.items(), key=lambda kv: kv[0], reverse=True)
 
 
-def p_content(p):
-    g = 0
-    for c in p.values():
-        g = igcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
-
-
 # ---------------------------------------------------------------------------
 # univariate (in L) helpers; tuples of ints, ascending, no trailing zeros
 

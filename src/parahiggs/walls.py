@@ -158,11 +158,6 @@ def wall_positions(tau, ray, lo, hi):
     return sorted(walls)
 
 
-def find_walls(tau, ray):
-    """Critical parameters in (0, t_max], sorted descending for the walk."""
-    return list(reversed(wall_positions(tau, ray, Fraction(0), ray.t_max)))
-
-
 def is_on_wall(tau, alpha):
     """Exact slope-equality test against every candidate proper sub-type."""
     alpha = _alpha_fracs(alpha)
@@ -186,7 +181,9 @@ def cross_ray(engine, tau, ray):
 
     Within chambers the class is constant; at each wall the semistable locus
     at the wall equals the one just above plus the equal-slope filtration
-    strata, and dropping below removes the other side's strata.
+    strata, and dropping below removes the other side's strata.  Each wall's
+    filtration types are enumerated once, by one strata_at_wall call that
+    sorts them into the two sides.
     """
     if is_on_wall(tau, ray.base):
         raise BaseWallHit(f"the ray base parameter is critical for {tau}")
@@ -201,8 +198,7 @@ def cross_ray(engine, tau, ray):
 
     cls = engine.chain_class(tau, ray.at(anchor))
     for t_c in reversed(walls):
-        plus, n_plus = engine.strata_at_wall(tau, ray, t_c, +1)
-        minus, n_minus = engine.strata_at_wall(tau, ray, t_c, -1)
+        (plus, minus), count = engine.strata_at_wall(tau, ray, t_c)
         cls = cls + plus - minus
-        engine.record_wall(tau, t_c, n_plus + n_minus, cls)
+        engine.record_wall(tau, t_c, count, cls)
     return cls

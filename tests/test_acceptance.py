@@ -19,6 +19,7 @@ from parahiggs.parabolic import (
 from parahiggs.chains import (
     chi_par,
     chi_spar,
+    compositions,
     enumerate_degree_vectors,
     necessary_conditions,
 )
@@ -31,7 +32,7 @@ from parahiggs.oracles import (
     rank1_higgs_oracle,
     rank11_chain_oracle,
 )
-from parahiggs.cli import emit, run, specialize_count_plain, _all_compositions
+from parahiggs.cli import emit, run, specialize_count_plain
 
 ZETA_G2_Q2 = (1, 0, 0, 0, 4)
 
@@ -66,7 +67,7 @@ def test_criterion_2_flag_counts():
     t0 = time.time()
     ok = True
     for n in range(1, 5):
-        for comp in _all_compositions(n):
+        for comp in compositions(n):
             cls = flag_class(n, comp)
             for q in (2, 3, 5):
                 ok = ok and specialize_count_plain(cls, q) == gaussian_flag_count(

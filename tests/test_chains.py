@@ -22,8 +22,9 @@ from parahiggs.chains import (
     chi_spar,
     enumerate_degree_vectors,
     enumerate_gap_profiles,
-    hn_types_at,
+    filtration_types,
     necessary_conditions,
+    slopes_decrease,
 )
 
 
@@ -177,12 +178,6 @@ def test_conditions_hold():
     assert necessary_conditions(tau, alpha_f(0, 2)) is True
 
 
-def test_conditions_gap_toggle_prunes_only():
-    e = WeightDatum.trivial_flags(1, 1)
-    tau = ChainType((1, 1), (0, 2), (e, e))
-    assert necessary_conditions(tau, alpha_f(0, 2), apply_gap_condition=False)
-
-
 # ---------------------------------------------------------------------------
 # degree boxes vs brute force
 
@@ -272,16 +267,26 @@ def test_gap_profiles_shift_invariant():
 # filtration-type enumeration
 
 
+def hn_types(tau, alpha, window=None, order_at=None):
+    """Filtration types with strictly decreasing slopes at order_at."""
+    order_at = alpha if order_at is None else order_at
+    return [
+        parts
+        for parts in filtration_types(tau, alpha, window)
+        if slopes_decrease(parts, order_at)
+    ]
+
+
 def test_hn_types_rank_one_empty():
     e = WeightDatum.empty(0)
     tau = ChainType((1,), (0,), (e,))
-    assert hn_types_at(tau, alpha_f(0), max_abs_part_degree=4) == []
+    assert hn_types(tau, alpha_f(0), window=4) == []
 
 
 def test_hn_types_bun2_classical():
     e = WeightDatum.empty(0)
     tau = ChainType((2,), (1,), (e,))
-    types = hn_types_at(tau, alpha_f(0), max_abs_part_degree=5)
+    types = hn_types(tau, alpha_f(0), window=5)
     # classical strata: line-bundle pairs (d1, d2), d1 + d2 = 1, d1 > 1/2
     seen = sorted(t[0].degrees[0] for t in types)
     assert seen == [1, 2, 3, 4, 5]
@@ -305,10 +310,10 @@ def test_hn_types_wall_filter():
     # genuine wall: the index-0 truncation sub-line reaches the total slope
     t_true = Fraction(3) + a - b - 2
     assert t_true in walls
-    on_wall = hn_types_at(tau, ray.at(t_true + 1), equal_slope_at=ray.at(t_true))
+    on_wall = hn_types(tau, ray.at(t_true), order_at=ray.at(t_true + 1))
     assert on_wall
-    off_wall = hn_types_at(
-        tau, ray.at(t_true + 1), equal_slope_at=ray.at(t_true + Fraction(1, 7))
+    off_wall = hn_types(
+        tau, ray.at(t_true + Fraction(1, 7)), order_at=ray.at(t_true + 1)
     )
     assert off_wall == []
     for parts in on_wall:

@@ -13,7 +13,7 @@ from parahiggs.parabolic import (
 )
 from parahiggs.engine import ChainEngine, chain_key_str
 from parahiggs.stacks import pbundle_stack_class
-from parahiggs.chains import hn_types_at
+from parahiggs.chains import ext_exponent, filtration_types, slopes_decrease
 
 
 ZETA = (1, 0, 0, 0, 4)
@@ -98,8 +98,12 @@ def test_stratification_identity_rank2():
     ss = eng.chain_class(tau, alpha)
     ambient = pbundle_stack_class(2, 1, full, curve)
     total = specialize_count(ss, curve, 2)
-    for parts in hn_types_at(tau, alpha, max_abs_part_degree=40):
-        stratum = eng.hn_stratum_class(parts, alpha)
+    for parts in filtration_types(tau, alpha, window=40):
+        if not slopes_decrease(parts, alpha):
+            continue
+        stratum = eng.R.L_pow(ext_exponent(parts, 2, 1))
+        for p in parts:
+            stratum = stratum * eng.chain_class(p, alpha)
         total += specialize_count(stratum, curve, 2)
     want = specialize_count(ambient, curve, 2)
     assert abs(total - want) < Fraction(1, 10 ** 8)
@@ -165,13 +169,25 @@ def test_cache_key_round_trip():
 
 
 def test_resummation_twist_periodicity_validated():
-    """validate=True re-checks part-class periodicity inside the resummation."""
+    """The resummation's premise: a part class equals the class of its twist
+    by the period, here for the rank-one parts of a rank-2, one-point type."""
+    from parahiggs.chains import index_weight_splits
+
     curve = CurveData(2, 1)
     ws, d1, d2 = gen_pair()
     full = WeightDatum.full_flags([[ws[0], ws[1]]])
-    eng = ChainEngine(curve, validate=True)
-    cls = eng.chain_class(ChainType((2,), (1,), (full,)), (Fraction(0),))
+    eng = ChainEngine(curve)
+    alpha = (Fraction(0),)
+    cls = eng.chain_class(ChainType((2,), (1,), (full,)), alpha)
     assert not cls.is_zero()
+    period = 1  # lcm of the part ranks (1, 1)
+    for weight_parts in index_weight_splits((full,), [(1,), (1,)]):
+        for wp in weight_parts:
+            for c in range(-2, 3):
+                part = eng.chain_class(ChainType((1,), (c,), wp), alpha)
+                twist = eng.chain_class(ChainType((1,), (c + period,), wp), alpha)
+                assert not part.is_zero()
+                assert part == twist
 
 
 def test_rank111_grid_matches_direct_oracle():
@@ -211,38 +227,16 @@ def test_emptiness_monotonicity():
             assert got.is_zero() == want.is_zero()
 
 
-def test_chain_class_base_hypothesis_errors():
-    from parahiggs.errors import BaseCaseHypothesisViolated
-
-    curve = CurveData(2, 1)
-    eng = ChainEngine(curve)
-    ws, d1, d2 = gen_pair()
-    good = ChainType((1, 1), (-2, 0), (d1, d2))
-    alpha = (Fraction(0), Fraction(2))
-    assert eng.chain_class_base(good, alpha) == eng.chain_class(good, alpha)
-    bad_gap = ChainType((1, 1), (3, 0), (d1, d2))
-    with pytest.raises(BaseCaseHypothesisViolated):
-        eng.chain_class_base(bad_gap, alpha)
-    ws3 = generate_generic_weights(3, 3)
-    mixed = ChainType(
-        (2, 1),
-        (0, 0),
-        (WeightDatum.full_flags([[ws3[0], ws3[1]]]), WeightDatum.full_flags([[ws3[2]]])),
-    )
-    with pytest.raises(BaseCaseHypothesisViolated):
-        eng.chain_class_base(mixed, alpha)
-
-
 def test_find_walls_descending_and_base_wall_hit():
     from parahiggs.errors import BaseWallHit
-    from parahiggs.walls import Ray, cross_ray, find_walls
+    from parahiggs.walls import Ray, cross_ray, wall_positions
 
     curve = CurveData(2, 0, ZETA)
     eng = ChainEngine(curve)
     ws, d1, d2 = gen_pair()
     tau = ChainType((1, 1), (3, 0), (d1, d2))
     ray = Ray((Fraction(0), Fraction(2)), (0, 1), Fraction(8))
-    walls = find_walls(tau, ray)
+    walls = list(reversed(wall_positions(tau, ray, 0, ray.t_max)))
     assert walls == sorted(walls, reverse=True)
     # a critical base parameter aborts the walk explicitly
     even = ChainType((2,), (0,), (WeightDatum.empty(0),))
@@ -290,8 +284,8 @@ def test_rank3_filtration_sum_matches_windowed_series():
     from parahiggs.motive import specialize_count
     from parahiggs.chains import (
         chi_ext_fiber,
+        compositions,
         index_weight_splits,
-        integer_compositions,
     )
 
     curve = CurveData(2, 1, ZETA)
@@ -306,7 +300,7 @@ def test_rank3_filtration_sum_matches_windowed_series():
         part = ChainType((m,), (t,), (wd,))
         return specialize_count(eng.chain_class(part, alpha), curve, 2)
 
-    for comp in integer_compositions(3, 2):
+    for comp in [c for c in compositions(3) if len(c) >= 2]:
         closed = eng.R.zero
         profiles = [(m,) for m in comp]
         numeric = Fraction(0)

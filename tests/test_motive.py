@@ -14,13 +14,10 @@ from parahiggs.errors import (
 from parahiggs.motive import (
     CurveData,
     parse_class,
-    reduce_high_sym,
     ring,
-    ring_ops,
     specialize_E,
     specialize_count,
     sym_cxp_coeff,
-    zeta_coeff,
     zeta_eval,
 )
 
@@ -86,19 +83,19 @@ def test_linearity():
 def test_ring_ops_dispatch():
     R = ring(1)
     a, b = R.L + 1, R.L - 1
-    assert ring_ops(a, b, "add") == 2 * R.L
-    assert ring_ops(a, b, "sub") == R.from_int(2)
-    assert ring_ops(a, b, "mul") == R.L ** 2 - 1
-    assert ring_ops(a * b, b, "div") == a
-    assert ring_ops(b, 2, "pow") == R.L ** 2 - 2 * R.L + 1
+    assert a + b == 2 * R.L
+    assert a - b == R.from_int(2)
+    assert a * b == R.L ** 2 - 1
+    assert (a * b) / b == a
+    assert b ** 2 == R.L ** 2 - 2 * R.L + 1
 
 
 def test_division_outside_ring():
     R = ring(2)
     with pytest.raises(DivisionOutsideRing):
-        ring_ops(R.one, R.C(1), "div")
+        R.one / R.C(1)
     with pytest.raises(DivisionOutsideRing):
-        ring_ops(R.one, R.L + 2, "div")
+        R.one / (R.L + 2)
 
 
 def motive_elements(genus):
@@ -145,26 +142,21 @@ def test_ring_laws(data):
 
 def test_reduce_high_sym_genus0():
     # equals [P^2]; oracle: coefficient of t^2 in 1/((1-t)(1-Lt))
-    assert reduce_high_sym(2, 0) == series_coeff_P1_sym(2)
+    assert ring(0).C(2) == series_coeff_P1_sym(2)
 
 
 def test_reduce_high_sym_genus1():
     R = ring(1)
-    assert reduce_high_sym(1, 1) == R.Pic
+    assert R.C(1) == R.Pic
     # E-specializations of both sides agree
-    lhs = specialize_E(reduce_high_sym(1, 1))
+    lhs = specialize_E(R.C(1))
     u, v = Fraction(2), Fraction(3)
     assert e_eval(lhs, u, v) == e_sym_series_coeff(1, 1, u, v)
 
 
 def test_reduce_high_sym_genus2():
     R = ring(2)
-    assert reduce_high_sym(3, 2) == R.Pic * (R.L + 1)
-
-
-def test_reduce_high_sym_precondition():
-    with pytest.raises(ValueError):
-        reduce_high_sym(2, 2)
+    assert R.C(3) == R.Pic * (R.L + 1)
 
 
 def test_sym_reduction_specialization_consistent():
@@ -193,9 +185,8 @@ def test_sym_duality_relation_counts():
 
 
 def test_zeta_coeff_basics():
-    assert zeta_coeff(CurveData(2, 0), 0) == ring(2).one
-    assert zeta_coeff(CurveData(2, 0), 1) == ring(2).C(1)
-    assert zeta_coeff(CurveData(0, 0), 3) == series_coeff_P1_sym(3)
+    assert ring(2).C(0) == ring(2).one
+    assert ring(0).C(3) == series_coeff_P1_sym(3)
 
 
 def test_zeta_eval_genus0():
@@ -227,13 +218,12 @@ def test_zeta_eval_nonconvergent():
 
 
 def test_zeta_rationality_tail_vanishes():
-    """(1-t)(1-Lt) * sum zeta_coeff(i) t^i has zero coefficients above 2g."""
+    """(1-t)(1-Lt) * sum [C^(i)] t^i has zero coefficients above 2g."""
     for g in range(4):
         R = ring(g)
-        curve = CurveData(g, 0)
 
         def coeff(i):
-            return zeta_coeff(curve, i) if i >= 0 else R.zero
+            return R.C(i) if i >= 0 else R.zero
 
         for deg in (2 * g + 1, 2 * g + 2):
             val = coeff(deg) - (R.one + R.L) * coeff(deg - 1) + R.L * coeff(deg - 2)

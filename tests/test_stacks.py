@@ -15,7 +15,8 @@ from parahiggs.stacks import (
     phecke_class,
 )
 from parahiggs.oracles import gaussian_flag_count
-from parahiggs.cli import specialize_count_plain, _all_compositions
+from parahiggs.chains import compositions
+from parahiggs.cli import specialize_count_plain
 
 
 def test_gl_examples():
@@ -42,7 +43,7 @@ def test_flag_invalid():
 
 def test_flag_counts_match_gaussian():
     for n in range(1, 5):
-        for comp in _all_compositions(n):
+        for comp in compositions(n):
             cls = flag_class(n, comp)
             for q in (2, 3, 5):
                 assert specialize_count_plain(cls, q) == gaussian_flag_count(
@@ -52,7 +53,7 @@ def test_flag_counts_match_gaussian():
 
 def test_flag_polynomial_nonnegative():
     for n in range(1, 5):
-        for comp in _all_compositions(n):
+        for comp in compositions(n):
             cls = flag_class(n, comp)
             assert cls.is_polynomial()
             assert all(c > 0 for c in cls.num.values())
@@ -60,7 +61,7 @@ def test_flag_polynomial_nonnegative():
 
 def test_flag_reversal_symmetry():
     for n in range(2, 5):
-        for comp in _all_compositions(n):
+        for comp in compositions(n):
             assert flag_class(n, comp) == flag_class(n, tuple(reversed(comp)))
 
 
