@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import floor, gcd
+from math import ceil, floor, gcd
 
-from .errors import (
-    DeskScaleExceeded,
-    EngineError,
-    NonGenericWeights,
-    WallHit,
-)
+from .errors import EngineError, NonGenericWeights, WallHit
 from .motive import ring, sym_cxp_coeff
 from .parabolic import ChainType, frac, genericity_check, par_slope_alpha
 from .chains import (
@@ -95,10 +90,12 @@ class ChainEngine:
             return self.R.one
         if any(n == 0 for n in tau.ranks):
             return self._zero_padded(tau, alpha)
-        self._check_generic(tau)
+        self.check_generic(tau.all_weights(), tau.total_rank)
         if not necessary_conditions(tau, alpha):
             return self.R.zero
-        if tau.total_rank > 1 and wallmod.is_on_wall(tau, alpha):
+        # a bundle has no stability parameter to perturb: on a wall the base
+        # case gives its semistable class
+        if tau.length > 0 and wallmod.is_on_wall(tau, alpha):
             raise WallHit(
                 f"stability parameter {alpha} lies on a wall for type {tau}"
             )
@@ -136,11 +133,12 @@ class ChainEngine:
             )
         return out
 
-    def _check_generic(self, tau):
-        ws = tuple(sorted(tau.all_weights()))
+    def check_generic(self, weights, N):
+        """Certify the weights against integral relations bounded by N, once
+        per (weights, N); the only place NonGenericWeights is raised."""
+        ws = tuple(sorted(weights))
         if not ws:
             return
-        N = tau.total_rank
         key = (ws, N)
         ok = self._generic_cache.get(key)
         if ok is None:
@@ -192,13 +190,8 @@ class ChainEngine:
         k = tau.num_points
         total = self.R.zero
         for comp in compositions(n):
-            h = len(comp)
-            if h < 2:
+            if len(comp) < 2:
                 continue
-            if h >= 3 and len(set(comp)) != 1:
-                raise DeskScaleExceeded(
-                    f"mixed-rank filtrations with {h} parts are beyond desk scale"
-                )
             profiles = [(m,) * (r + 1) for m in comp]
             for weight_parts in index_weight_splits(tau.weights, profiles):
                 profile_lists = []
@@ -222,94 +215,86 @@ class ChainEngine:
         return total
 
     def _resum(self, tau, alpha, comp, weight_parts, base_profiles, rho):
-        r = tau.length
+        """Sum one filtration shape's strata over the lattice points of its cone.
+
+        Part j, shifted by c_j, has slope ((r+1) c_j + s_j + w_j) / m_j up to a
+        common constant.  The strata are the integer c with sum rho whose
+        slopes strictly decrease: an open simplicial cone with its apex where
+        all slopes are equal.  Ray l moves only the l-th slope gap, and each
+        entry is a multiple of its part's rank, so the part classes are
+        periodic along it while the extension exponent is affine.  The cone is
+        the fundamental parallelepiped's points plus nonnegative ray steps,
+        each ray a geometric series (Brion; Beck-Robins ch. 3).
+        """
+        r1 = tau.length + 1
         k = tau.num_points
         g = self.curve.genus
         h = len(comp)
-        A = sum(alpha, Fraction(0))
+        R = self.R
         s = [sum(prof) for prof in base_profiles]
         w = [
             sum((d.weight_sum() for d in weight_parts[j]), Fraction(0))
             for j in range(h)
         ]
+        mu = Fraction(r1 * rho + sum(s) + sum(w), sum(comp))
+        apex = [(mu * m - s[j] - w[j]) / r1 for j, m in enumerate(comp)]
+        rays, widths = [], []
+        for l in range(h - 1):
+            below, above = sum(comp[: l + 1]), sum(comp[l + 1 :])
+            e = gcd(below, above)
+            rays.append(
+                [m * above // e if j <= l else -m * below // e
+                 for j, m in enumerate(comp)]
+            )
+            widths.append(r1 * (below + above) // e)
+
+        def slope(j, c):
+            return (r1 * c[j] + s[j] + w[j]) / comp[j]
+
+        def shifted(c, ray, times=1):
+            return [cj + times * v for cj, v in zip(c, ray)]
 
         def part_type(j, c):
             degrees = tuple(b + c for b in base_profiles[j])
-            return ChainType((comp[j],) * (r + 1), degrees, weight_parts[j])
+            return ChainType((comp[j],) * r1, degrees, weight_parts[j])
 
-        def chi_of(cvec):
-            return ext_exponent([part_type(j, cvec[j]) for j in range(h)], g, k)
-
-        def cls_of(j, c):
-            return self.chain_class(part_type(j, c), alpha)
-
-        R = self.R
-        total = R.zero
-        if h == 2:
-            m1, m2 = comp
-            theta = Fraction(
-                m1 * (s[1] + (r + 1) * rho + w[1] + m2 * A)
-                - m2 * (s[0] + w[0] + m1 * A),
-                (r + 1) * (m1 + m2),
+        def chi_of(c):
+            return ext_exponent(
+                [part_type(j, cj) for j, cj in enumerate(c)], g, k
             )
-            c_min = floor(theta) + 1
-            period = m1 * m2 // gcd(m1, m2)
-            for c1 in range(c_min, c_min + period):
-                c2 = rho - c1
-                cls = cls_of(0, c1) * cls_of(1, c2)
-                if cls.is_zero():
-                    continue
-                chi0 = chi_of((c1, c2))
-                chi1 = chi_of((c1 + period, c2 - period))
-                chi2 = chi_of((c1 + 2 * period, c2 - 2 * period))
-                step = chi1 - chi0
-                if chi2 - chi1 != step:
-                    raise EngineError("extension exponent is not affine")
-                if step >= 0:
-                    raise EngineError("divergent filtration series")
-                total = total + R.L_pow(chi0) * cls / (R.one - R.L_pow(step))
-            return total
 
-        # h >= 3, all part ranks equal
-        m = comp[0]
-        period = h * m
-        psi = [
-            Fraction(s[j + 1] + w[j + 1] - s[j] - w[j], r + 1)
+        corners = [apex]
+        for ray in rays:
+            corners += [shifted(x, ray) for x in corners]
+        box = [
+            range(ceil(min(x[j] for x in corners)),
+                  floor(max(x[j] for x in corners)) + 1)
             for j in range(h - 1)
         ]
-        dc_min = [floor(p) + 1 for p in psi]
-
-        def c_from_dc(dc):
-            weighted = sum((l + 1) * dc[l] for l in range(h - 1))
-            if (rho - weighted) % h != 0:
-                return None
-            c_last = (rho - weighted) // h
-            cs = [c_last] * h
-            for j in range(h - 2, -1, -1):
-                cs[j] = cs[j + 1] + dc[j]
-            return tuple(cs)
-
-        for offsets in itertools.product(range(period), repeat=h - 1):
-            dc = tuple(dc_min[j] + offsets[j] for j in range(h - 1))
-            cvec = c_from_dc(dc)
-            if cvec is None:
+        ray_sum = [sum(col) for col in zip(*rays)]
+        total = R.zero
+        for head in itertools.product(*box):
+            c = list(head) + [rho - sum(head)]
+            if not all(
+                0 < slope(l, c) - slope(l + 1, c) <= widths[l]
+                for l in range(h - 1)
+            ):
                 continue
-            cls = R.one
-            for j in range(h):
-                cls = cls * cls_of(j, cvec[j])
+            cls = self.chain_class(part_type(0, c[0]), alpha)
+            for j in range(1, h):
                 if cls.is_zero():
                     break
+                cls = cls * self.chain_class(part_type(j, c[j]), alpha)
             if cls.is_zero():
                 continue
-            chi0 = chi_of(cvec)
+            chi0 = chi_of(c)
             rates = []
-            for l in range(h - 1):
-                shifted = list(dc)
-                shifted[l] += period
-                cvec_s = c_from_dc(tuple(shifted))
-                rates.append(chi_of(cvec_s) - chi0)
-            all_shift = c_from_dc(tuple(d + period for d in dc))
-            if chi_of(all_shift) - chi0 != sum(rates):
+            for ray in rays:
+                chi1 = chi_of(shifted(c, ray))
+                if chi_of(shifted(c, ray, 2)) - chi1 != chi1 - chi0:
+                    raise EngineError("extension exponent is not affine")
+                rates.append(chi1 - chi0)
+            if chi_of(shifted(c, ray_sum)) - chi0 != sum(rates):
                 raise EngineError("extension exponent is not affine")
             if any(rate >= 0 for rate in rates):
                 raise EngineError("divergent filtration series")

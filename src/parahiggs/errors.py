@@ -78,6 +78,10 @@ class NonPolynomialResult(EngineError):
 
 
 class DeskScaleExceeded(EngineError):
-    """Input needs summation machinery beyond the implemented generality."""
+    """Higgs rank 4 or more, raised by higgs_computation before any work.
+
+    Chain stack classes of any rank are resummed, but the rank-4 moduli sum
+    does not yet come out polynomial.
+    """
 
     exit_code = 21

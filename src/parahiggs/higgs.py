@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonIntegerDimension, NonPolynomialResult, NonGenericWeights
+from .errors import DeskScaleExceeded, NonIntegerDimension, NonPolynomialResult
 from .motive import CurveData, ring
-from .parabolic import ChainType, WeightDatum, enumerate_weight_splits, genericity_check
+from .parabolic import ChainType, WeightDatum, enumerate_weight_splits
 from .chains import compositions, enumerate_degree_vectors
 from .engine import ChainEngine
 
@@ -92,11 +92,13 @@ class HiggsComputation:
 
 
 def higgs_computation(problem, engine=None):
+    if problem.rank >= 4:
+        raise DeskScaleExceeded(
+            f"Higgs moduli of rank {problem.rank} are out of scope (rank <= 3)"
+        )
     g = problem.curve.genus
-    if problem.datum.points:
-        if not genericity_check(problem.datum.all_weights(), problem.rank):
-            raise NonGenericWeights("weight datum fails the genericity bound")
     engine = engine or ChainEngine(problem.curve)
+    engine.check_generic(problem.datum.all_weights(), problem.rank)
     R = ring(g)
     N = half_dimension(problem.rank, problem.datum, g, problem.curve.num_marked)
     total = R.zero

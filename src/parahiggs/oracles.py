@@ -120,19 +120,18 @@ def bun2_hn_recursion_oracle(g, d, q, zeta_numerator, truncation=20):
 
     Unstable strata are indexed by the destabilizing line sub-bundle degree;
     each contributes q^{g-1-delta} (#Pic/(q-1))^2 with delta = 2 d1 - d > 0.
+    At even degree the strictly semistable bundles (delta = 0) stay in.
     The tail past the truncation bound is summed in closed form, so the result
     is independent of the bound.
     """
-    if d % 2 == 0:
-        raise ValueError("even degree sits on a wall; the oracle needs d odd")
     P = [Fraction(c) for c in zeta_numerator]
     qf = Fraction(q)
     pic = sum(P)
     line = pic / (qf - 1)
     total = bun2_stack_count(g, q, zeta_numerator)
-    # delta runs over odd positive integers
+    # delta runs over the positive integers of the parity of d
     head = Fraction(0)
-    delta = 1
+    delta = 2 - d % 2
     terms = 0
     while terms < truncation:
         head += qf ** (g - 1 - delta)

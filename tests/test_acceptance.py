@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from parahiggs.motive import CurveData, specialize_E
+from parahiggs.motive import CurveData, specialize_E, specialize_count
 from parahiggs.parabolic import (
     ChainType,
     WeightDatum,
@@ -32,7 +32,7 @@ from parahiggs.oracles import (
     rank1_higgs_oracle,
     rank11_chain_oracle,
 )
-from parahiggs.cli import emit, run, specialize_count_plain
+from parahiggs.cli import emit, run
 
 ZETA_G2_Q2 = (1, 0, 0, 0, 4)
 
@@ -65,12 +65,13 @@ def test_criterion_1_rank1_closed_form():
 
 def test_criterion_2_flag_counts():
     t0 = time.time()
+    point = CurveData(0, 0, (1,))
     ok = True
     for n in range(1, 5):
         for comp in compositions(n):
             cls = flag_class(n, comp)
             for q in (2, 3, 5):
-                ok = ok and specialize_count_plain(cls, q) == gaussian_flag_count(
+                ok = ok and specialize_count(cls, point, q) == gaussian_flag_count(
                     n, comp, q
                 )
     elapsed = time.time() - t0

@@ -80,10 +80,10 @@ def test_wall_hit_exit_code(tmp_path):
         "curve": {"genus": 2, "marked_points": 0},
         "problem": {
             "kind": "chain",
-            "ranks": [2],
-            "degrees": [0],
-            "weights": [[]],
-            "alpha": ["0"],
+            "ranks": [1, 1],
+            "degrees": [2, 0],
+            "weights": [[], []],
+            "alpha": ["0", "2"],
         },
     }
     path = tmp_path / "wall.json"

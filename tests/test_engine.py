@@ -147,9 +147,10 @@ def test_non_generic_weights_rejected():
 def test_wall_hit_at_even_degree_no_points():
     curve = CurveData(2, 0, ZETA)
     eng = ChainEngine(curve)
-    tau = ChainType((2,), (2,), (WeightDatum.empty(0),))
+    empty = WeightDatum.empty(0)
+    tau = ChainType((1, 1), (2, 0), (empty, empty))
     with pytest.raises(WallHit):
-        eng.chain_class(tau, (Fraction(0),))
+        eng.chain_class(tau, (Fraction(0), Fraction(2)))
 
 
 def test_cache_key_round_trip():
@@ -263,74 +264,74 @@ def test_rank11_k2_grid_matches_oracle():
         assert eng.chain_class(tau, alpha) == want, degs
 
 
-def test_rank4_filtration_beyond_desk_scale():
-    from parahiggs.errors import DeskScaleExceeded
-
-    curve = CurveData(2, 0, ZETA)
-    eng = ChainEngine(curve)
-    tau = ChainType((4,), (1,), (WeightDatum.empty(0),))
-    with pytest.raises(DeskScaleExceeded):
-        eng.chain_class(tau, (Fraction(0),))
-
-
 def test_rank3_filtration_sum_matches_windowed_series():
     """Closed-form strata resummation vs a truncated numeric series at q=2.
 
-    The window is wide enough that the geometric tail sits far below the
-    comparison tolerance.
+    Inputs: parabolic rank 3 over every filtration shape, and non-parabolic
+    rank 4 over the three-part shapes of mixed rank, whose rank-2 parts sit on
+    their wall at even degree and give the semistable class.  The window is
+    wide enough that the geometric tail sits far below the comparison
+    tolerance.
     """
     import itertools
 
-    from parahiggs.motive import specialize_count
-    from parahiggs.chains import (
-        chi_ext_fiber,
-        compositions,
-        index_weight_splits,
-    )
+    from parahiggs.chains import chi_ext_fiber, compositions, index_weight_splits
 
-    curve = CurveData(2, 1, ZETA)
-    ws = generate_generic_weights(3, 3)
-    datum = WeightDatum.full_flags([ws])
-    eng = ChainEngine(curve)
-    tau = ChainType((3,), (1,), (datum,))
+    datum3 = WeightDatum.full_flags([generate_generic_weights(3, 3)])
+    cases = [
+        (
+            CurveData(2, 1, ZETA),
+            ChainType((3,), (1,), (datum3,)),
+            [c for c in compositions(3) if len(c) >= 2],
+        ),
+        (
+            CurveData(2, 0, ZETA),
+            ChainType((4,), (1,), (WeightDatum.empty(0),)),
+            [(1, 1, 2), (1, 2, 1), (2, 1, 1)],
+        ),
+    ]
     alpha = (Fraction(0),)
     q = Fraction(2)
+    for curve, tau, comps in cases:
+        eng = ChainEngine(curve)
+        g, k = curve.genus, curve.num_marked
+        rho = tau.degrees[0]
 
-    def part_count(m, t, wd):
-        part = ChainType((m,), (t,), (wd,))
-        return specialize_count(eng.chain_class(part, alpha), curve, 2)
+        def part_count(m, t, wd):
+            part = ChainType((m,), (t,), (wd,))
+            return specialize_count(eng.chain_class(part, alpha), curve, 2)
 
-    for comp in [c for c in compositions(3) if len(c) >= 2]:
-        closed = eng.R.zero
-        profiles = [(m,) for m in comp]
-        numeric = Fraction(0)
-        for weight_parts in index_weight_splits(tau.weights, profiles):
-            closed = closed + eng._resum(
-                tau, alpha, comp, weight_parts, tuple((0,) for _ in comp), 1
-            )
-            wsums = [wp[0].weight_sum() for wp in weight_parts]
-            h = len(comp)
-            window = 20
-            for ts in itertools.product(range(-window, window + 1), repeat=h - 1):
-                t_last = 1 - sum(ts)
-                tv = list(ts) + [t_last]
-                if abs(t_last) > 3 * window:
-                    continue
-                slopes = [(Fraction(tv[j]) + wsums[j]) / comp[j] for j in range(h)]
-                if not all(slopes[j] > slopes[j + 1] for j in range(h - 1)):
-                    continue
-                parts = [
-                    ChainType((comp[j],), (tv[j],), (weight_parts[j][0],))
-                    for j in range(h)
-                ]
-                chi = sum(
-                    chi_ext_fiber(parts[jj], parts[ii], 2, 1)
-                    for ii in range(h)
-                    for jj in range(ii + 1, h)
+        for comp in comps:
+            closed = eng.R.zero
+            profiles = [(m,) for m in comp]
+            numeric = Fraction(0)
+            for weight_parts in index_weight_splits(tau.weights, profiles):
+                closed = closed + eng._resum(
+                    tau, alpha, comp, weight_parts, tuple((0,) for _ in comp), rho
                 )
-                term = q ** chi
-                for j in range(h):
-                    term *= part_count(comp[j], tv[j], weight_parts[j][0])
-                numeric += term
-        got = specialize_count(closed, curve, 2)
-        assert abs(got - numeric) < Fraction(1, 2 ** 12), comp
+                wsums = [wp[0].weight_sum() for wp in weight_parts]
+                h = len(comp)
+                window = 20
+                for ts in itertools.product(range(-window, window + 1), repeat=h - 1):
+                    t_last = rho - sum(ts)
+                    tv = list(ts) + [t_last]
+                    if abs(t_last) > 3 * window:
+                        continue
+                    slopes = [(Fraction(tv[j]) + wsums[j]) / comp[j] for j in range(h)]
+                    if not all(slopes[j] > slopes[j + 1] for j in range(h - 1)):
+                        continue
+                    parts = [
+                        ChainType((comp[j],), (tv[j],), (weight_parts[j][0],))
+                        for j in range(h)
+                    ]
+                    chi = sum(
+                        chi_ext_fiber(parts[jj], parts[ii], g, k)
+                        for ii in range(h)
+                        for jj in range(ii + 1, h)
+                    )
+                    term = q ** chi
+                    for j in range(h):
+                        term *= part_count(comp[j], tv[j], weight_parts[j][0])
+                    numeric += term
+            got = specialize_count(closed, curve, 2)
+            assert abs(got - numeric) < Fraction(1, 2 ** 12), (tau, comp)

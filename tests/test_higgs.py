@@ -2,9 +2,16 @@
 
 from fractions import Fraction
 
+import time
+
 import pytest
 
-from parahiggs.errors import NonGenericWeights
+from parahiggs.errors import (
+    BudgetExceeded,
+    DeskScaleExceeded,
+    NonGenericWeights,
+    UnboundedSearch,
+)
 from parahiggs.motive import CurveData, ring, specialize_E, specialize_count
 from parahiggs.parabolic import WeightDatum, generate_generic_weights
 from parahiggs.engine import ChainEngine
@@ -170,3 +177,32 @@ def test_degree_independence_genus3():
     }
     assert specialize_E(cls[0]) == specialize_E(cls[1])
     assert cls[0].dimension() == 20
+
+
+def test_nonparabolic_rank3_degree_independent():
+    """The rank-2 bundle summand sits on its wall at even degree and gives
+    the semistable class, so (2,0,3) computes at both degree parities."""
+    curve = CurveData(2, 0, ZETA)
+    cls = {
+        d: higgs_moduli_class(HiggsProblem(curve, 3, d, WeightDatum.empty(0)))
+        for d in (1, 2)
+    }
+    assert cls[1] == cls[2]
+    assert cls[1].is_polynomial()
+    assert max(i + j for i, j in specialize_E(cls[1]).num) == 40
+
+
+@pytest.mark.parametrize(
+    "genus, points, rank, error",
+    [
+        (2, 1, 4, DeskScaleExceeded),
+        (1, 1, 3, UnboundedSearch),
+        (0, 3, 3, BudgetExceeded),
+    ],
+)
+def test_out_of_scope_inputs_fail_fast(genus, points, rank, error):
+    problem = HiggsProblem(CurveData(genus, points), rank, 1, full_datum(rank, points))
+    start = time.perf_counter()
+    with pytest.raises(error):
+        higgs_computation(problem)
+    assert time.perf_counter() - start < 1.0

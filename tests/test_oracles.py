@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from parahiggs.motive import ring
+from parahiggs.engine import ChainEngine
+from parahiggs.motive import CurveData, ring, specialize_count
+from parahiggs.parabolic import ChainType, WeightDatum
 from parahiggs.oracles import (
     bun2_hn_recursion_oracle,
     bun2_stack_count,
@@ -65,9 +67,17 @@ def test_bun2_oracle_truncation_independent():
     assert len(vals) == 1
 
 
-def test_bun2_oracle_even_degree_rejected():
-    with pytest.raises(ValueError):
-        bun2_hn_recursion_oracle(2, 0, 2, (1, 0, 0, 0, 4))
+def test_bun2_oracle_matches_engine_every_degree():
+    """At even degree the strictly semistable bundles stay in; the engine's
+    length-zero class on the wall is that semistable bundle class."""
+    for g, zeta in ((0, (1,)), (2, (1, 0, 0, 0, 4))):
+        curve = CurveData(g, 0, zeta)
+        eng = ChainEngine(curve)
+        for d in (-2, 0, 1, 2, 3):
+            tau = ChainType((2,), (d,), (WeightDatum.empty(0),))
+            cls = eng.chain_class(tau, (Fraction(0),))
+            want = bun2_hn_recursion_oracle(g, d, 2, zeta)
+            assert specialize_count(cls, curve, 2) == want, (g, d)
 
 
 def test_bun2_stack_count_value():

@@ -16,7 +16,6 @@ from parahiggs.stacks import (
 )
 from parahiggs.oracles import gaussian_flag_count
 from parahiggs.chains import compositions
-from parahiggs.cli import specialize_count_plain
 
 
 def test_gl_examples():
@@ -42,11 +41,12 @@ def test_flag_invalid():
 
 
 def test_flag_counts_match_gaussian():
+    point = CurveData(0, 0, (1,))
     for n in range(1, 5):
         for comp in compositions(n):
             cls = flag_class(n, comp)
             for q in (2, 3, 5):
-                assert specialize_count_plain(cls, q) == gaussian_flag_count(
+                assert specialize_count(cls, point, q) == gaussian_flag_count(
                     n, comp, q
                 ), (n, comp, q)
 

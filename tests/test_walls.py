@@ -161,6 +161,7 @@ def test_ray_independence():
 def test_wall_hit_raises():
     curve = CurveData(2, 0)
     eng = ChainEngine(curve)
-    tau = ChainType((2,), (0,), (WeightDatum.empty(0),))
+    empty = WeightDatum.empty(0)
+    tau = ChainType((1, 1), (2, 0), (empty, empty))
     with pytest.raises(WallHit):
-        eng.chain_class(tau, (Fraction(0),))
+        eng.chain_class(tau, (Fraction(0), Fraction(2)))
