@@ -10,6 +10,7 @@ filtration pieces of a chain naturally have them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -194,24 +195,43 @@ def par_slope_alpha(tau, alpha):
 
 
 def genericity_check(all_weights, N, budget=5_000_000):
-    """True when no bounded nonzero integer combination of the weights is integral."""
+    """True when no bounded nonzero integer combination of the weights is integral.
+
+    Exact meet-in-the-middle search over residues (Horowitz and Sahni, J. ACM
+    21, 1974). With Q the common denominator and a_i = w_i*Q mod Q, a sum
+    c_i*w_i is integral iff c_i*a_i sums to 0 mod Q. The residues of the left
+    half's coefficient vectors are tabulated; a relation with |c_i| <= N exists
+    iff a nonzero left vector reaches 0 or a nonzero right vector reaches the
+    negative of a table entry. budget bounds the table size (2N+1)^ceil(count/2).
+    """
     if N < 1:
         raise ValueError("bound must be at least 1")
     ws = [frac(w) for w in all_weights]
     if not ws:
         return True
-    count = len(ws)
-    if (2 * N + 1) ** count > budget:
+    half = (len(ws) + 1) // 2
+    if (2 * N + 1) ** half > budget:
         raise BudgetExceeded(
-            f"genericity search space (2*{N}+1)^{count} exceeds budget {budget}"
+            f"genericity table size (2*{N}+1)^{half} for {len(ws)} weights "
+            f"exceeds budget {budget}"
         )
-    for combo in itertools.product(range(-N, N + 1), repeat=count):
-        if all(c == 0 for c in combo):
-            continue
-        total = sum(c * w for c, w in zip(combo, ws))
-        if total.denominator == 1:
-            return False
-    return True
+    Q = math.lcm(*(w.denominator for w in ws))
+    residues = [w.numerator * (Q // w.denominator) % Q for w in ws]
+    left = _nonzero_sums(residues[:half], N, Q)
+    if 0 in left:
+        return False
+    left.add(0)
+    return all((-b) % Q not in left for b in _nonzero_sums(residues[half:], N, Q))
+
+
+def _nonzero_sums(residues, N, Q):
+    """Residues mod Q of c_i*a_i summed, over nonzero vectors with |c_i| <= N."""
+    reached = set()
+    for a in residues:
+        steps = [c * a % Q for c in range(-N, N + 1) if c]
+        reached |= {(s + step) % Q for s in reached for step in steps}
+        reached.update(steps)
+    return reached
 
 
 def _next_prime(n):

@@ -7,7 +7,6 @@ import time
 import pytest
 
 from parahiggs.errors import (
-    BudgetExceeded,
     DeskScaleExceeded,
     NonGenericWeights,
     UnboundedSearch,
@@ -169,6 +168,26 @@ def test_genus0_rank2_three_points():
     assert cls.dimension() in (None, 0)
 
 
+def test_genus0_rank2_four_points():
+    # the nilpotent cone is five rational curves
+    curve = CurveData(0, 4)
+    datum = full_datum(2, 4)
+    for d in (0, 1):
+        cls = higgs_moduli_class(HiggsProblem(curve, 2, d, datum))
+        assert str(cls) == "L^2 + 5 * L"
+
+
+def test_genus0_rank2_five_points_degree_independent():
+    curve = CurveData(0, 5)
+    datum = full_datum(2, 5)
+    cls = {
+        d: higgs_moduli_class(HiggsProblem(curve, 2, d, datum)) for d in (0, 1)
+    }
+    assert cls[0] == cls[1]
+    assert cls[0].is_polynomial()
+    assert cls[0].dimension() == 4
+
+
 def test_degree_independence_genus3():
     curve = CurveData(3, 1)
     datum = full_datum(2, 1)
@@ -197,7 +216,7 @@ def test_nonparabolic_rank3_degree_independent():
     [
         (2, 1, 4, DeskScaleExceeded),
         (1, 1, 3, UnboundedSearch),
-        (0, 3, 3, BudgetExceeded),
+        (0, 3, 3, UnboundedSearch),
     ],
 )
 def test_out_of_scope_inputs_fail_fast(genus, points, rank, error):

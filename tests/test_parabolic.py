@@ -1,7 +1,10 @@
 """Weight data, slopes, duality, genericity and weight splitting."""
 
+import itertools
+import operator
+import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +137,40 @@ def test_genericity_small_relations():
 def test_genericity_budget():
     with pytest.raises(BudgetExceeded):
         genericity_check([Fraction(1, 101)] * 12, 6, budget=1000)
+
+
+def test_genericity_twelve_weights_within_budget():
+    # the table holds 5^6 residues, where brute force would need 5^12 vectors
+    ws = generate_generic_weights(12, 2)
+    assert genericity_check(ws, 2) is True
+    # the relation w_0 + (1 - w_0) = 1 spans both halves
+    assert genericity_check(ws[:11] + [1 - ws[0]], 2) is False
+
+
+def brute_force_generic(ws, N):
+    """Every nonzero vector in [-N, N]^count, summed over the product of the
+    denominators."""
+    D = prod(w.denominator for w in ws)
+    nums = [w.numerator * (D // w.denominator) for w in ws]
+    for combo in itertools.product(range(-N, N + 1), repeat=len(ws)):
+        if any(combo) and sum(map(operator.mul, combo, nums)) % D == 0:
+            return False
+    return True
+
+
+def test_genericity_matches_brute_force():
+    rng = random.Random(7)
+    denominators = [1, 2, 3, 7, 12, 29, 101, 2**31 - 1]
+    answers = set()
+    for _ in range(600):
+        count, N = rng.randint(1, 6), rng.randint(1, 3)
+        ws = [Fraction(rng.randrange(q), q) for q in rng.choices(denominators, k=count)]
+        if rng.random() < 0.3:
+            ws = [rng.choice(ws) for _ in ws]
+        answer = genericity_check(ws, N)
+        assert answer is brute_force_generic(ws, N), (ws, N)
+        answers.add(answer)
+    assert answers == {True, False}
 
 
 def test_generate_generic_weights_examples():
