@@ -90,91 +90,98 @@ def ext_exponent(parts, g, k):
 
 
 # ---------------------------------------------------------------------------
-# necessary conditions for semistable chains of a given type
+# existence conditions for semistable chains of a given type
 
 
 def _alpha_fracs(alpha):
     return tuple(frac(a) for a in alpha)
 
 
-def _is_strictly_increasing(alpha):
-    return all(alpha[i] > alpha[i - 1] for i in range(1, len(alpha)))
+def _condition_rows(ranks, alpha, k):
+    """The existence conditions for semistable chains of the given ranks.
 
-
-def necessary_conditions(tau, alpha, k=None):
-    """Existence test for semistable chains of type tau at the given parameter.
-
-    Conditions on rank dips and rises are applied only for strictly increasing
-    parameters (their derivation needs it); the truncation conditions hold for
-    any parameter.
+    Returns one list of rows (coeffs, rhs), read sum coeffs_i x_i <= rhs over
+    the parabolic degrees x_i, per choice of gap condition; a type passes iff
+    every row of some choice holds.  Low-index truncations are sub-chains for
+    every parameter.  Rank dips and rises are used only for strictly
+    increasing parameters (their derivation needs it); there the equal-rank
+    gap is the printed one.  Otherwise the map to the lower index at an
+    equal-rank site may vanish, making the high-index truncation a sub-chain,
+    so each site takes either the printed gap or that suffix truncation.
     """
+    r = len(ranks) - 1
+    n = ranks
+    n_tot = sum(n)
+    A = [n[i] * alpha[i] for i in range(r + 1)]
+    A_tot = sum(A)
+
+    def slope_row(c, const, m):
+        """(sum_i c_i x_i + const)/m <= (sum_i x_i + A_tot)/n_tot."""
+        coeffs = tuple(
+            Fraction(c.get(i, 0), m) - Fraction(1, n_tot) for i in range(r + 1)
+        )
+        return coeffs, Fraction(A_tot, n_tot) - Fraction(const, m)
+
+    def truncation(indices):
+        return slope_row(
+            {i: 1 for i in indices},
+            sum(A[i] for i in indices),
+            sum(n[i] for i in indices),
+        )
+
+    def printed_gap(j):
+        """x_j - x_{j-1} <= n_j k."""
+        coeffs = [Fraction(0)] * (r + 1)
+        coeffs[j], coeffs[j - 1] = Fraction(1), Fraction(-1)
+        return tuple(coeffs), Fraction(n[j] * k)
+
+    prefixes = [truncation(range(j + 1)) for j in range(r)]
+    sites = [j for j in range(1, r + 1) if n[j] == n[j - 1]]
+    if not all(a < b for a, b in zip(alpha, alpha[1:])):
+        return [
+            prefixes + list(picks)
+            for picks in itertools.product(
+                *[(printed_gap(j), truncation(range(j, r + 1))) for j in sites]
+            )
+        ]
+    rows = prefixes + [printed_gap(j) for j in sites]
+    for j in range(1, r + 1):
+        for kk in range(j):
+            # rank dip: replace the window [kk, j] by twists of the j-th bundle
+            if n[j] < min(n[kk:j]):
+                width = j - kk + 1
+                outside = [i for i in range(r + 1) if not kk <= i <= j]
+                c = {i: 1 for i in outside}
+                c[j] = width
+                const = sum(A[i] for i in outside) + n[j] * (
+                    sum(alpha[kk : j + 1]) - Fraction(width * (width - 1), 2) * k
+                )
+                m = sum(n[i] for i in outside) + width * n[j]
+                rows.append(slope_row(c, const, m))
+            # rank rise: the dual replacement, a quotient-side condition
+            if n[kk] < min(n[kk + 1 : j + 1]):
+                span = range(kk + 1, j + 1)
+                c = {i: 1 for i in span}
+                c[kk] = -len(span)
+                const = sum(
+                    alpha[i] * (n[i] - n[kk]) - n[kk] * (i - kk) * k for i in span
+                )
+                rows.append(slope_row(c, const, sum(n[i] - n[kk] for i in span)))
+    return [rows]
+
+
+def _holds(rows, x):
+    return all(sum(c * xi for c, xi in zip(coeffs, x)) <= rhs for coeffs, rhs in rows)
+
+
+def necessary_conditions(tau, alpha):
+    """Existence test for semistable chains of type tau at the given parameter:
+    some choice of _condition_rows holds at tau's parabolic degrees."""
     if any(n == 0 for n in tau.ranks):
         raise ValueError("necessary_conditions expects full-support types")
-    alpha = _alpha_fracs(alpha)
-    if k is None:
-        k = tau.num_points
-    r = tau.length
-    n = tau.ranks
-    P = tau.pardegs()
-    shifted = [P[i] + n[i] * alpha[i] for i in range(r + 1)]
-    n_tot = sum(n)
-    mu = Fraction(sum(shifted), n_tot)
-    increasing = _is_strictly_increasing(alpha)
-
-    # (1) low-index truncations are sub-chains for every parameter
-    for j in range(r):
-        nj = sum(n[: j + 1])
-        if Fraction(sum(shifted[: j + 1]), nj) > mu:
-            return False
-
-    # (2) equal-rank degree gap; for non-monotone parameters the map to the
-    # lower index may vanish, in which case the high-index truncation is a
-    # sub-chain, so the disjunction below is the honest necessary condition.
-    for j in range(1, r + 1):
-        if n[j] != n[j - 1]:
-            continue
-        printed = P[j] - n[j] * k <= P[j - 1]
-        if increasing:
-            if not printed:
-                return False
-        else:
-            mj = sum(n[j:])
-            suffix = Fraction(sum(shifted[j:]), mj) <= mu
-            if not (printed or suffix):
-                return False
-
-    if not increasing:
-        return True
-
-    # (3) rank dips: replace the window [kk, j] by twists of the j-th bundle
-    for j in range(1, r + 1):
-        for kk in range(j):
-            if not n[j] < min(n[kk:j]):
-                continue
-            width = j - kk + 1
-            m_den = sum(n[i] for i in range(r + 1) if not kk <= i <= j) + width * n[j]
-            num = sum(shifted[i] for i in range(r + 1) if not kk <= i <= j)
-            num += width * P[j]
-            num += (
-                sum(alpha[kk : j + 1]) - Fraction(width * (width - 1), 2) * k
-            ) * n[j]
-            if Fraction(num, 1) / m_den > mu:
-                return False
-
-    # (4) rank rises: the dual replacement, a quotient-side condition
-    for j in range(1, r + 1):
-        for kk in range(j):
-            if not n[kk] < min(n[kk + 1 : j + 1]):
-                continue
-            m_den = sum(n[i] - n[kk] for i in range(kk + 1, j + 1))
-            num = sum(
-                P[i] - P[kk] - n[kk] * (i - kk) * k + alpha[i] * (n[i] - n[kk])
-                for i in range(kk + 1, j + 1)
-            )
-            if Fraction(num, 1) / m_den > mu:
-                return False
-
-    return True
+    x = tau.pardegs()
+    choices = _condition_rows(tau.ranks, _alpha_fracs(alpha), tau.num_points)
+    return any(_holds(rows, x) for rows in choices)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +224,15 @@ def _fm_eliminate(constraints, var):
 
 
 def _fm_var_bounds(constraints, nvars, var):
-    """Bounds (lo, hi) for one variable after eliminating all others."""
+    """Bounds (lo, hi) for one variable after eliminating all others (a side
+    is None when unbounded), or None when the constraints are infeasible."""
     cons = constraints
     for v in range(nvars):
         if v == var:
             continue
         cons = _fm_eliminate(cons, v)
         if cons is None:
-            return "infeasible"
+            return None
     lo, hi = None, None
     for coeffs, rhs in cons:
         c = coeffs[var]
@@ -237,214 +245,74 @@ def _fm_var_bounds(constraints, nvars, var):
     return lo, hi
 
 
-def _condition_constraints(ranks, alpha, k, gap_condition_modes=None):
-    """Linear relaxation of the necessary conditions, shift-free difference form.
+def _degree_box(n_vec, alpha, weight_data, pinned, value):
+    """Degree vectors passing the existence conditions whose degrees at the
+    pinned indices sum to value, in lexicographic order.
 
-    Variables are the parabolic degrees x_i.  gap_condition_modes optionally
-    replaces the printed equal-rank gap condition at index j by the suffix
-    truncation condition ('suffix'), needed for non-monotone parameters.
-    """
-    r = len(ranks) - 1
-    n = ranks
-    n_tot = sum(n)
-    a = alpha
-    increasing = _is_strictly_increasing(a)
-    A = [n[i] * a[i] for i in range(r + 1)]
-    A_tot = sum(A)
-    cons = []
-
-    def diff_prefix(indices, m_den):
-        """(sum over indices of (x_i + A_i))/m_den <= mu, in difference form."""
-        coeffs = [Fraction(0)] * (r + 1)
-        rhs = Fraction(A_tot, n_tot)
-        for i in range(r + 1):
-            coeffs[i] -= Fraction(1, n_tot)
-        for i in indices:
-            coeffs[i] += Fraction(1, m_den)
-            rhs -= Fraction(A[i], m_den)
-        cons.append((tuple(coeffs), rhs))
-
-    for j in range(r):
-        diff_prefix(range(j + 1), sum(n[: j + 1]))
-
-    for j in range(1, r + 1):
-        if n[j] != n[j - 1]:
-            continue
-        mode = (gap_condition_modes or {}).get(j, "printed")
-        if mode == "printed":
-            coeffs = [Fraction(0)] * (r + 1)
-            coeffs[j] = Fraction(1)
-            coeffs[j - 1] = Fraction(-1)
-            cons.append((tuple(coeffs), Fraction(n[j] * k)))
-        elif mode == "suffix":
-            diff_prefix(range(j, r + 1), sum(n[j:]))
-        else:
-            raise ValueError(mode)
-
-    if increasing:
-        for j in range(1, r + 1):
-            for kk in range(j):
-                if n[j] < min(n[kk:j]):
-                    width = j - kk + 1
-                    m_den = (
-                        sum(n[i] for i in range(r + 1) if not kk <= i <= j)
-                        + width * n[j]
-                    )
-                    outside = [i for i in range(r + 1) if not kk <= i <= j]
-                    rhs_extra = -(
-                        sum(a[kk : j + 1]) - Fraction(width * (width - 1), 2) * k
-                    ) * n[j]
-                    coeffs = [Fraction(0)] * (r + 1)
-                    rhs = Fraction(A_tot, n_tot)
-                    for i in range(r + 1):
-                        coeffs[i] -= Fraction(1, n_tot)
-                    for i in outside:
-                        coeffs[i] += Fraction(1, m_den)
-                        rhs -= Fraction(A[i], m_den)
-                    coeffs[j] += Fraction(width, m_den)
-                    rhs += Fraction(rhs_extra, m_den)
-                    cons.append((tuple(coeffs), rhs))
-                if n[kk] < min(n[kk + 1 : j + 1]):
-                    m_den = sum(n[i] - n[kk] for i in range(kk + 1, j + 1))
-                    coeffs = [Fraction(0)] * (r + 1)
-                    rhs = Fraction(A_tot, n_tot)
-                    for i in range(r + 1):
-                        coeffs[i] -= Fraction(1, n_tot)
-                    accum_rhs = Fraction(0)
-                    for i in range(kk + 1, j + 1):
-                        coeffs[i] += Fraction(1, m_den)
-                        coeffs[kk] -= Fraction(1, m_den)
-                        accum_rhs += -n[kk] * (i - kk) * k + a[i] * (n[i] - n[kk])
-                    rhs -= Fraction(accum_rhs, m_den)
-                    cons.append((tuple(coeffs), rhs))
-    return cons
-
-
-def _gap_condition_mode_sets(ranks, alpha):
-    """Which disjunct combinations to take the hull over for the degree box."""
-    if _is_strictly_increasing(alpha):
-        return [None]
-    eq_sites = [
-        j for j in range(1, len(ranks)) if ranks[j] == ranks[j - 1]
-    ]
-    combos = []
-    for modes in itertools.product(("printed", "suffix"), repeat=len(eq_sites)):
-        combos.append(dict(zip(eq_sites, modes)))
-    return combos or [None]
-
-
-def enumerate_degree_vectors(n_vec, total_d, alpha, weight_data, k=None):
-    """All degree vectors with the given total passing the necessary conditions.
-
-    A Fourier-Motzkin relaxation of the conditions yields finite per-index
-    bounds (else UnboundedSearch); the box is then filtered exactly.
+    The last pinned degree is solved from the pin.  The other, free degrees
+    are boxed by the hull of the Fourier-Motzkin projections of the choices
+    of condition rows (UnboundedSearch when one is unbounded), and the box is
+    filtered exactly by the same rows.
     """
     n_vec = tuple(int(x) for x in n_vec)
-    alpha = _alpha_fracs(alpha)
-    weight_data = tuple(weight_data)
-    if k is None:
-        k = weight_data[0].num_points if weight_data else 0
-    r = len(n_vec) - 1
     if any(n <= 0 for n in n_vec):
         raise ValueError("degree enumeration expects positive ranks")
+    alpha = _alpha_fracs(alpha)
     wsums = [w.weight_sum() for w in weight_data]
-    total_pardeg = Fraction(total_d) + sum(wsums, Fraction(0))
-    if r == 0:
-        tau = ChainType(n_vec, (total_d,), weight_data)
-        return [(total_d,)] if necessary_conditions(tau, alpha, k) else []
-
-    lo = [None] * (r + 1)
-    hi = [None] * (r + 1)
-    for modes in _gap_condition_mode_sets(n_vec, alpha):
-        cons = _condition_constraints(n_vec, alpha, k, modes)
-        # fix the total: sum x_i = total_pardeg
-        ones = tuple(Fraction(1) for _ in range(r + 1))
-        cons_fixed = cons + [
-            (ones, total_pardeg),
-            (tuple(-c for c in ones), -total_pardeg),
-        ]
-        for var in range(r + 1):
-            bounds = _fm_var_bounds(cons_fixed, r + 1, var)
-            if bounds == "infeasible":
-                lo_v, hi_v = Fraction(1), Fraction(0)  # empty marker
-            else:
-                lo_v, hi_v = bounds
-            if lo_v is None or hi_v is None:
-                raise UnboundedSearch(
-                    f"degree bounds unbounded for rank vector {n_vec} at {alpha}"
-                )
-            lo[var] = lo_v if lo[var] is None else min(lo[var], lo_v)
-            hi[var] = hi_v if hi[var] is None else max(hi[var], hi_v)
-
-    d_lo = [int((lo[i] - wsums[i]).__ceil__()) for i in range(r + 1)]
-    d_hi = [int((hi[i] - wsums[i]).__floor__()) for i in range(r + 1)]
+    nvars = len(n_vec)
+    choices = _condition_rows(n_vec, alpha, weight_data[0].num_points)
+    pin = tuple(Fraction(int(i in pinned)) for i in range(nvars))
+    pin_value = value + sum((wsums[i] for i in pinned), Fraction(0))
+    pin_rows = [(pin, pin_value), (tuple(-c for c in pin), -pin_value)]
+    solved = pinned[-1]
+    free = [i for i in range(nvars) if i != solved]
+    box = None
+    for rows in choices:
+        bounds = [_fm_var_bounds(rows + pin_rows, nvars, var) for var in free]
+        if None in bounds:
+            continue  # infeasible choice
+        if any(b is None for bound in bounds for b in bound):
+            raise UnboundedSearch(
+                f"degree bounds unbounded for rank vector {n_vec} at {alpha}"
+            )
+        if box is not None:
+            bounds = [
+                (min(lo, blo), max(hi, bhi))
+                for (lo, hi), (blo, bhi) in zip(bounds, box)
+            ]
+        box = bounds
+    if box is None:
+        return []
+    ranges = [
+        range((lo - wsums[i]).__ceil__(), (hi - wsums[i]).__floor__() + 1)
+        for i, (lo, hi) in zip(free, box)
+    ]
     out = []
-    ranges = [range(d_lo[i], d_hi[i] + 1) for i in range(r)]
     for head in itertools.product(*ranges):
-        last = total_d - sum(head)
-        if not d_lo[r] <= last <= d_hi[r]:
-            continue
-        dvec = head + (last,)
-        tau = ChainType(n_vec, dvec, weight_data)
-        if necessary_conditions(tau, alpha, k):
+        last = value - sum(head[i] for i in pinned[:-1])
+        dvec = head[:solved] + (last,) + head[solved:]
+        x = [d + w for d, w in zip(dvec, wsums)]
+        if any(_holds(rows, x) for rows in choices):
             out.append(dvec)
-    out.sort()
     return out
 
 
-def enumerate_gap_profiles(n_vec, alpha, weight_data, k=None):
-    """Degree vectors normalized to d_0 = 0 passing the shift-invariant conditions.
+def enumerate_degree_vectors(n_vec, total_d, alpha, weight_data):
+    """All degree vectors with the given total passing the existence
+    conditions, in lexicographic order."""
+    return _degree_box(n_vec, alpha, weight_data, range(len(n_vec)), total_d)
+
+
+def enumerate_gap_profiles(n_vec, alpha, weight_data):
+    """Degree vectors normalized to d_0 = 0 passing the existence conditions.
 
     Used for constant-rank filtration pieces, whose conditions do not pin the
     total degree; only the prefix and equal-rank gap conditions apply, and both
     are invariant under a common shift of all degrees.
     """
-    n_vec = tuple(int(x) for x in n_vec)
     if len(set(n_vec)) != 1:
         raise ValueError("gap profiles are defined for constant rank vectors")
-    alpha = _alpha_fracs(alpha)
-    weight_data = tuple(weight_data)
-    if k is None:
-        k = weight_data[0].num_points if weight_data else 0
-    r = len(n_vec) - 1
-    if r == 0:
-        return [(0,)]
-    wsums = [w.weight_sum() for w in weight_data]
-    lo = [None] * (r + 1)
-    hi = [None] * (r + 1)
-    for modes in _gap_condition_mode_sets(n_vec, alpha):
-        cons = _condition_constraints(n_vec, alpha, k, modes)
-        # gauge: x_0 = wsums[0]  (i.e. d_0 = 0)
-        gauge = [Fraction(0)] * (r + 1)
-        gauge[0] = Fraction(1)
-        cons_fixed = cons + [
-            (tuple(gauge), wsums[0]),
-            (tuple(-c for c in gauge), -wsums[0]),
-        ]
-        for var in range(1, r + 1):
-            bounds = _fm_var_bounds(cons_fixed, r + 1, var)
-            if bounds == "infeasible":
-                lo_v, hi_v = Fraction(1), Fraction(0)
-            else:
-                lo_v, hi_v = bounds
-            if lo_v is None or hi_v is None:
-                raise UnboundedSearch(
-                    f"gap bounds unbounded for rank vector {n_vec} at {alpha}"
-                )
-            lo[var] = lo_v if lo[var] is None else min(lo[var], lo_v)
-            hi[var] = hi_v if hi[var] is None else max(hi[var], hi_v)
-    d_lo = [int((lo[i] - wsums[i]).__ceil__()) for i in range(1, r + 1)]
-    d_hi = [int((hi[i] - wsums[i]).__floor__()) for i in range(1, r + 1)]
-    out = []
-    for tail in itertools.product(
-        *[range(d_lo[i], d_hi[i] + 1) for i in range(r)]
-    ):
-        dvec = (0,) + tail
-        tau = ChainType(n_vec, dvec, weight_data)
-        if necessary_conditions(tau, alpha, k):
-            out.append(dvec)
-    out.sort()
-    return out
+    return _degree_box(n_vec, alpha, weight_data, (0,), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +383,6 @@ def filtration_types(tau, alpha, window=None):
     with slopes_decrease at the parameter they need.
     """
     alpha = _alpha_fracs(alpha)
-    k = tau.num_points
     mu = par_slope_alpha(tau, alpha)
     for profiles in vector_compositions(tau.ranks):
         for weight_parts in index_weight_splits(tau.weights, profiles):
@@ -541,7 +408,6 @@ def filtration_types(tau, alpha, window=None):
                         t,
                         tuple(alpha[i] for i in block),
                         tuple(wparts[i] for i in block),
-                        k,
                     ):
                         degrees = [0] * (tau.length + 1)
                         for i, d in zip(block, dvec):

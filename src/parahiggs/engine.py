@@ -187,7 +187,6 @@ class ChainEngine:
         """
         n = tau.ranks[0]
         r = tau.length
-        k = tau.num_points
         total = self.R.zero
         for comp in compositions(n):
             if len(comp) < 2:
@@ -197,9 +196,7 @@ class ChainEngine:
                 profile_lists = []
                 for j, m in enumerate(comp):
                     profile_lists.append(
-                        enumerate_gap_profiles(
-                            (m,) * (r + 1), alpha, weight_parts[j], k
-                        )
+                        enumerate_gap_profiles((m,) * (r + 1), alpha, weight_parts[j])
                     )
                 for combo in itertools.product(*profile_lists):
                     rho_vals = {

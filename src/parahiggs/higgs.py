@@ -78,7 +78,7 @@ def enumerate_fixed_types(problem):
                 splits = enumerate_weight_splits(problem.datum, comp)
             for split in splits:
                 for dvec in enumerate_degree_vectors(
-                    comp, chain_total, alpha, split, k
+                    comp, chain_total, alpha, split
                 ):
                     out.append(ChainType(comp, dvec, split))
     return out

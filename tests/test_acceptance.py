@@ -21,7 +21,6 @@ from parahiggs.chains import (
     chi_spar,
     compositions,
     enumerate_degree_vectors,
-    necessary_conditions,
 )
 from parahiggs.engine import ChainEngine
 from parahiggs.walls import Ray, cross_ray, wall_positions
@@ -33,6 +32,8 @@ from parahiggs.oracles import (
     rank11_chain_oracle,
 )
 from parahiggs.cli import emit, run
+
+from test_chains import scalar_conditions
 
 ZETA_G2_Q2 = (1, 0, 0, 0, 4)
 
@@ -120,17 +121,17 @@ def test_criterion_4_box_vs_window():
         d1 = flags(one, 1)
         d2 = flags(two, 2)
         dd0 = flags([[3]] if k == 1 else [[1], [0]], 1)
-        cases.append(((1, 1), 0, (0, 2), (d1, dd0), k))
-        cases.append(((1, 1), 1, (0, 3), (d1, dd0), k))
-        cases.append(((2, 1), 1, (0, 2), (d2, d1), k))
-        cases.append(((1, 2), -1, (0, 4), (d1, d2), k))
+        cases.append(((1, 1), 0, (0, 2), (d1, dd0)))
+        cases.append(((1, 1), 1, (0, 3), (d1, dd0)))
+        cases.append(((2, 1), 1, (0, 2), (d2, d1)))
+        cases.append(((1, 2), -1, (0, 4), (d1, d2)))
         if k == 1:
             e = flags([[4]], 1)
-            cases.append(((1, 1, 1), 0, (0, 2, 4), (d1, dd0, e), k))
-            cases.append(((1, 1, 1), 2, (0, 3, 6), (d1, dd0, e), k))
-    for n_vec, total, alpha, weights, k in cases:
+            cases.append(((1, 1, 1), 0, (0, 2, 4), (d1, dd0, e)))
+            cases.append(((1, 1, 1), 2, (0, 3, 6), (d1, dd0, e)))
+    for n_vec, total, alpha, weights in cases:
         alpha = tuple(Fraction(a) for a in alpha)
-        got = sorted(enumerate_degree_vectors(n_vec, total, alpha, weights, k))
+        got = sorted(enumerate_degree_vectors(n_vec, total, alpha, weights))
         window = []
         r = len(n_vec) - 1
         for head in itertools.product(range(-8, 9), repeat=r):
@@ -138,7 +139,7 @@ def test_criterion_4_box_vs_window():
             if abs(last) > 8:
                 continue
             dvec = tuple(head) + (last,)
-            if necessary_conditions(ChainType(n_vec, dvec, weights), alpha):
+            if scalar_conditions(ChainType(n_vec, dvec, weights), alpha):
                 window.append(dvec)
         ok = ok and got == sorted(window)
         ok = ok and all(max(abs(x) for x in v) <= 8 for v in got)

@@ -161,6 +161,74 @@ def alpha_f(*vals):
     return tuple(Fraction(v) for v in vals)
 
 
+def scalar_conditions(tau, alpha):
+    """Reference statement of the existence conditions as scalar slope
+    inequalities, independent of the condition rows the library boxes with.
+
+    Conditions on rank dips and rises are applied only for strictly increasing
+    parameters; the truncation conditions hold for any parameter.
+    """
+    alpha = tuple(Fraction(a) for a in alpha)
+    k = tau.num_points
+    r = tau.length
+    n = tau.ranks
+    P = tau.pardegs()
+    shifted = [P[i] + n[i] * alpha[i] for i in range(r + 1)]
+    mu = Fraction(sum(shifted), sum(n))
+    increasing = all(alpha[i] > alpha[i - 1] for i in range(1, r + 1))
+
+    # (1) low-index truncations are sub-chains for every parameter
+    for j in range(r):
+        if Fraction(sum(shifted[: j + 1]), sum(n[: j + 1])) > mu:
+            return False
+
+    # (2) equal-rank degree gap; for non-monotone parameters the map to the
+    # lower index may vanish, in which case the high-index truncation is a
+    # sub-chain, so the disjunction below is the honest necessary condition.
+    for j in range(1, r + 1):
+        if n[j] != n[j - 1]:
+            continue
+        printed = P[j] - n[j] * k <= P[j - 1]
+        if increasing:
+            if not printed:
+                return False
+        elif not (printed or Fraction(sum(shifted[j:]), sum(n[j:])) <= mu):
+            return False
+
+    if not increasing:
+        return True
+
+    # (3) rank dips: replace the window [kk, j] by twists of the j-th bundle
+    for j in range(1, r + 1):
+        for kk in range(j):
+            if not n[j] < min(n[kk:j]):
+                continue
+            width = j - kk + 1
+            m_den = sum(n[i] for i in range(r + 1) if not kk <= i <= j) + width * n[j]
+            num = sum(shifted[i] for i in range(r + 1) if not kk <= i <= j)
+            num += width * P[j]
+            num += (
+                sum(alpha[kk : j + 1]) - Fraction(width * (width - 1), 2) * k
+            ) * n[j]
+            if Fraction(num, 1) / m_den > mu:
+                return False
+
+    # (4) rank rises: the dual replacement, a quotient-side condition
+    for j in range(1, r + 1):
+        for kk in range(j):
+            if not n[kk] < min(n[kk + 1 : j + 1]):
+                continue
+            m_den = sum(n[i] - n[kk] for i in range(kk + 1, j + 1))
+            num = sum(
+                P[i] - P[kk] - n[kk] * (i - kk) * k + alpha[i] * (n[i] - n[kk])
+                for i in range(kk + 1, j + 1)
+            )
+            if Fraction(num, 1) / m_den > mu:
+                return False
+
+    return True
+
+
 def test_conditions_rank0():
     tau = ChainType((2,), (5,), (WeightDatum.empty(0),))
     assert necessary_conditions(tau, alpha_f(0)) is True
@@ -178,11 +246,48 @@ def test_conditions_hold():
     assert necessary_conditions(tau, alpha_f(0, 2)) is True
 
 
+def random_condition_input(rng):
+    """Ranks, weights, parameter and degrees over lengths 0-3, ranks 1-3,
+    0-2 points and denominators 7-101; half the parameters increase."""
+    r = rng.randint(0, 3)
+    ranks = tuple(rng.randint(1, 3) for _ in range(r + 1))
+    k = rng.randint(0, 2)
+    den = rng.randint(7, 101)
+
+    def datum(n):
+        if not k:
+            return WeightDatum.empty(0)
+        return full_flag(
+            [sorted(Fraction(c, den) for c in rng.sample(range(1, den), n)) for _ in range(k)]
+        )
+
+    weights = tuple(datum(n) for n in ranks)
+    if rng.random() < 0.5:
+        alpha = [Fraction(0)]
+        for _ in range(r):
+            alpha.append(alpha[-1] + Fraction(rng.randint(1, 12), rng.randint(1, 3)))
+    else:
+        alpha = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(r + 1)]
+    degrees = tuple(rng.randint(-6, 6) for _ in range(r + 1))
+    return ChainType(ranks, degrees, weights), tuple(alpha)
+
+
+def test_conditions_match_scalar_reference():
+    rng = random.Random(20260)
+    verdicts = set()
+    for _ in range(3000):
+        tau, alpha = random_condition_input(rng)
+        got = necessary_conditions(tau, alpha)
+        assert got == scalar_conditions(tau, alpha), (tau, alpha)
+        verdicts.add((got, all(b > a for a, b in zip(alpha, alpha[1:]))))
+    assert len(verdicts) == 4  # both answers, increasing or not
+
+
 # ---------------------------------------------------------------------------
 # degree boxes vs brute force
 
 
-def brute_force_window(n_vec, total, alpha, weights, k, window=8):
+def brute_force_window(n_vec, total, alpha, weights, window=8):
     out = []
     r = len(n_vec) - 1
     for head in itertools.product(range(-window, window + 1), repeat=r):
@@ -191,7 +296,7 @@ def brute_force_window(n_vec, total, alpha, weights, k, window=8):
             continue
         dvec = tuple(head) + (last,)
         tau = ChainType(n_vec, dvec, weights)
-        if necessary_conditions(tau, alpha):
+        if scalar_conditions(tau, alpha):
             out.append(dvec)
     return sorted(out)
 
@@ -200,38 +305,38 @@ def box_cases():
     ws4 = generate_generic_weights(4, 4)
     cases = []
     e1 = WeightDatum.trivial_flags(1, 1)
-    cases.append(((1, 1), 0, alpha_f(0, 2), (e1, e1), 1))
-    cases.append(((1, 1), 1, alpha_f(0, 3), (e1, e1), 1))
+    cases.append(((1, 1), 0, alpha_f(0, 2), (e1, e1)))
+    cases.append(((1, 1), 1, alpha_f(0, 3), (e1, e1)))
     d1 = full_flag([[ws4[0]]])
     d2 = full_flag([[ws4[1]]])
-    cases.append(((1, 1), 0, alpha_f(0, 2), (d1, d2), 1))
+    cases.append(((1, 1), 0, alpha_f(0, 2), (d1, d2)))
     d12 = full_flag([[ws4[0], ws4[2]]])
-    cases.append(((2, 1), 1, alpha_f(0, 2), (d12, d2), 1))
-    cases.append(((1, 2), -1, alpha_f(0, 4), (d2, d12), 1))
+    cases.append(((2, 1), 1, alpha_f(0, 2), (d12, d2)))
+    cases.append(((1, 2), -1, alpha_f(0, 4), (d2, d12)))
     e2 = WeightDatum.trivial_flags(1, 2)
-    cases.append(((1, 1, 1), 0, alpha_f(0, 2, 4), (e2, e2, e2), 2))
+    cases.append(((1, 1, 1), 0, alpha_f(0, 2, 4), (e2, e2, e2)))
     dd1 = full_flag([[ws4[0]], [ws4[1]]])
     dd2 = full_flag([[ws4[2]], [ws4[3]]])
-    cases.append(((1, 1), 0, alpha_f(0, 1), (dd1, dd2), 2))
+    cases.append(((1, 1), 0, alpha_f(0, 1), (dd1, dd2)))
     return cases
 
 
 def test_box_matches_brute_force():
-    for n_vec, total, alpha, weights, k in box_cases():
-        got = enumerate_degree_vectors(n_vec, total, alpha, weights, k)
-        want = brute_force_window(n_vec, total, alpha, weights, k)
+    for n_vec, total, alpha, weights in box_cases():
+        got = enumerate_degree_vectors(n_vec, total, alpha, weights)
+        want = brute_force_window(n_vec, total, alpha, weights)
         assert sorted(got) == want, (n_vec, total)
         assert all(max(abs(x) for x in v) <= 8 for v in got)
 
 
 def test_box_rank0():
     tau_weights = (WeightDatum.empty(0),)
-    assert enumerate_degree_vectors((2,), 5, alpha_f(0), tau_weights, 0) == [(5,)]
+    assert enumerate_degree_vectors((2,), 5, alpha_f(0), tau_weights) == [(5,)]
 
 
 def test_box_example_contents():
     e1 = WeightDatum.trivial_flags(1, 1)
-    got = enumerate_degree_vectors((1, 1), 0, alpha_f(0, 2), (e1, e1), 1)
+    got = enumerate_degree_vectors((1, 1), 0, alpha_f(0, 2), (e1, e1))
     assert (0, 0) in got
     assert (1, -1) in got
     assert (-2, 2) not in got  # fails the equal-rank gap condition
@@ -241,7 +346,7 @@ def test_box_unbounded_for_degenerate_parameter():
     # two equal stability entries at genus >= 2 leave the box unbounded
     e1 = WeightDatum.trivial_flags(1, 1)
     with pytest.raises(UnboundedSearch):
-        enumerate_degree_vectors((1, 2), 0, alpha_f(0, 0), (e1, full_flag1()), 1)
+        enumerate_degree_vectors((1, 2), 0, alpha_f(0, 0), (e1, full_flag1()))
 
 
 def full_flag1():
@@ -253,7 +358,7 @@ def test_gap_profiles_shift_invariant():
     ws = generate_generic_weights(2, 2)
     d1 = full_flag([[ws[0]]])
     d2 = full_flag([[ws[1]]])
-    profiles = enumerate_gap_profiles((1, 1), alpha_f(0, 2), (d1, d2), 1)
+    profiles = enumerate_gap_profiles((1, 1), alpha_f(0, 2), (d1, d2))
     assert profiles
     assert all(p[0] == 0 for p in profiles)
     # profiles plus a constant shift pass the conditions at any total

@@ -1,8 +1,9 @@
 """Localization assembly: fixed types, half dimension, moduli classes."""
 
-from fractions import Fraction
-
+import itertools
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from parahiggs.errors import (
     UnboundedSearch,
 )
 from parahiggs.motive import CurveData, ring, specialize_E, specialize_count
-from parahiggs.parabolic import WeightDatum, generate_generic_weights
+from parahiggs.parabolic import WeightDatum, generate_generic_weights, genericity_check
 from parahiggs.engine import ChainEngine
 from parahiggs.higgs import (
     HiggsProblem,
@@ -198,17 +199,48 @@ def test_degree_independence_genus3():
     assert cls[0].dimension() == 20
 
 
-def test_nonparabolic_rank3_degree_independent():
+@pytest.mark.parametrize("genus, e_degree", [(2, 40), (3, 76)])
+def test_nonparabolic_rank3_degree_independent(genus, e_degree):
     """The rank-2 bundle summand sits on its wall at even degree and gives
-    the semistable class, so (2,0,3) computes at both degree parities."""
-    curve = CurveData(2, 0, ZETA)
+    the semistable class, so (g,0,3) computes at both degree parities."""
+    curve = CurveData(genus, 0)
     cls = {
         d: higgs_moduli_class(HiggsProblem(curve, 3, d, WeightDatum.empty(0)))
         for d in (1, 2)
     }
     assert cls[1] == cls[2]
     assert cls[1].is_polynomial()
-    assert max(i + j for i, j in specialize_E(cls[1]).num) == 40
+    assert max(i + j for i, j in specialize_E(cls[1]).num) == e_degree
+
+
+def drawn_datum(rng, n, k):
+    """Full flags of distinct weights p/(2^31 - 1), sorted per point and
+    certified generic at bound n."""
+    prime = 2 ** 31 - 1
+    while True:
+        points = [
+            sorted(Fraction(rng.randrange(1, prime), prime) for _ in range(n))
+            for _ in range(k)
+        ]
+        flat = [w for point in points for w in point]
+        if len(set(flat)) == len(flat) and genericity_check(flat, n):
+            return WeightDatum.full_flags(points)
+
+
+@pytest.mark.parametrize("genus, points", [(1, 3), (2, 2)])
+def test_rank2_class_independent_of_point_order_and_weights(genus, points):
+    """The moduli class does not depend on the order of the marked points, on
+    the degree, or on the generic weights."""
+    curve = CurveData(genus, points)
+    base = full_datum(2, points)
+    data = [WeightDatum(order) for order in itertools.permutations(base.points)]
+    data.append(drawn_datum(random.Random(7), 2, points))
+    classes = {
+        str(higgs_moduli_class(HiggsProblem(curve, 2, d, datum)))
+        for datum in data
+        for d in (0, 1)
+    }
+    assert len(classes) == 1
 
 
 @pytest.mark.parametrize(
