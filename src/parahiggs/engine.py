@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from .errors import EngineError, NonGenericWeights, WallHit
-from .motive import ring, sym_cxp_coeff
+from .motive import ring
 from .parabolic import ChainType, frac, genericity_check, par_slope_alpha
 from .chains import (
     _alpha_fracs,
@@ -26,7 +26,7 @@ from .chains import (
     necessary_conditions,
     slopes_decrease,
 )
-from .stacks import flag_class, pbundle_stack_class
+from .stacks import pbundle_stack_class, phecke_class
 from . import walls as wallmod
 
 
@@ -162,16 +162,13 @@ class ChainEngine:
         n = tau.ranks[0]
         r = tau.length
         k = tau.num_points
-        g = self.curve.genus
         cls = pbundle_stack_class(n, tau.degrees[0], tau.weights[0], self.curve)
         for i in range(1, r + 1):
             forced = self._forced_vanishing(tau.weights[i], tau.weights[i - 1], n)
             ell = tau.degrees[i - 1] - tau.degrees[i] + n * k - forced
             if ell < 0:
                 return self.R.zero
-            cls = cls * sym_cxp_coeff(self.curve, n, ell)
-            for p in range(k):
-                cls = cls * flag_class(n, tau.weights[i].flag_type(p), g)
+            cls = phecke_class(cls, ell, n, tau.weights[i], self.curve)
         if n >= 2:
             cls = cls - self._filtration_sum(tau, alpha)
         return cls

@@ -61,7 +61,6 @@ def enumerate_fixed_types(problem):
     n = problem.rank
     d = problem.degree
     g = problem.curve.genus
-    k = problem.curve.num_marked
     out = []
     for r in range(n):
         alpha = chain_stability(r, g)
@@ -72,11 +71,7 @@ def enumerate_fixed_types(problem):
                 comp[i] * (r - i) for i in range(r + 1)
             )
             chain_total = d + shift
-            if k == 0:
-                splits = [tuple(WeightDatum.empty(0) for _ in comp)]
-            else:
-                splits = enumerate_weight_splits(problem.datum, comp)
-            for split in splits:
+            for split in enumerate_weight_splits(problem.datum, comp):
                 for dvec in enumerate_degree_vectors(
                     comp, chain_total, alpha, split
                 ):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Optional
 
 from .errors import (
@@ -439,15 +440,13 @@ def sym_cxp_coeff(curve, n, ell):
 
 
 class EPoly:
-    """Bivariate polynomial (or flagged rational function) in (u, v) over Q."""
+    """Bivariate polynomial (or flagged rational function) in (u, v) over Z."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        self.num = {m: Fraction(c) for m, c in num.items() if c}
-        self.den = None
-        if den is not None and den != {(0, 0): Fraction(1)}:
-            self.den = {m: Fraction(c) for m, c in den.items() if c}
+        self.num = num
+        self.den = den
 
     @property
     def is_polynomial(self):
@@ -467,15 +466,6 @@ class EPoly:
                 None if self.den is None else tuple(sorted(self.den.items())),
             )
         )
-
-    def substitute_equal(self):
-        """Set u = v; returns dict degree -> coefficient (needs polynomiality)."""
-        if not self.is_polynomial:
-            raise ValueError("rational E-specialization cannot be substituted")
-        out = {}
-        for (i, j), c in self.num.items():
-            out[i + j] = out.get(i + j, 0) + c
-        return {d: c for d, c in out.items() if c}
 
     def u_degree(self):
         if not self.num:
@@ -514,162 +504,85 @@ class EPoly:
         return f"({body}) / ({dparts})"
 
 
-def _bi_mul(a, b):
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = (m1[0] + m2[0], m1[1] + m2[1])
-            s = out.get(m, 0) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
+def _realize(x, q, P, nvars):
+    """Image of x.num under L -> q, Pic -> P(1), C^(i) -> [t^i] P(t)/((1-t)(1-qt)).
 
-
-def _bi_pow(a, n):
-    out = {(0, 0): Fraction(1)}
-    while n:
-        if n & 1:
-            out = _bi_mul(out, a)
-        a = _bi_mul(a, a)
-        n >>= 1
-    return out
-
-
-def _bi_div_exact(a, b):
-    """Exact division of bivariate Fraction polys; None when not divisible."""
-    if not a:
-        return {}
-    rem = dict(a)
-    lead = max(b)
-    lead_c = b[lead]
-    quot = {}
-    while rem:
-        m = max(rem)
-        if m[0] < lead[0] or m[1] < lead[1]:
-            return None
-        qm = (m[0] - lead[0], m[1] - lead[1])
-        qc = rem[m] / lead_c
-        quot[qm] = quot.get(qm, 0) + qc
-        for bm, bc in b.items():
-            t = (qm[0] + bm[0], qm[1] + bm[1])
-            s = rem.get(t, 0) - qc * bc
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
-    return quot
-
-
-@lru_cache(maxsize=None)
-def _sym_gen_coeff(i, genus):
-    """t^i coefficient of (1-ut)^g (1-vt)^g / ((1-t)(1-uvt)) as a bivariate poly."""
-    from math import comb
-
-    # numerator coefficients of (1-ut)^g (1-vt)^g
-    num = {}
-    g = genus
-    for a in range(g + 1):
-        for b in range(g + 1):
-            num[(a, b)] = Fraction(comb(g, a) * comb(g, b) * (-1) ** (a + b))
-    # series of 1/((1-t)(1-uvt)) : coeff of t^m is sum_{j<=m} (uv)^j
-    out = {}
-    for (a, b), c in num.items():
-        m = i - a - b
-        if m < 0:
-            continue
-        for j in range(m + 1):
-            mono = (a + j, b + j)
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return out
-
-
-def specialize_E(x, genus=None):
-    """Hodge specialization: L -> uv, Pic -> (1-u)^g (1-v)^g, C^(i) -> curve series."""
-    g = x.genus if genus is None else genus
-    uv = {(1, 1): Fraction(1)}
-    pic = _bi_mul(
-        _bi_pow({(0, 0): Fraction(1), (1, 0): Fraction(-1)}, g),
-        _bi_pow({(0, 0): Fraction(1), (0, 1): Fraction(-1)}, g),
-    )
-    images = [uv]
+    q and the zeta-numerator coefficients P[0..2g] are integer polynomials
+    in nvars variables; so is the result.
+    """
+    g = x.genus
+    # partial[m] = 1 + q + ... + q^m, the t^m coefficient of 1/((1-t)(1-qt))
+    partial = [p_const(1, nvars)]
+    q_m = partial[0]
+    for _ in range(max_atom(g)):
+        q_m = p_mul(q_m, q)
+        partial.append(p_add(partial[-1], q_m))
+    images = [q]
     if g >= 1:
+        pic = {}
+        for a in P:
+            pic = p_add(pic, a)
         images.append(pic)
     for i in range(1, max_atom(g) + 1):
-        images.append(dict(_sym_gen_coeff(i, g)))
+        sym = {}
+        for j in range(i + 1):
+            sym = p_add(sym, p_mul(P[j], partial[i - j]))
+        images.append(sym)
 
-    num_out = {}
-    pow_cache = [dict() for _ in images]
-
-    def image_pow(idx, e):
-        cache = pow_cache[idx]
-        if e not in cache:
-            cache[e] = _bi_pow(images[idx], e)
-        return cache[e]
-
+    pow_cache = {}
+    out = {}
     for m, c in x.num.items():
-        term = {(0, 0): Fraction(c)}
+        term = p_const(c, nvars)
         for idx, e in enumerate(m):
             if e:
-                term = _bi_mul(term, image_pow(idx, e))
-        for mono, cc in term.items():
-            s = num_out.get(mono, 0) + cc
-            if s:
-                num_out[mono] = s
-            else:
-                num_out.pop(mono, None)
-    den_out = {}
-    for e, c in enumerate(x.den):
-        if c:
-            m = (e, e)
-            den_out[m] = den_out.get(m, 0) + Fraction(c)
-    quot = _bi_div_exact(num_out, den_out)
-    if quot is None:
-        return EPoly(num_out, den_out)
+                if (idx, e) not in pow_cache:
+                    pow_cache[idx, e] = p_pow(images[idx], e, nvars)
+                term = p_mul(term, pow_cache[idx, e])
+        out = p_add(out, term)
+    return out
+
+
+def specialize_E(x):
+    """Hodge specialization: L -> uv and zeta numerator (1-ut)^g (1-vt)^g."""
+    g = x.genus
+    P = [
+        {(a, j - a): comb(g, a) * comb(g, j - a) * (-1) ** j
+         for a in range(max(0, j - g), min(g, j) + 1)}
+        for j in range(2 * g + 1)
+    ]
+    num = _realize(x, {(1, 1): 1}, P, 2)
+    if u_is_one(x.den):
+        return EPoly(num)
+    # x.den is a polynomial in uv, so it divides num iff it divides each
+    # diagonal {u^i v^j : i - j = d}, read as a polynomial in uv
+    diagonals = {}
+    for (i, j), c in num.items():
+        diagonals.setdefault(i - j, {})[min(i, j)] = c
+    quot = {}
+    for d, terms in diagonals.items():
+        coeffs = [0] * (max(terms) + 1)
+        for k, c in terms.items():
+            coeffs[k] = c
+        qd = u_div_exact(tuple(coeffs), x.den)
+        if qd is None:
+            return EPoly(num, {(e, e): c for e, c in enumerate(x.den) if c})
+        for k, c in enumerate(qd):
+            if c:
+                quot[(k + max(d, 0), k + max(-d, 0))] = c
     return EPoly(quot)
 
 
 def specialize_count(x, curve, q):
     """Point-count specialization at q; exact rational output."""
     curve.check_functional_equation(q)
-    g = curve.genus
-    if x.genus != g:
+    if x.genus != curve.genus:
         raise ValueError("class genus does not match curve")
-    P = [Fraction(c) for c in curve.zeta_numerator]
-    # symmetric-power counts: t^i coefficients of P(t)/((1-t)(1-qt))
-    max_c = max_atom(g)
-    sym = [Fraction(0)] * (max_c + 1)
-    series = [Fraction(0)] * (max_c + 1)
-    for i in range(max_c + 1):
-        s = sum(Fraction(q) ** j for j in range(i + 1))
-        series[i] = s  # coeff of t^i in 1/((1-t)(1-qt)) = sum q^j, j<=i
-    for i in range(max_c + 1):
-        tot = Fraction(0)
-        for j in range(0, min(i, 2 * g) + 1):
-            tot += P[j] * series[i - j]
-        sym[i] = tot
-    pic_val = sum(P)
-    values = [Fraction(q)]
-    if g >= 1:
-        values.append(Fraction(pic_val))
-    for i in range(1, max_c + 1):
-        values.append(sym[i])
-    num_val = Fraction(0)
-    for m, c in x.num.items():
-        t = Fraction(c)
-        for v, e in zip(values, m):
-            if e:
-                t *= v ** e
-        num_val += t
-    den_val = sum(Fraction(c) * Fraction(q) ** e for e, c in enumerate(x.den))
-    if den_val == 0:
+    P = [p_const(a, 0) for a in curve.zeta_numerator]
+    num = _realize(x, p_const(q, 0), P, 0)
+    den = sum(c * q ** e for e, c in enumerate(x.den))
+    if den == 0:
         raise ZeroDivisionError("denominator vanishes at this q")
-    return num_val / den_val
+    return Fraction(num.get((), 0), den)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from parahiggs.motive import (
     sym_cxp_coeff,
     zeta_eval,
 )
+from parahiggs.stacks import bundle_stack_class, flag_class
 
 ZETA_G1 = (1, 0, 2)          # elliptic curve over F_2 with a_1 = 0
 ZETA_G2_Q2 = (1, 0, 0, 0, 4)  # y^2 + y = x^5 over F_2
@@ -321,6 +322,25 @@ def test_specializations_are_ring_homomorphisms(data):
     cy = specialize_count(y, curve, 2)
     assert specialize_count(x * y, curve, 2) == cx * cy
     assert specialize_count(x + y, curve, 2) == cx + cy
+
+
+@pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (3, 3), (2, 5)])
+@pytest.mark.parametrize("g", range(5))
+def test_E_polynomial_is_point_count_of_split_curve(g, a, b):
+    """E(x) at (u, v) = (a, b) is the count at q = ab with P(t) = (1-at)^g (1-bt)^g."""
+    R = ring(g)
+    P = [1]
+    for root in (a,) * g + (b,) * g:
+        P = [x - root * y for x, y in zip(P + [0], [0] + P)]
+    curve = CurveData(g, 0, tuple(P))
+    classes = [
+        R.Pic * R.C(g - 1) / (R.L - 1),
+        R.C(2 * g + 1) * R.L + R.Pic,
+        bundle_stack_class(2, 0, CurveData(g, 0)),
+        flag_class(3, (1, 1, 1), g),
+    ]
+    for x in classes:
+        assert e_eval(specialize_E(x), a, b) == specialize_count(x, curve, a * b), x
 
 
 # ---------------------------------------------------------------------------
