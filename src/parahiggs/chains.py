@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import RankMismatch, UnboundedSearch
 from .parabolic import ChainType, frac, par_slope_alpha
@@ -245,19 +246,19 @@ def _fm_var_bounds(constraints, nvars, var):
     return lo, hi
 
 
+@lru_cache(maxsize=None)
 def _degree_box(n_vec, alpha, weight_data, pinned, value):
     """Degree vectors passing the existence conditions whose degrees at the
-    pinned indices sum to value, in lexicographic order.
+    pinned indices sum to value, as a tuple in lexicographic order.
 
     The last pinned degree is solved from the pin.  The other, free degrees
     are boxed by the hull of the Fourier-Motzkin projections of the choices
     of condition rows (UnboundedSearch when one is unbounded), and the box is
-    filtered exactly by the same rows.
+    filtered exactly by the same rows.  Cached: every argument is a tuple
+    (alpha of Fractions) or an int.
     """
-    n_vec = tuple(int(x) for x in n_vec)
     if any(n <= 0 for n in n_vec):
         raise ValueError("degree enumeration expects positive ranks")
-    alpha = _alpha_fracs(alpha)
     wsums = [w.weight_sum() for w in weight_data]
     nvars = len(n_vec)
     choices = _condition_rows(n_vec, alpha, weight_data[0].num_points)
@@ -282,7 +283,7 @@ def _degree_box(n_vec, alpha, weight_data, pinned, value):
             ]
         box = bounds
     if box is None:
-        return []
+        return ()
     ranges = [
         range((lo - wsums[i]).__ceil__(), (hi - wsums[i]).__floor__() + 1)
         for i, (lo, hi) in zip(free, box)
@@ -294,13 +295,15 @@ def _degree_box(n_vec, alpha, weight_data, pinned, value):
         x = [d + w for d, w in zip(dvec, wsums)]
         if any(_holds(rows, x) for rows in choices):
             out.append(dvec)
-    return out
+    return tuple(out)
 
 
 def enumerate_degree_vectors(n_vec, total_d, alpha, weight_data):
     """All degree vectors with the given total passing the existence
-    conditions, in lexicographic order."""
-    return _degree_box(n_vec, alpha, weight_data, range(len(n_vec)), total_d)
+    conditions, as a fresh list in lexicographic order."""
+    n_vec = tuple(int(x) for x in n_vec)
+    return list(_degree_box(n_vec, _alpha_fracs(alpha), tuple(weight_data),
+                            tuple(range(len(n_vec))), total_d))
 
 
 def enumerate_gap_profiles(n_vec, alpha, weight_data):
@@ -312,7 +315,8 @@ def enumerate_gap_profiles(n_vec, alpha, weight_data):
     """
     if len(set(n_vec)) != 1:
         raise ValueError("gap profiles are defined for constant rank vectors")
-    return _degree_box(n_vec, alpha, weight_data, (0,), 0)
+    return list(_degree_box(tuple(int(x) for x in n_vec), _alpha_fracs(alpha),
+                            tuple(weight_data), (0,), 0))
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,7 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     report["specializations"] = specs
     report["diagnostics"]["wall_count"] = engine.stats["walls_crossed"]
     report["diagnostics"]["memo_entries"] = len(engine.memo)
+    report["diagnostics"]["seed_cache_hits"] = engine.stats["seed_cache_hits"]
     if trace_walls:
         report["diagnostics"]["walls"] = engine.wall_trace
     if verify:

@@ -51,6 +51,7 @@ class ChainEngine:
         self.stats = {
             "chain_class_calls": 0,
             "memo_hits": 0,
+            "seed_cache_hits": 0,
             "base_cases": 0,
             "walls_crossed": 0,
         }
@@ -75,6 +76,7 @@ class ChainEngine:
             return self.memo[key]
         key_str = chain_key_str(tau, alpha, self.curve)
         if key_str in self.seed_cache:
+            self.stats["seed_cache_hits"] += 1
             val = self.R.parse(self.seed_cache[key_str])
             self.memo[key] = val
             return val

@@ -43,7 +43,6 @@ from .poly import (
     u_deg,
     u_div_exact,
     u_factor_cyclotomic,
-    u_gcd,
     u_is_one,
     u_lpower_minus_one,
     u_mul,
@@ -129,16 +128,12 @@ class MotiveClass:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        g = u_gcd(self.den, other.den)
-        da = u_div_exact(self.den, g)
-        db = u_div_exact(other.den, g)
+        fa, fb = _den_factors(self.den), _den_factors(other.den)
+        ca, cb = _cofactor(fa, fb), _cofactor(fb, fa)
         nv = num_vars(self.genus)
-        num = p_add(
-            p_mul(self.num, u_to_multivar(db, nv)),
-            p_mul(other.num, u_to_multivar(da, nv)),
-        )
-        den = u_mul(u_mul(da, g), db)
-        return MotiveClass(self.genus, num, den)
+        num = p_add(_times_univariate(self.num, ca, nv),
+                    _times_univariate(other.num, cb, nv))
+        return MotiveClass(self.genus, num, u_mul(self.den, ca))
 
     __radd__ = __add__
 
@@ -243,41 +238,90 @@ def _univariate_part(num):
     return u_trim(out)
 
 
+def _den_factors(den):
+    """(sign, b, ((e, m_e), ...)) of a denominator sign * L^b * prod Phi_e^{m_e}."""
+    fact = u_factor_cyclotomic(den)
+    if fact is None:
+        raise DivisionOutsideRing(
+            "denominator is not a unit times L-powers and cyclotomic factors"
+        )
+    return fact
+
+
+def _cofactor(own, other):
+    """lcm/own for two denominator factorizations: per factor, the larger
+    exponent minus own's."""
+    mine = dict(own[2])
+    return _den_poly(
+        max(other[1] - own[1], 0),
+        tuple((e, m - mine.get(e, 0)) for e, m in other[2] if m > mine.get(e, 0)),
+    )
+
+
+@lru_cache(maxsize=None)
+def _den_poly(b, factors):
+    """L^b * prod Phi_e^{m_e} as a univariate tuple."""
+    out = (0,) * b + U_ONE
+    for e, m in factors:
+        for _ in range(m):
+            out = u_mul(out, poly.cyclotomic(e))
+    return out
+
+
+def _times_univariate(num, u, nvars):
+    if u_is_one(u):
+        return num
+    return p_mul(num, u_to_multivar(u, nvars))
+
+
 def _reduce(num, den):
     den = u_trim(den)
     if not den:
         raise ZeroDivisionError("zero denominator")
     if p_is_zero(num):
         return {}, U_ONE
-    if not u_is_one(den):
-        # gcd of den with every L-coefficient polynomial of num
-        groups = {}
-        for m, c in num.items():
-            groups.setdefault(m[1:], []).append((m[0], c))
-        g = den
-        for tail, terms in groups.items():
-            coeff = [0] * (max(e for e, _ in terms) + 1)
-            for e, c in terms:
-                coeff[e] = c
-            g = u_gcd(g, tuple(coeff))
-            if u_deg(g) == 0:
-                break
-        if u_deg(g) > 0:
-            den = u_div_exact(den, g)
-            new_num = {}
-            for tail, terms in groups.items():
-                coeff = [0] * (max(e for e, _ in terms) + 1)
-                for e, c in terms:
-                    coeff[e] = c
-                q = u_div_exact(u_trim(coeff), g)
-                for e, c in enumerate(q):
-                    if c:
-                        new_num[(e,) + tail] = c
-            num = new_num
     if den[-1] < 0:
         den = tuple(-c for c in den)
         num = p_neg(num)
-    return num, den
+    if u_is_one(den):
+        return num, den
+    # Cancel L, then each Phi_e, while it divides den and every L-coefficient
+    # polynomial of num.  The factors are distinct irreducibles, so this
+    # divides out exactly the gcd of den with those polynomials.
+    _, b, factors = _den_factors(den)
+    groups = {}
+    for m, c in num.items():
+        groups.setdefault(m[1:], {})[m[0]] = c
+    shift = min(b, min(min(terms) for terms in groups.values()))
+    coeffs = {}
+    for tail, terms in groups.items():
+        coeff = [0] * (max(terms) + 1 - shift)
+        for e, c in terms.items():
+            coeff[e - shift] = c
+        coeffs[tail] = coeff
+    kept = []
+    for e, mult in factors:
+        phi = poly.cyclotomic(e)
+        while mult:
+            quots = {}
+            for tail, coeff in coeffs.items():
+                q = u_div_exact(coeff, phi)
+                if q is None:
+                    break
+                quots[tail] = q
+            else:
+                coeffs = quots
+                mult -= 1
+                continue
+            break
+        if mult:
+            kept.append((e, mult))
+    kept = tuple(kept)
+    if not shift and kept == factors:
+        return num, den
+    num = {(i,) + tail: c for tail, coeff in coeffs.items()
+           for i, c in enumerate(coeff) if c}
+    return num, _den_poly(b - shift, kept)
 
 
 # ---------------------------------------------------------------------------

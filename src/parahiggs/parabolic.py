@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple
 
 from .errors import BudgetExceeded, RankMismatch
@@ -278,10 +279,14 @@ def _point_splits(point, part_ranks):
 def enumerate_weight_splits(datum, part_ranks):
     """All ways to distribute the weights at each point into the given part ranks.
 
-    Requires multiplicity-one data; each output is a tuple of WeightDatum, one
-    per part, in the order of part_ranks.
+    Requires multiplicity-one data; returns a fresh list whose entries are
+    tuples of WeightDatum, one per part, in the order of part_ranks.
     """
-    part_ranks = tuple(int(r) for r in part_ranks)
+    return list(_weight_splits(datum, tuple(int(r) for r in part_ranks)))
+
+
+@lru_cache(maxsize=None)
+def _weight_splits(datum, part_ranks):
     if datum.points and sum(part_ranks) != datum.rank:
         raise RankMismatch(
             f"part ranks sum to {sum(part_ranks)}, datum rank is {datum.rank}"
@@ -296,4 +301,4 @@ def enumerate_weight_splits(datum, part_ranks):
         for j in range(len(part_ranks)):
             parts.append(WeightDatum(tuple(point_split[j] for point_split in combo)))
         out.append(tuple(parts))
-    return out
+    return tuple(out)

@@ -1,9 +1,10 @@
 """Sparse polynomial arithmetic used by the motive ring.
 
-Multivariate polynomials are dicts mapping exponent tuples to nonzero
-coefficients (ints for ring elements, Fractions for specializations).
-Univariate polynomials in L are tuples of ints, ascending degree, used for
-denominators.  Everything is exact; no floats.
+Multivariate polynomials are dicts mapping exponent tuples to nonzero int
+coefficients.  Univariate polynomials in L are tuples of ints, ascending
+degree, used for denominators.  Every reduced denominator is a monic product
+L^b * prod Phi_e^{m_e} of L and cyclotomic factors, so it is divided in
+integers, one factor at a time.  Everything is exact; no floats.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def p_mul(a, b):
             if s:
                 out[m] = s
             else:
-                del out[m]
+                out.pop(m, None)
     return out
 
 
@@ -144,15 +145,33 @@ def u_divmod_frac(a, b):
 
 
 def u_div_exact(a, b):
-    """Exact division over Z; returns None when b does not divide a."""
+    """Exact division over Z; returns None when b does not divide a.
+
+    A divisor with leading coefficient +-1 is divided in integers; any other
+    goes through the division over Q.
+    """
     if not a:
         return ()
-    q, r = u_divmod_frac(a, b)
-    if r:
+    if not b:
+        raise ZeroDivisionError
+    lead = b[-1]
+    if lead not in (1, -1):
+        q, r = u_divmod_frac(a, b)
+        if r or any(c.denominator != 1 for c in q):
+            return None
+        return u_trim(tuple(int(c) for c in q))
+    a = list(a)
+    nb = len(b)
+    q = [0] * max(len(a) - nb + 1, 0)
+    for i in range(len(a) - nb, -1, -1):
+        c = a[i + nb - 1] * lead
+        if c:
+            q[i] = c
+            for j, bc in enumerate(b):
+                a[i + j] -= c * bc
+    if any(a):
         return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return u_trim(tuple(int(c) for c in q))
+    return u_trim(q)
 
 
 def u_gcd(a, b):
@@ -210,11 +229,13 @@ def euler_phi(e):
     return result
 
 
+@lru_cache(maxsize=None)
 def u_factor_cyclotomic(u):
     """Factor u as sign * L^b * prod Phi_e^{m_e}; None if not of that shape.
 
-    Cyclotomic indices can exceed the degree (deg Phi_e = phi(e)), so the
-    search runs while phi(e) fits the remaining degree.
+    Returns (sign, b, ((e, m_e), ...)) with e ascending; the result is cached
+    and immutable.  Cyclotomic indices can exceed the degree (deg Phi_e =
+    phi(e)), so the search runs while phi(e) fits the remaining degree.
     """
     u = u_trim(u)
     if not u:
@@ -242,7 +263,7 @@ def u_factor_cyclotomic(u):
         e += 1
     if u != U_ONE:
         return None
-    return sign, b, factors
+    return sign, b, tuple(factors.items())
 
 
 def bundle_cyclotomic(factors):

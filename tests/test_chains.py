@@ -342,6 +342,18 @@ def test_box_example_contents():
     assert (-2, 2) not in got  # fails the equal-rank gap condition
 
 
+def test_box_returns_fresh_list():
+    e1 = WeightDatum.trivial_flags(1, 1)
+    got = enumerate_degree_vectors((1, 1), 0, alpha_f(0, 2), (e1, e1))
+    want = list(got)
+    got.append((99, -99))
+    assert enumerate_degree_vectors([1, 1], 0, alpha_f(0, 2), [e1, e1]) == want
+    profiles = enumerate_gap_profiles((1, 1), alpha_f(0, 2), (e1, e1))
+    want = list(profiles)
+    profiles.clear()
+    assert enumerate_gap_profiles((1, 1), alpha_f(0, 2), (e1, e1)) == want
+
+
 def test_box_unbounded_for_degenerate_parameter():
     # two equal stability entries at genus >= 2 leave the box unbounded
     e1 = WeightDatum.trivial_flags(1, 1)

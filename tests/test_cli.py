@@ -147,6 +147,20 @@ def test_cache_round_trip(tmp_path):
     assert third["class"] == first["class"]
 
 
+def test_seed_cache_hits_counted(tmp_path):
+    cache = tmp_path / "memo.jsonl"
+    cfg = {
+        "curve": {"genus": 2, "marked_points": 1},
+        "problem": {"kind": "higgs", "rank": 2, "degree": 1, "weights": "generate"},
+        "outputs": {"canonical": True},
+    }
+    cold = run(json.loads(json.dumps(cfg)), cache_path=str(cache))
+    assert cold["diagnostics"]["seed_cache_hits"] == 0
+    warm = run(json.loads(json.dumps(cfg)), cache_path=str(cache))
+    assert warm["diagnostics"]["seed_cache_hits"] >= 1
+    assert warm["class"] == cold["class"]
+
+
 def test_trace_walls_diagnostics():
     cfg = {
         "curve": {"genus": 2, "marked_points": 1},

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parahiggs import poly
 from parahiggs.errors import (
     DivisionOutsideRing,
     InconsistentZeta,
@@ -135,6 +136,62 @@ def test_ring_laws(data):
         assert a * ring(g).one == a
         assert a + ring(g).zero == a
         assert a - a == ring(g).zero
+
+
+def test_p_mul_explicit_zero_coefficient():
+    assert poly.p_mul({(): 0}, {(): 1}) == {}
+    assert poly.p_mul({(1,): 2, (0,): 0}, {(0,): 3}) == {(1,): 6}
+
+
+def shared_factor_elements(genus):
+    """Classes over L^b (L^a1 - 1)(L^a2 - 1), a_i in 1..4, b in 0..2.
+
+    The two bundles can share Phi_1 and Phi_2.  Common numerator factors
+    drawn from L, L - 1, L + 1 and L^2 + L + 1 cancel against them, up to
+    twice each.
+    """
+    R = ring(genus)
+    atoms = [R.one, R.L, R.Pic] + [R.C(i) for i in range(1, max(genus - 1, 0) + 1)]
+    factors = [R.L, R.L - 1, R.L + 1, R.L ** 2 + R.L + 1]
+
+    def build(draw):
+        total = R.zero
+        for _ in range(draw(st.integers(0, 3))):
+            term = R.from_int(draw(st.integers(-3, 3)))
+            for _ in range(draw(st.integers(0, 2))):
+                term = term * draw(st.sampled_from(atoms))
+            total = total + term
+        for f in draw(st.lists(st.sampled_from(factors), max_size=2)):
+            total = total * f
+        total = total * R.L_pow(-draw(st.integers(0, 2)))
+        for a in draw(st.lists(st.integers(1, 4), max_size=2)):
+            total = total / (R.L ** a - 1)
+        return total
+
+    return st.composite(lambda draw: build(draw))()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reduced_form_matches_gcd(data):
+    for g in (0, 2):
+        elems = shared_factor_elements(g)
+        a, b, c = data.draw(elems), data.draw(elems), data.draw(elems)
+        for x in (a, b, c, a + b, a * b - c, (a + b) * c):
+            assert x.den[-1] == 1
+            # the gcd of den with all L-coefficient polynomials of num is 1
+            coeffs = {}
+            for m, v in x.num.items():
+                coeffs.setdefault(m[1:], {})[m[0]] = v
+            common = x.den
+            for terms in coeffs.values():
+                common = poly.u_gcd(
+                    common, tuple(terms.get(i, 0) for i in range(max(terms) + 1))
+                )
+            assert common == (1,), x
+        left, right = (a + b) + c, c + (b + a)
+        assert left == right
+        assert str(left) == str(right)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,16 @@ def test_split_invariants(data):
         assert sum(pardeg(0, p) for p in split) == total
 
 
+def test_split_returns_fresh_list():
+    ws = generate_generic_weights(3, 3)
+    d = datum([(w, 1) for w in ws])
+    first = enumerate_weight_splits(d, (1, 2))
+    want = list(first)
+    first.append("extra")
+    first[0] = None
+    assert enumerate_weight_splits(d, [1, 2]) == want
+
+
 def test_split_rank_mismatch():
     d = datum([(Fraction(1, 3), 1)])
     with pytest.raises(RankMismatch):
