@@ -254,8 +254,9 @@ def _degree_box(n_vec, alpha, weight_data, pinned, value):
     The last pinned degree is solved from the pin.  The other, free degrees
     are boxed by the hull of the Fourier-Motzkin projections of the choices
     of condition rows (UnboundedSearch when one is unbounded), and the box is
-    filtered exactly by the same rows.  Cached: every argument is a tuple
-    (alpha of Fractions) or an int.
+    filtered exactly by the same rows.  Cached for the life of the process:
+    every argument is a tuple (alpha of Fractions) or an int, and the weights
+    are part of the key, so each new weight set adds entries.
     """
     if any(n <= 0 for n in n_vec):
         raise ValueError("degree enumeration expects positive ranks")

@@ -280,7 +280,8 @@ def enumerate_weight_splits(datum, part_ranks):
     """All ways to distribute the weights at each point into the given part ranks.
 
     Requires multiplicity-one data; returns a fresh list whose entries are
-    tuples of WeightDatum, one per part, in the order of part_ranks.
+    tuples of WeightDatum, one per part, in the order of part_ranks.  The
+    splits are cached for the life of the process, keyed by the datum.
     """
     return list(_weight_splits(datum, tuple(int(r) for r in part_ranks)))
 

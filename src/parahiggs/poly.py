@@ -145,26 +145,19 @@ def u_divmod_frac(a, b):
 
 
 def u_div_exact(a, b):
-    """Exact division over Z; returns None when b does not divide a.
-
-    A divisor with leading coefficient +-1 is divided in integers; any other
-    goes through the division over Q.
-    """
+    """Exact division over Z; returns None when b does not divide a."""
     if not a:
         return ()
     if not b:
         raise ZeroDivisionError
     lead = b[-1]
-    if lead not in (1, -1):
-        q, r = u_divmod_frac(a, b)
-        if r or any(c.denominator != 1 for c in q):
-            return None
-        return u_trim(tuple(int(c) for c in q))
     a = list(a)
     nb = len(b)
     q = [0] * max(len(a) - nb + 1, 0)
     for i in range(len(a) - nb, -1, -1):
-        c = a[i + nb - 1] * lead
+        c, r = divmod(a[i + nb - 1], lead)
+        if r:
+            return None
         if c:
             q[i] = c
             for j, bc in enumerate(b):

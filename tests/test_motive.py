@@ -143,6 +143,21 @@ def test_p_mul_explicit_zero_coefficient():
     assert poly.p_mul({(1,): 2, (0,): 0}, {(0,): 3}) == {(1,): 6}
 
 
+def test_u_div_exact_over_integers():
+    # monic, leading -1 and non-monic divisors; None when the quotient
+    # leaves Z[L] or a remainder is left
+    assert poly.u_div_exact((-1, 0, 1), (-1, 1)) == (1, 1)
+    assert poly.u_div_exact((1, 0, -1), (1, -1)) == (1, 1)
+    assert poly.u_div_exact((2, 4, 2), (2, 2)) == (1, 1)
+    assert poly.u_div_exact((6, 3), (2, 1)) == (3,)
+    assert poly.u_div_exact((1, 1), (2, 2)) is None
+    assert poly.u_div_exact((1, 2), (0, 2)) is None
+    assert poly.u_div_exact((1, 0, 1), (-1, 1)) is None
+    assert poly.u_div_exact((), (1, 1)) == ()
+    for e in range(1, 13):
+        assert poly.u_div_exact(poly.u_lpower_minus_one(e), poly.cyclotomic(e))
+
+
 def shared_factor_elements(genus):
     """Classes over L^b (L^a1 - 1)(L^a2 - 1), a_i in 1..4, b in 0..2.
 
