@@ -38,6 +38,7 @@ from .motive import (
 from .parabolic import (
     ChainType,
     WeightDatum,
+    certify_generic,
     dual_weight_datum,
     enumerate_weight_splits,
     generate_generic_weights,

@@ -18,6 +18,7 @@ from .motive import CurveData, specialize_E, specialize_count
 from .parabolic import (
     ChainType,
     WeightDatum,
+    certify_generic,
     frac,
     generate_generic_weights,
 )
@@ -33,38 +34,72 @@ class ConfigError(EngineError):
 
 
 def _req(mapping, key, where):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     if key not in mapping:
         raise ConfigError(f"missing {key!r} in {where}")
     return mapping[key]
 
 
+def _int(value, what):
+    """An integer entry: a JSON integer or a string holding one."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _rational(value, what):
+    """An exact rational entry: a "p/q" string or a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ConfigError(f"{what} must be a 'p/q' string, got {value!r}")
+    return frac(value)
+
+
+def _list(value, what):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _entries(problem, key, convert):
+    """The problem's list entry under key, each item converted."""
+    return tuple(convert(x, key) for x in _list(_req(problem, key, "problem"), key))
+
+
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    return config
 
 
 def parse_curve(cfg):
     section = _req(cfg, "curve", "config")
-    genus = int(_req(section, "genus", "curve"))
-    marked = int(section.get("marked_points", 0))
+    genus = _int(_req(section, "genus", "curve"), "genus")
+    marked = _int(section.get("marked_points", 0), "marked_points")
     zeta = section.get("zeta_numerator")
     if zeta is not None:
-        zeta = tuple(int(c) for c in zeta)
+        zeta = tuple(
+            _int(c, "zeta coefficient") for c in _list(zeta, "zeta_numerator")
+        )
     return CurveData(genus, marked, zeta)
 
 
 def _parse_point_weights(entry):
     """One marked point: list of "p/q" strings or [weight, multiplicity] pairs."""
     out = []
-    for item in entry:
+    for item in _list(entry, "a marked point's weights"):
         if isinstance(item, (list, tuple)):
+            if len(item) != 2:
+                raise ConfigError(f"expected [weight, multiplicity], got {item!r}")
             w, m = item
-            out.append((frac(w), int(m)))
+            out.append((_rational(w, "weight"), _int(m, "multiplicity")))
         else:
-            out.append((frac(item), 1))
+            out.append((_rational(item, "weight"), 1))
     return tuple(out)
 
 
@@ -121,6 +156,8 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     problem = _req(config, "problem", "config")
     kind = _req(problem, "kind", "problem")
     outputs = config.get("outputs", {"canonical": True})
+    if not isinstance(outputs, dict):
+        raise ConfigError("outputs must be a JSON object")
     verify = bool(config.get("verify", False))
     cache_path = cache_path or config.get("cache_path")
 
@@ -134,13 +171,11 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
         "config": json.loads(json.dumps(config)),
         "diagnostics": {},
     }
-    if skipped:
-        report["diagnostics"]["cache_records_skipped"] = skipped
     stack_class = False
 
     if kind == "higgs":
-        rank = int(_req(problem, "rank", "problem"))
-        degree = int(_req(problem, "degree", "problem"))
+        rank = _int(_req(problem, "rank", "problem"), "rank")
+        degree = _int(_req(problem, "degree", "problem"), "degree")
         datum = parse_datum(
             _req(problem, "weights", "problem"), rank, curve.num_marked, rank
         )
@@ -151,44 +186,37 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
         report["diagnostics"]["dimension"] = 2 * comp.half_dim
         report["diagnostics"]["fixed_point_types"] = len(comp.summands)
     elif kind == "chain":
-        ranks = tuple(int(x) for x in _req(problem, "ranks", "problem"))
-        degrees = tuple(int(x) for x in _req(problem, "degrees", "problem"))
+        ranks = _entries(problem, "ranks", _int)
+        degrees = _entries(problem, "degrees", _int)
+        alpha = _entries(problem, "alpha", _rational)
         weights = parse_chain_weights(
             _req(problem, "weights", "problem"), ranks, curve.num_marked, sum(ranks)
         )
-        alpha = tuple(frac(a) for a in _req(problem, "alpha", "problem"))
         report["config"]["problem"]["weights"] = [
             _datum_json(d) for d in weights
         ]
         tau = ChainType(ranks, degrees, weights)
+        certify_generic(tau.all_weights(), tau.total_rank)
         cls = engine.chain_class(tau, alpha)
         stack_class = True
     elif kind == "stack-class":
         stack = _req(problem, "stack", "problem")
+        rank = _int(_req(problem, "rank", "problem"), "rank")
+        degree = _int(problem.get("degree", 0), "degree")
         if stack == "gl":
-            cls = gl_class(int(_req(problem, "rank", "problem")), curve.genus)
+            cls = gl_class(rank, curve.genus)
         elif stack == "flag":
-            cls = flag_class(
-                int(_req(problem, "rank", "problem")),
-                tuple(int(x) for x in _req(problem, "flag_type", "problem")),
-                curve.genus,
-            )
+            flag_type = _entries(problem, "flag_type", _int)
+            cls = flag_class(rank, flag_type, curve.genus)
         elif stack == "bundle":
-            cls = bundle_stack_class(
-                int(_req(problem, "rank", "problem")),
-                int(problem.get("degree", 0)),
-                curve,
-            )
+            cls = bundle_stack_class(rank, degree, curve)
             stack_class = True
         elif stack == "pbundle":
-            rank = int(_req(problem, "rank", "problem"))
             datum = parse_datum(
                 _req(problem, "weights", "problem"), rank, curve.num_marked, rank
             )
             report["config"]["problem"]["weights"] = _datum_json(datum)
-            cls = pbundle_stack_class(
-                rank, int(problem.get("degree", 0)), datum, curve
-            )
+            cls = pbundle_stack_class(rank, degree, datum, curve)
             stack_class = True
         else:
             raise ConfigError(f"unknown stack {stack!r}")
@@ -204,8 +232,8 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     if q_override is not None:
         pc = {"q": q_override}
     if pc:
-        value = specialize_count(cls, curve, int(pc["q"]))
-        specs["point_count"] = {"q": int(pc["q"]), "value": str(value)}
+        q = _int(_req(pc, "q", "point_count"), "q")
+        specs["point_count"] = {"q": q, "value": str(specialize_count(cls, curve, q))}
     report["specializations"] = specs
     report["diagnostics"]["wall_count"] = engine.stats["walls_crossed"]
     report["diagnostics"]["memo_entries"] = len(engine.memo)
@@ -215,6 +243,10 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     if verify:
         report["diagnostics"]["oracle_checks"] = _verify_checks()
 
+    skipped += engine.stats["cache_records_skipped"]
+    if skipped:
+        print(f"warning: skipped {skipped} corrupt cache records", file=sys.stderr)
+        report["diagnostics"]["cache_records_skipped"] = skipped
     if cache_path:
         _append_cache(cache_path, engine.new_cache_entries)
     return report
@@ -292,13 +324,16 @@ def _load_cache(path):
                     continue
                 try:
                     record = json.loads(line)
-                    seed[record["key"]] = record["class"]
+                    key, cls = record["key"], record["class"]
                 except (json.JSONDecodeError, KeyError, TypeError):
+                    skipped += 1
+                    continue
+                if isinstance(key, str) and isinstance(cls, str):
+                    seed[key] = cls
+                else:
                     skipped += 1
     except FileNotFoundError:
         pass
-    if skipped:
-        print(f"warning: skipped {skipped} corrupt cache records", file=sys.stderr)
     return seed, skipped
 
 
@@ -380,12 +415,14 @@ def main(argv=None):
                 parser.error(f"{args.command} requires --config")
             config = load_config(args.config)
             expected = kind_map[args.command]
-            got = config.get("problem", {}).get("kind", expected)
+            problem = config.setdefault("problem", {})
+            if not isinstance(problem, dict):
+                raise ConfigError("problem must be a JSON object")
+            got = problem.setdefault("kind", expected)
             if got != expected:
                 raise ConfigError(
                     f"config problem kind {got!r} does not match subcommand"
                 )
-            config.setdefault("problem", {})["kind"] = expected
         report = run(
             config,
             trace_walls=args.trace_walls,

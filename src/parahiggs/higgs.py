@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DeskScaleExceeded, NonIntegerDimension, NonPolynomialResult
 from .motive import CurveData, ring
-from .parabolic import ChainType, WeightDatum, enumerate_weight_splits
+from .parabolic import ChainType, WeightDatum, certify_generic, enumerate_weight_splits
 from .chains import compositions, enumerate_degree_vectors
 from .engine import ChainEngine
 
@@ -34,10 +34,8 @@ class HiggsProblem:
             raise ValueError("weight datum rank must match the bundle rank")
 
 
-def half_dimension(n, datum, g, k=None):
+def half_dimension(n, datum, g):
     """Half of the moduli dimension: n^2(g-1) + 1 + (1/2) sum_p (n^2 - sum m^2)."""
-    if k is not None and datum.num_points != k:
-        raise ValueError("marked-point count mismatch")
     s = 0
     for point in datum.points:
         s += n * n - sum(m * m for _, m in point)
@@ -93,9 +91,9 @@ def higgs_computation(problem, engine=None):
         )
     g = problem.curve.genus
     engine = engine or ChainEngine(problem.curve)
-    engine.check_generic(problem.datum.all_weights(), problem.rank)
+    certify_generic(problem.datum.all_weights(), problem.rank)
     R = ring(g)
-    N = half_dimension(problem.rank, problem.datum, g, problem.curve.num_marked)
+    N = half_dimension(problem.rank, problem.datum, g)
     total = R.zero
     summands = []
     for tau in enumerate_fixed_types(problem):

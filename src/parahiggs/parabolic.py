@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .errors import BudgetExceeded, RankMismatch
+from .errors import BudgetExceeded, NonGenericWeights, RankMismatch
 
 
 def frac(x):
@@ -195,7 +195,10 @@ def par_slope_alpha(tau, alpha):
     return Fraction(total, 1) / n_tot
 
 
-def genericity_check(all_weights, N, budget=5_000_000):
+GENERICITY_BUDGET = 5_000_000
+
+
+def genericity_check(all_weights, N):
     """True when no bounded nonzero integer combination of the weights is integral.
 
     Exact meet-in-the-middle search over residues (Horowitz and Sahni, J. ACM
@@ -203,7 +206,7 @@ def genericity_check(all_weights, N, budget=5_000_000):
     c_i*w_i is integral iff c_i*a_i sums to 0 mod Q. The residues of the left
     half's coefficient vectors are tabulated; a relation with |c_i| <= N exists
     iff a nonzero left vector reaches 0 or a nonzero right vector reaches the
-    negative of a table entry. budget bounds the table size (2N+1)^ceil(count/2).
+    negative of a table entry, of size (2N+1)^ceil(count/2) <= GENERICITY_BUDGET.
     """
     if N < 1:
         raise ValueError("bound must be at least 1")
@@ -211,10 +214,10 @@ def genericity_check(all_weights, N, budget=5_000_000):
     if not ws:
         return True
     half = (len(ws) + 1) // 2
-    if (2 * N + 1) ** half > budget:
+    if (2 * N + 1) ** half > GENERICITY_BUDGET:
         raise BudgetExceeded(
             f"genericity table size (2*{N}+1)^{half} for {len(ws)} weights "
-            f"exceeds budget {budget}"
+            f"exceeds budget {GENERICITY_BUDGET}"
         )
     Q = math.lcm(*(w.denominator for w in ws))
     residues = [w.numerator * (Q // w.denominator) % Q for w in ws]
@@ -223,6 +226,16 @@ def genericity_check(all_weights, N, budget=5_000_000):
         return False
     left.add(0)
     return all((-b) % Q not in left for b in _nonzero_sums(residues[half:], N, Q))
+
+
+def certify_generic(all_weights, N):
+    """Raise NonGenericWeights unless genericity_check passes; called where
+    weights enter, it covers every sub-multiset at every bound N' <= N."""
+    ws = tuple(sorted(all_weights))
+    if ws and not genericity_check(ws, N):
+        raise NonGenericWeights(
+            f"weights {ws} admit a bounded integral relation at N={N}"
+        )
 
 
 def _nonzero_sums(residues, N, Q):

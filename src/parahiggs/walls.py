@@ -41,6 +41,17 @@ class Ray:
         return tuple(a + t * d for a, d in zip(self.base, self.delta))
 
 
+def hecke_shortfall(tau, alpha):
+    """max_i (d_{i-1} - d_i + 2nk - (alpha_i - alpha_{i-1})), -1 at length 0: a
+    constant-rank type is in the Hecke regime iff this is negative."""
+    two_nk = 2 * tau.ranks[0] * tau.num_points
+    gaps = (
+        tau.degrees[i - 1] - tau.degrees[i] + two_nk - (alpha[i] - alpha[i - 1])
+        for i in range(1, tau.length + 1)
+    )
+    return max(gaps, default=Fraction(-1))
+
+
 def choose_ray(tau, alpha):
     """Direction and traversal bound reaching a terminal regime.
 
@@ -54,16 +65,8 @@ def choose_ray(tau, alpha):
     k = tau.num_points
     P = tau.pardegs()
     if len(set(n)) == 1:
-        delta = tuple(range(r + 1))
-        t_star = Fraction(0)
-        for i in range(1, r + 1):
-            # need d_{i-1} - d_i + 2nk < alpha_i - alpha_{i-1} + t
-            need = (
-                Fraction(tau.degrees[i - 1] - tau.degrees[i] + 2 * n[0] * k)
-                - (alpha[i] - alpha[i - 1])
-            )
-            t_star = max(t_star, need)
-        return Ray(alpha, delta, t_star + 1)
+        t_max = max(hecke_shortfall(tau, alpha), Fraction(0)) + 1
+        return Ray(alpha, tuple(range(r + 1)), t_max)
 
     kk = max(i for i in range(r) if n[i] != n[r])
     mu0 = par_slope_alpha(tau, alpha)

@@ -108,6 +108,48 @@ def test_non_generic_exit_code(tmp_path):
     assert code == 3
 
 
+def test_non_generic_chain_weights_rejected(tmp_path):
+    """The chain kind certifies its weights before the engine runs."""
+    cfg = {
+        "curve": {"genus": 2, "marked_points": 1},
+        "problem": {
+            "kind": "chain",
+            "ranks": [1, 1],
+            "degrees": [0, 0],
+            "weights": [[["1/2"]], [["1/4"]]],
+            "alpha": ["0", "2"],
+        },
+    }
+    path = tmp_path / "nongen-chain.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["chain", "--config", str(path)]) == 3
+
+
+def _with(update):
+    cfg = json.loads(json.dumps(HIGGS_CFG))
+    cfg.update(update)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _with({"problem": dict(HIGGS_CFG["problem"], weights=[[0.25, 0.5]])}),
+        _with({"curve": dict(HIGGS_CFG["curve"], zeta_numerator=5)}),
+        [1, 2],
+        _with({"curve": 3}),
+    ],
+    ids=["float-weights", "scalar-zeta", "top-level-array", "scalar-curve"],
+)
+def test_malformed_config_exit_code(tmp_path, capsys, cfg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["higgs", "--config", str(path)]) == 5
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in err[0]
+
+
 def test_subcommand_kind_mismatch(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(HIGGS_CFG))
@@ -145,6 +187,39 @@ def test_cache_round_trip(tmp_path):
     assert second["diagnostics"]["cache_records_skipped"] == 1
     third = run(json.loads(json.dumps(cfg)))
     assert third["class"] == first["class"]
+
+
+def test_corrupt_cache_records_skipped(tmp_path, capsys):
+    """A record with a non-string key or class is dropped when the cache is
+    read; one whose class does not parse is computed when it is hit."""
+    cache = tmp_path / "memo.jsonl"
+    cfg = {
+        "curve": {"genus": 2, "marked_points": 1},
+        "problem": {"kind": "higgs", "rank": 2, "degree": 1, "weights": "generate"},
+        "outputs": {"canonical": True},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    cold = run(json.loads(json.dumps(cfg)), cache_path=str(cache))
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    # the rank-2 bundle is a fixed-point type, so the warm run looks it up
+    (bundle,) = [r["key"] for r in records if "#n=2#" in r["key"]]
+    with cache.open("a", encoding="utf-8") as fh:
+        for record in (
+            {"key": bundle, "class": "L +"},
+            {"key": bundle, "class": 5},
+            {"key": 7, "class": "L"},
+        ):
+            fh.write(json.dumps(record) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "warm.json"
+    argv = ["higgs", "--config", str(path), "--cache", str(cache),
+            "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    warm = json.loads(out.read_text())
+    assert warm["class"] == cold["class"]
+    assert warm["diagnostics"]["cache_records_skipped"] == 3
+    assert "warning: skipped 3 corrupt cache records" in capsys.readouterr().err
 
 
 def test_seed_cache_hits_counted(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from parahiggs.errors import NonGenericWeights, WallHit
+from parahiggs.errors import WallHit
 from parahiggs.motive import CurveData, ring, specialize_count
 from parahiggs.parabolic import (
     ChainType,
@@ -132,16 +132,6 @@ def test_zero_padded_disconnected_blocks():
     a, b = ws
     wall_alpha = (Fraction(0), Fraction(2), a - b)
     assert eng.chain_class(tau, wall_alpha) == (R.Pic / (R.L - 1)) ** 2
-
-
-def test_non_generic_weights_rejected():
-    curve = CurveData(2, 1)
-    eng = ChainEngine(curve)
-    bad1 = WeightDatum.full_flags([[Fraction(1, 2)]])
-    bad2 = WeightDatum.full_flags([[Fraction(1, 4)]])
-    tau = ChainType((1, 1), (0, 0), (bad1, bad2))
-    with pytest.raises(NonGenericWeights):
-        eng.chain_class(tau, (Fraction(0), Fraction(2)))
 
 
 def test_wall_hit_at_even_degree_no_points():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from parahiggs.errors import (
     NonGenericWeights,
     UnboundedSearch,
 )
+from parahiggs import parabolic
+from parahiggs.cli import run
 from parahiggs.motive import CurveData, ring, specialize_E, specialize_count
 from parahiggs.parabolic import WeightDatum, generate_generic_weights, genericity_check
 from parahiggs.engine import ChainEngine
@@ -143,6 +146,45 @@ def test_poincare_sign_substitution_nonnegative():
     for (i, j), c in e.num.items():
         series[i + j] = series.get(i + j, 0) + c * (-1) ** (i + j)
     assert all(c >= 0 for c in series.values())
+
+
+@pytest.fixture
+def genericity_calls(monkeypatch):
+    """Records every genericity_check call, through every library binding."""
+    original = parabolic.genericity_check
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "parahiggs" or name.startswith("parahiggs."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_weights_certified_once_per_higgs_problem(genericity_calls):
+    higgs_computation(HiggsProblem(CurveData(2, 1), 3, 1, full_datum(3, 1)))
+    assert len(genericity_calls) == 1
+
+
+def test_weights_certified_once_per_chain_run(genericity_calls):
+    cfg = {
+        "curve": {"genus": 2, "marked_points": 1},
+        "problem": {
+            "kind": "chain",
+            "ranks": [2, 1],
+            "degrees": [3, 0],
+            "weights": "generate",
+            "alpha": ["0", "5"],
+        },
+    }
+    report = run(cfg)
+    assert report["diagnostics"]["wall_count"] > 0
+    assert len(genericity_calls) == 1
 
 
 def test_non_generic_datum_rejected():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from parahiggs.errors import BudgetExceeded, RankMismatch
 from parahiggs.parabolic import (
+    GENERICITY_BUDGET,
     ChainType,
     WeightDatum,
     dual_weight_datum,
@@ -135,8 +136,10 @@ def test_genericity_small_relations():
 
 
 def test_genericity_budget():
+    # 14 weights at N = 6 need a table of 13^7 > GENERICITY_BUDGET residues
+    assert 13 ** 7 > GENERICITY_BUDGET
     with pytest.raises(BudgetExceeded):
-        genericity_check([Fraction(1, 101)] * 12, 6, budget=1000)
+        genericity_check([Fraction(1, 101)] * 14, 6)
 
 
 def test_genericity_twelve_weights_within_budget():
@@ -171,6 +174,26 @@ def test_genericity_matches_brute_force():
         assert answer is brute_force_generic(ws, N), (ws, N)
         answers.add(answer)
     assert answers == {True, False}
+
+
+def test_genericity_inherited_by_sub_multisets():
+    """Weights generic at bound N stay generic on every sub-multiset at every
+    bound N' <= N, so one certificate at the entry covers every sub-type."""
+    rng = random.Random(11)
+    denominators = [5, 7, 12, 29, 101, 2**31 - 1]
+    certified = 0
+    for _ in range(150):
+        count, N = rng.randint(1, 4), rng.randint(1, 2)
+        ws = [Fraction(rng.randrange(q), q) for q in rng.choices(denominators, k=count)]
+        if not brute_force_generic(ws, N):
+            continue
+        certified += 1
+        for size in range(1, count + 1):
+            for sub in itertools.combinations(ws, size):
+                for bound in range(1, N + 1):
+                    assert brute_force_generic(list(sub), bound), (sub, bound)
+                    assert genericity_check(list(sub), bound) is True, (sub, bound)
+    assert certified >= 50
 
 
 def test_generate_generic_weights_examples():
