@@ -335,27 +335,18 @@ def compositions(n):
     ]
 
 
-def vector_compositions(ranks):
-    """Rank profiles of proper filtrations: ordered tuples of at least two
-    nonzero interval-support vectors componentwise summing to ranks."""
+def proper_subprofiles(ranks):
+    """Rank vectors componentwise at most ranks, other than 0 and ranks: the
+    rank profiles of proper sub-types, in lexicographic order."""
     ranks = tuple(ranks)
-    out = []
+    for cand in itertools.product(*[range(v + 1) for v in ranks]):
+        if any(cand) and cand != ranks:
+            yield cand
 
-    def is_interval(vec):
-        supp = [i for i, v in enumerate(vec) if v]
-        return bool(supp) and supp[-1] - supp[0] + 1 == len(supp)
 
-    def rec(remaining, acc):
-        if all(v == 0 for v in remaining):
-            if len(acc) >= 2:
-                out.append(tuple(acc))
-            return
-        for cand in itertools.product(*[range(v + 1) for v in remaining]):
-            if is_interval(cand):
-                rec(tuple(v - c for v, c in zip(remaining, cand)), acc + [cand])
-
-    rec(ranks, [])
-    return out
+def _has_interval_support(profile):
+    supp = [i for i, v in enumerate(profile) if v]
+    return supp[-1] - supp[0] + 1 == len(supp)
 
 
 def index_weight_splits(weight_data, profiles):
@@ -378,56 +369,62 @@ def index_weight_splits(weight_data, profiles):
 
 
 def filtration_types(tau, alpha, window=None):
-    """Filtration types of tau: tuples of parts whose degrees sum to tau's.
-
-    Parts range over interval-support rank profiles, then per-index weight
-    splits, then the degree vectors that enumerate_degree_vectors boxes at
+    """Filtration types of tau: tuples of at least two interval-support parts
+    whose ranks, degrees and weights sum to tau's, each in its degree box at
     alpha.  With no window each part's degree total is pinned by equal slope
     at alpha, the wall case; with a window the totals run over
     [-window, window].  No slope order is imposed: callers filter the tuples
     with slopes_decrease at the parameter they need.
+
+    Parts are peeled off one at a time: after the first part, the remainder
+    is the last part when it is a part itself, and is split again either way.
     """
     alpha = _alpha_fracs(alpha)
     mu = par_slope_alpha(tau, alpha)
-    for profiles in vector_compositions(tau.ranks):
-        for weight_parts in index_weight_splits(tau.weights, profiles):
-            choices = []
-            for prof, wparts in zip(profiles, weight_parts):
-                if window is None:
-                    wsum = sum((w.weight_sum() for w in wparts), Fraction(0))
-                    total = (
-                        mu * sum(prof)
-                        - sum(n * a for n, a in zip(prof, alpha))
-                        - wsum
-                    )
-                    if total.denominator != 1:
-                        break
-                    totals = [int(total)]
-                else:
-                    totals = range(-window, window + 1)
-                block = [i for i, v in enumerate(prof) if v]
-                cands = []
-                for t in totals:
-                    for dvec in enumerate_degree_vectors(
-                        tuple(prof[i] for i in block),
-                        t,
-                        tuple(alpha[i] for i in block),
-                        tuple(wparts[i] for i in block),
-                    ):
-                        degrees = [0] * (tau.length + 1)
-                        for i, d in zip(block, dvec):
-                            degrees[i] = d
-                        cands.append(ChainType(prof, tuple(degrees), wparts))
-                if not cands:
-                    break
-                choices.append(cands)
+    for first in proper_subprofiles(tau.ranks):
+        if not _has_interval_support(first):
+            continue
+        rest = tuple(n - m for n, m in zip(tau.ranks, first))
+        for w_first, w_rest in index_weight_splits(tau.weights, (first, rest)):
+            if window is None:
+                totals = [
+                    mu * sum(first) - sum(m * a for m, a in zip(first, alpha))
+                    - sum(w.weight_sum() for w in w_first)
+                ]
             else:
-                for parts in itertools.product(*choices):
-                    if all(
-                        sum(p.degrees[i] for p in parts) == d
-                        for i, d in enumerate(tau.degrees)
-                    ):
-                        yield parts
+                totals = range(-window, window + 1)
+            for degrees in _box_vectors(first, w_first, alpha, totals):
+                left = tuple(d - e for d, e in zip(tau.degrees, degrees))
+                if any(d for n, d in zip(rest, left) if n == 0):
+                    continue
+                part = ChainType(first, degrees, w_first)
+                remainder = ChainType(rest, left, w_rest)
+                t = sum(left)
+                if (
+                    _has_interval_support(rest)
+                    and (window is None or abs(t) <= window)
+                    and left in _box_vectors(rest, w_rest, alpha, [t])
+                ):
+                    yield (part, remainder)
+                for tail in filtration_types(remainder, alpha, window):
+                    yield (part,) + tail
+
+
+def _box_vectors(profile, weights, alpha, totals):
+    """Degree vectors of a part in its box at each integral total, zero off
+    its support."""
+    block = [i for i, m in enumerate(profile) if m]
+    for t in totals:
+        if t.denominator != 1:
+            continue
+        for dvec in enumerate_degree_vectors(
+            tuple(profile[i] for i in block), int(t),
+            tuple(alpha[i] for i in block), tuple(weights[i] for i in block),
+        ):
+            degrees = [0] * len(profile)
+            for i, d in zip(block, dvec):
+                degrees[i] = d
+            yield tuple(degrees)
 
 
 def slopes_decrease(parts, alpha):

@@ -688,7 +688,13 @@ def format_class(x):
     return f"({num}) / ({_format_den(x.den)})"
 
 
+PARSE_BOUND = 1000
+
+
 class _Parser:
+    """Exponents and C indices above PARSE_BOUND raise ValueError, so a
+    corrupt cache record fails fast instead of expanding a huge power."""
+
     def __init__(self, text, genus):
         self.text = text
         self.pos = 0
@@ -743,18 +749,20 @@ class _Parser:
             if self.peek() == "-":
                 sign = -1
                 self.pos += 1
-            exp = self.integer()
-            node = node ** (sign * exp)
+            node = node ** (sign * self.integer(PARSE_BOUND))
         return node
 
-    def integer(self):
+    def integer(self, bound=None):
         self.skip()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if start == self.pos:
             self.error("expected integer")
-        return int(self.text[start : self.pos])
+        n = int(self.text[start : self.pos])
+        if bound is not None and n > bound:
+            self.error(f"{n} exceeds the bound {bound}")
+        return n
 
     def atom(self):
         ch = self.peek()
@@ -772,8 +780,7 @@ class _Parser:
             return self.R.Pic
         if ch == "C":
             self.pos += 1
-            idx = self.integer()
-            return self.R.C(idx)
+            return self.R.C(self.integer(PARSE_BOUND))
         if ch == "L":
             self.pos += 1
             return self.R.L

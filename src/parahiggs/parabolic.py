@@ -54,6 +54,8 @@ class WeightDatum:
             ranks.add(sum(m for _, m in point))
         if len(ranks) > 1:
             raise RankMismatch(f"inconsistent ranks across points: {sorted(ranks)}")
+        wsum = sum((w * m for point in pts for w, m in point), Fraction(0))
+        object.__setattr__(self, "_weight_sum", wsum)
 
     @property
     def num_points(self):
@@ -66,7 +68,8 @@ class WeightDatum:
         return sum(m for _, m in self.points[0])
 
     def weight_sum(self):
-        return sum((w * m for point in self.points for w, m in point), Fraction(0))
+        """Sum of the weights with multiplicity, computed once at construction."""
+        return self._weight_sum
 
     def all_weights(self):
         return [w for point in self.points for w, m in point for _ in range(m)]

@@ -9,14 +9,13 @@ pinned into a bounded interval by t lying in the traversal window).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from .errors import BaseWallHit, EngineError, UnboundedCandidates
 from .parabolic import frac, par_slope_alpha
-from .chains import _alpha_fracs
+from .chains import _alpha_fracs, index_weight_splits, proper_subprofiles
 
 
 @dataclass(frozen=True)
@@ -91,27 +90,16 @@ def choose_ray(tau, alpha):
 # wall candidates
 
 
-def proper_subprofiles(ranks):
-    slots = [range(v + 1) for v in ranks]
-    for cand in itertools.product(*slots):
-        if all(c == 0 for c in cand) or cand == tuple(ranks):
-            continue
-        yield cand
-
-
-def subset_weight_sums(tau, profile):
-    """Distinct total weight sums of sub-data with the given rank profile."""
-    sums = {Fraction(0)}
-    for i, datum in enumerate(tau.weights):
-        take = profile[i]
-        for point in datum.points:
-            weights = [w for w, m in point for _ in range(m)]
-            point_sums = {
-                sum(c, Fraction(0))
-                for c in itertools.combinations(weights, take)
-            }
-            sums = {s + ps for s in sums for ps in point_sums}
-    return sums
+def _subtype_weight_sums(tau):
+    """Distinct (rank profile, weight sum) pairs of tau's proper sub-types."""
+    for profile in proper_subprofiles(tau.ranks):
+        rest = tuple(n - p for n, p in zip(tau.ranks, profile))
+        sums = {
+            sum(w.weight_sum() for w in sub)
+            for sub, _ in index_weight_splits(tau.weights, (profile, rest))
+        }
+        for wsum in sums:
+            yield profile, wsum
 
 
 def _slope_linear(tau, ray):
@@ -132,32 +120,31 @@ def wall_positions(tau, ray, lo, hi):
     lo, hi = frac(lo), frac(hi)
     mu0, mu_rate = _slope_linear(tau, ray)
     walls = set()
-    for profile in proper_subprofiles(tau.ranks):
+    for profile, wsum in _subtype_weight_sums(tau):
         size = sum(profile)
         a0 = sum(p * a for p, a in zip(profile, ray.base))
         d_rate = sum(p * d for p, d in zip(profile, ray.delta))
         sub_rate = Fraction(d_rate, size)
-        for wsum in subset_weight_sums(tau, profile):
-            if sub_rate == mu_rate:
-                # parallel slopes: the gap is constant in t, so either no wall
-                # or a degenerate everywhere-wall (excluded by genericity)
-                t_needed = size * mu0 - wsum - a0
-                if t_needed.denominator == 1:
-                    raise UnboundedCandidates(
-                        "degenerate wall family: sub-type slope parallel and equal"
-                    )
-                continue
-            # T'(t) = size*mu(t) - wsum - a0 - t*d_rate
-            t_lo_val = size * (mu0 + lo * mu_rate) - wsum - a0 - lo * d_rate
-            t_hi_val = size * (mu0 + hi * mu_rate) - wsum - a0 - hi * d_rate
-            t_min, t_max_ = min(t_lo_val, t_hi_val), max(t_lo_val, t_hi_val)
-            T_lo = int(t_min.__ceil__())
-            T_hi = int(t_max_.__floor__())
-            denom = sub_rate - mu_rate
-            for T in range(T_lo, T_hi + 1):
-                t_star = (mu0 - Fraction(T + wsum + a0, size)) / denom
-                if lo < t_star <= hi:
-                    walls.add(t_star)
+        if sub_rate == mu_rate:
+            # parallel slopes: the gap is constant in t, so either no wall
+            # or a degenerate everywhere-wall (excluded by genericity)
+            t_needed = size * mu0 - wsum - a0
+            if t_needed.denominator == 1:
+                raise UnboundedCandidates(
+                    "degenerate wall family: sub-type slope parallel and equal"
+                )
+            continue
+        # T'(t) = size*mu(t) - wsum - a0 - t*d_rate
+        t_lo_val = size * (mu0 + lo * mu_rate) - wsum - a0 - lo * d_rate
+        t_hi_val = size * (mu0 + hi * mu_rate) - wsum - a0 - hi * d_rate
+        t_min, t_max_ = min(t_lo_val, t_hi_val), max(t_lo_val, t_hi_val)
+        T_lo = int(t_min.__ceil__())
+        T_hi = int(t_max_.__floor__())
+        denom = sub_rate - mu_rate
+        for T in range(T_lo, T_hi + 1):
+            t_star = (mu0 - Fraction(T + wsum + a0, size)) / denom
+            if lo < t_star <= hi:
+                walls.add(t_star)
     return sorted(walls)
 
 
@@ -165,13 +152,12 @@ def is_on_wall(tau, alpha):
     """Exact slope-equality test against every candidate proper sub-type."""
     alpha = _alpha_fracs(alpha)
     mu = par_slope_alpha(tau, alpha)
-    for profile in proper_subprofiles(tau.ranks):
-        size = sum(profile)
-        a0 = sum(p * a for p, a in zip(profile, alpha))
-        for wsum in subset_weight_sums(tau, profile):
-            t_needed = size * mu - wsum - a0
-            if t_needed.denominator == 1:
-                return True
+    for profile, wsum in _subtype_weight_sums(tau):
+        t_needed = sum(profile) * mu - wsum - sum(
+            p * a for p, a in zip(profile, alpha)
+        )
+        if t_needed.denominator == 1:
+            return True
     return False
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from parahiggs.chains import (
     enumerate_degree_vectors,
     enumerate_gap_profiles,
     filtration_types,
+    index_weight_splits,
     necessary_conditions,
     slopes_decrease,
 )
@@ -382,6 +384,111 @@ def test_gap_profiles_shift_invariant():
 
 # ---------------------------------------------------------------------------
 # filtration-type enumeration
+
+
+def product_filtration_types(tau, alpha, window=None):
+    """Reference enumeration of filtration types: every ordered tuple of at
+    least two interval-support rank profiles summing to tau's ranks, every
+    weight split, then the product of the parts' boxed degree vectors, kept
+    when the degrees sum to tau's."""
+    alpha = alpha_f(*alpha)
+    mu = par_slope_alpha(tau, alpha)
+
+    def profile_tuples(remaining):
+        if not any(remaining):
+            yield ()
+            return
+        for cand in itertools.product(*[range(v + 1) for v in remaining]):
+            supp = [i for i, v in enumerate(cand) if v]
+            if supp and supp[-1] - supp[0] + 1 == len(supp):
+                rest = tuple(v - c for v, c in zip(remaining, cand))
+                for tail in profile_tuples(rest):
+                    yield (cand,) + tail
+
+    for profiles in profile_tuples(tau.ranks):
+        if len(profiles) < 2:
+            continue
+        for weight_parts in index_weight_splits(tau.weights, profiles):
+            choices = []
+            for prof, wparts in zip(profiles, weight_parts):
+                if window is None:
+                    total = (
+                        mu * sum(prof)
+                        - sum(n * a for n, a in zip(prof, alpha))
+                        - sum(w.weight_sum() for w in wparts)
+                    )
+                    totals = [int(total)] if total.denominator == 1 else []
+                else:
+                    totals = range(-window, window + 1)
+                block = [i for i, v in enumerate(prof) if v]
+                cands = []
+                for t in totals:
+                    for dvec in enumerate_degree_vectors(
+                        [prof[i] for i in block], t,
+                        [alpha[i] for i in block], [wparts[i] for i in block],
+                    ):
+                        degrees = [0] * len(prof)
+                        for i, d in zip(block, dvec):
+                            degrees[i] = d
+                        cands.append(ChainType(prof, degrees, wparts))
+                choices.append(cands)
+            for parts in itertools.product(*choices):
+                if all(
+                    sum(p.degrees[i] for p in parts) == d
+                    for i, d in enumerate(tau.degrees)
+                ):
+                    yield parts
+
+
+def random_filtration_input(rng):
+    """A type of length 0-2 and total rank 1-3, possibly zero-padded, at 0-2
+    marked points with generic weights, and a strictly increasing parameter."""
+    r = rng.randint(0, 2)
+    while True:
+        ranks = [rng.randint(0, 3) for _ in range(r + 1)]
+        if 1 <= sum(ranks) <= 3:
+            break
+    k = rng.randint(0, 2)
+    flat = generate_generic_weights(sum(ranks) * k, sum(ranks)) if k else []
+    weights, offset = [], 0
+    for n in ranks:
+        points = [
+            sorted(flat[p * sum(ranks) + offset : p * sum(ranks) + offset + n])
+            for p in range(k)
+        ]
+        weights.append(full_flag(points))
+        offset += n
+    degrees = [rng.randint(-3, 3) if n else 0 for n in ranks]
+    tau = ChainType(ranks, degrees, weights)
+    alpha, a = [], 0
+    for _ in ranks:
+        alpha.append(Fraction(a))
+        a += rng.randint(1, 4) + Fraction(rng.randint(0, 3), 4)
+    return tau, tuple(alpha)
+
+
+def test_filtration_types_match_product_reference():
+    from parahiggs.walls import choose_ray, wall_positions
+
+    rng = random.Random(20260)
+    seen = Counter()  # (pinned, number of parts) over the reference's types
+    for _ in range(120):
+        tau, alpha = random_filtration_input(rng)
+        params = [(alpha, 2)]
+        if tau.length == 0 or 0 in tau.ranks:
+            params.append((alpha, None))
+        else:
+            ray = choose_ray(tau, alpha)
+            walls = wall_positions(tau, ray, Fraction(0), ray.t_max)
+            for t in walls[:6]:
+                params.append((ray.at(t), None))
+        for at, window in params:
+            got = Counter(filtration_types(tau, at, window))
+            want = Counter(product_filtration_types(tau, at, window))
+            assert got == want, (tau, at, window)
+            for parts, n in want.items():
+                seen[window is None, len(parts)] += n
+    assert all(seen[key] for key in itertools.product((True, False), (2, 3)))
 
 
 def hn_types(tau, alpha, window=None, order_at=None):

@@ -1,5 +1,6 @@
 """Ring arithmetic, canonical forms, zeta machinery and specializations."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -434,6 +435,20 @@ def test_parser_accepts_rewritten_atoms():
     R = ring(2)
     assert parse_class("C2", 2) == R.Pic + R.L
     assert parse_class("(Pic) / ((L - 1))", 2) == R.Pic / (R.L - 1)
+
+
+@pytest.mark.parametrize("text", ["L^99999999999", "L^-99999999999", "C99999999999"])
+def test_parser_rejects_huge_exponents_fast(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        parse_class(text, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parser_accepts_exponents_at_the_bound():
+    R = ring(2)
+    assert parse_class("L^1000", 2) == R.L_pow(1000)
+    assert parse_class("L^-1000", 2) == R.L_pow(-1000)
 
 
 def test_dimension_weighting():
