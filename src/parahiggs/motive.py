@@ -553,6 +553,13 @@ def _realize(x, q, P, nvars):
 
     q and the zeta-numerator coefficients P[0..2g] are integer polynomials
     in nvars variables; so is the result.
+
+    The map is evaluated in Horner form over the variables in the order
+    Pic, C1 .. C_{g-1}, L.  Pic and the C^(i) have the densest images, so
+    they go outermost, where each of their powers multiplies a sum once
+    instead of once per monomial.  L goes innermost because its image q is a
+    single monomial (uv) for the E-polynomial and an integer for the point
+    count, so the many products at that level are cheap.
     """
     g = x.genus
     # partial[m] = 1 + q + ... + q^m, the t^m coefficient of 1/((1-t)(1-qt))
@@ -573,17 +580,35 @@ def _realize(x, q, P, nvars):
             sym = p_add(sym, p_mul(P[j], partial[i - j]))
         images.append(sym)
 
+    order = list(range(1, len(images))) + [0]
     pow_cache = {}
-    out = {}
-    for m, c in x.num.items():
-        term = p_const(c, nvars)
-        for idx, e in enumerate(m):
-            if e:
-                if (idx, e) not in pow_cache:
-                    pow_cache[idx, e] = p_pow(images[idx], e, nvars)
-                term = p_mul(term, pow_cache[idx, e])
-        out = p_add(out, term)
-    return out
+
+    def power(idx, e):
+        if (idx, e) not in pow_cache:
+            pow_cache[idx, e] = p_pow(images[idx], e, nvars)
+        return pow_cache[idx, e]
+
+    def horner(terms, depth):
+        # terms: the (monomial, coefficient) pairs that agree on the
+        # exponents of order[:depth]
+        if depth == len(order):
+            ((_, c),) = terms
+            return p_const(c, nvars)
+        idx = order[depth]
+        groups = {}
+        for m, c in terms:
+            groups.setdefault(m[idx], []).append((m, c))
+        out, prev = {}, 0
+        for e in sorted(groups, reverse=True):
+            if out:  # empty before the first group; 0 * image^gap = 0
+                out = p_mul(out, power(idx, prev - e))
+            out = p_add(out, horner(groups[e], depth + 1))
+            prev = e
+        if out and prev:
+            out = p_mul(out, power(idx, prev))
+        return out
+
+    return horner(list(x.num.items()), 0)
 
 
 def specialize_E(x):
@@ -692,8 +717,10 @@ PARSE_BOUND = 1000
 
 
 class _Parser:
-    """Exponents and C indices above PARSE_BOUND raise ValueError, so a
-    corrupt cache record fails fast instead of expanding a huge power."""
+    """Exponents and C indices above PARSE_BOUND raise ValueError, and so does
+    a power whose expansion could have more than PARSE_BOUND terms or a degree
+    above PARSE_BOUND, so a corrupt cache record fails fast instead of
+    expanding a huge power."""
 
     def __init__(self, text, genus):
         self.text = text
@@ -749,7 +776,15 @@ class _Parser:
             if self.peek() == "-":
                 sign = -1
                 self.pos += 1
-            node = node ** (sign * self.integer(PARSE_BOUND))
+            e = self.integer(PARSE_BOUND)
+            # the power of a k-term sum has up to comb(k + e - 1, e) terms,
+            # and e times the degree of its base
+            k = len(node.num)
+            degree = max(u_deg(node.den), max(map(sum, node.num), default=0))
+            if (k >= 2 and comb(k + e - 1, e) > PARSE_BOUND) or e * degree > PARSE_BOUND:
+                self.error(f"the power {e} of a {k}-term class of degree {degree} "
+                           f"exceeds the bound {PARSE_BOUND} on its terms and degree")
+            node = node ** (sign * e)
         return node
 
     def integer(self, bound=None):

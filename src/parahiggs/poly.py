@@ -70,8 +70,9 @@ def p_pow(a, n, nvars):
     while n:
         if n & 1:
             out = p_mul(out, base)
-        base = p_mul(base, base)
         n >>= 1
+        if n:
+            base = p_mul(base, base)
     return out
 
 

@@ -191,8 +191,8 @@ def test_cache_round_trip(tmp_path):
 
 def test_corrupt_cache_records_skipped(tmp_path, capsys):
     """A record with a non-string key or class is dropped when the cache is
-    read; one whose class does not parse, or holds an exponent above the
-    parser's bound, is computed when it is hit."""
+    read; one whose class does not parse, or holds an exponent or a power of
+    a sum above the parser's bounds, is computed when it is hit."""
     cache = tmp_path / "memo.jsonl"
     cfg = {
         "curve": {"genus": 2, "marked_points": 1},
@@ -206,16 +206,17 @@ def test_corrupt_cache_records_skipped(tmp_path, capsys):
     # the rank-2 bundle and the (1,1) chains at the staircase parameter are
     # fixed-point types, so the warm run looks them up
     (bundle,) = [r["key"] for r in records if "#n=2#" in r["key"]]
-    chain = next(
+    chain, other_chain = [
         r["key"] for r in records
         if "#n=1,1#" in r["key"] and r["key"].endswith("#a=0,2")
-    )
+    ][:2]
     with cache.open("a", encoding="utf-8") as fh:
         for record in (
             {"key": bundle, "class": "L +"},
             {"key": bundle, "class": 5},
             {"key": 7, "class": "L"},
             {"key": chain, "class": "L^99999999999"},
+            {"key": other_chain, "class": "(L + Pic + C1)^1000"},
         ):
             fh.write(json.dumps(record) + "\n")
     capsys.readouterr()
@@ -225,8 +226,8 @@ def test_corrupt_cache_records_skipped(tmp_path, capsys):
     assert main(argv) == 0
     warm = json.loads(out.read_text())
     assert warm["class"] == cold["class"]
-    assert warm["diagnostics"]["cache_records_skipped"] == 4
-    assert "warning: skipped 4 corrupt cache records" in capsys.readouterr().err
+    assert warm["diagnostics"]["cache_records_skipped"] == 5
+    assert "warning: skipped 5 corrupt cache records" in capsys.readouterr().err
 
 
 def test_seed_cache_hits_counted(tmp_path):

@@ -1,20 +1,25 @@
 """Ring arithmetic, canonical forms, zeta machinery and specializations."""
 
+import random
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parahiggs import poly
+from parahiggs import motive, poly
 from parahiggs.errors import (
     DivisionOutsideRing,
     InconsistentZeta,
     MissingZetaData,
     NonConvergentEvaluation,
 )
+from parahiggs.higgs import HiggsProblem, higgs_computation
 from parahiggs.motive import (
     CurveData,
+    MotiveClass,
+    max_atom,
+    num_vars,
     parse_class,
     ring,
     specialize_E,
@@ -22,6 +27,7 @@ from parahiggs.motive import (
     sym_cxp_coeff,
     zeta_eval,
 )
+from parahiggs.parabolic import WeightDatum
 from parahiggs.stacks import bundle_stack_class, flag_class
 
 ZETA_G1 = (1, 0, 2)          # elliptic curve over F_2 with a_1 = 0
@@ -137,6 +143,32 @@ def test_ring_laws(data):
         assert a * ring(g).one == a
         assert a + ring(g).zero == a
         assert a - a == ring(g).zero
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_p_pow_matches_repeated_products(n):
+    a = {(1, 0): 2, (0, 1): -1, (0, 0): 3}
+    want = poly.p_const(1, 2)
+    for _ in range(n):
+        want = poly.p_mul(want, a)
+    assert poly.p_pow(a, n, 2) == want
+
+
+def test_p_pow_squares_only_while_bits_remain(monkeypatch):
+    squarings = []
+    p_mul = poly.p_mul
+
+    def counting(a, b):
+        if a is b:
+            squarings.append(a)
+        return p_mul(a, b)
+
+    monkeypatch.setattr(poly, "p_mul", counting)
+    a = {(1,): 1, (0,): -1}
+    for n, want in ((1, 0), (2, 1), (3, 1), (4, 2), (5, 2)):
+        squarings.clear()
+        poly.p_pow(a, n, 1)
+        assert len(squarings) == want, n
 
 
 def test_p_mul_explicit_zero_coefficient():
@@ -397,15 +429,21 @@ def test_specializations_are_ring_homomorphisms(data):
     assert specialize_count(x + y, curve, 2) == cx + cy
 
 
+def split_curve(g, a, b):
+    """Zeta numerator (1-at)^g (1-bt)^g; it satisfies the functional
+    equation at q = ab."""
+    P = [1]
+    for root in (a,) * g + (b,) * g:
+        P = [x - root * y for x, y in zip(P + [0], [0] + P)]
+    return CurveData(g, 0, tuple(P))
+
+
 @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (3, 3), (2, 5)])
 @pytest.mark.parametrize("g", range(5))
 def test_E_polynomial_is_point_count_of_split_curve(g, a, b):
     """E(x) at (u, v) = (a, b) is the count at q = ab with P(t) = (1-at)^g (1-bt)^g."""
     R = ring(g)
-    P = [1]
-    for root in (a,) * g + (b,) * g:
-        P = [x - root * y for x, y in zip(P + [0], [0] + P)]
-    curve = CurveData(g, 0, tuple(P))
+    curve = split_curve(g, a, b)
     classes = [
         R.Pic * R.C(g - 1) / (R.L - 1),
         R.C(2 * g + 1) * R.L + R.Pic,
@@ -414,6 +452,107 @@ def test_E_polynomial_is_point_count_of_split_curve(g, a, b):
     ]
     for x in classes:
         assert e_eval(specialize_E(x), a, b) == specialize_count(x, curve, a * b), x
+
+
+def term_by_term_realize(x, q, P, nvars):
+    """Test-only reference for motive._realize: the same ring map, with each
+    monomial of x.num evaluated on its own as a product of cached powers."""
+    g = x.genus
+    partial = [poly.p_const(1, nvars)]
+    q_m = partial[0]
+    for _ in range(max_atom(g)):
+        q_m = poly.p_mul(q_m, q)
+        partial.append(poly.p_add(partial[-1], q_m))
+    images = [q]
+    if g >= 1:
+        pic = {}
+        for a in P:
+            pic = poly.p_add(pic, a)
+        images.append(pic)
+    for i in range(1, max_atom(g) + 1):
+        sym = {}
+        for j in range(i + 1):
+            sym = poly.p_add(sym, poly.p_mul(P[j], partial[i - j]))
+        images.append(sym)
+
+    pow_cache = {}
+    out = {}
+    for m, c in x.num.items():
+        term = poly.p_const(c, nvars)
+        for idx, e in enumerate(m):
+            if e:
+                if (idx, e) not in pow_cache:
+                    pow_cache[idx, e] = poly.p_pow(images[idx], e, nvars)
+                term = poly.p_mul(term, pow_cache[idx, e])
+        out = poly.p_add(out, term)
+    return out
+
+
+def seeded_classes(seed):
+    """Classes with 10-40 monomials (all 7 at genus 0), exponents up to 6 on
+    every atom, genus 0-5, half of them over L^b (L^a1 - 1)(L^a2 - 1).
+
+    Besides L, each monomial carries at most two atoms and a total exponent
+    of at most 6 on them, which keeps the reference evaluation cheap.
+    """
+    rng = random.Random(seed)
+    for i in range(24):
+        g = i % 6
+        nv = num_vars(g)
+        num = {}
+        size = min(rng.randint(10, 40), 7 ** nv)
+        while len(num) < size:
+            m = [rng.randint(0, 6)] + [0] * (nv - 1)
+            budget = 6
+            for idx in rng.sample(range(1, nv), min(rng.randint(0, 2), nv - 1)):
+                m[idx] = rng.randint(1, budget)
+                budget -= m[idx]
+                if not budget:
+                    break
+            num[tuple(m)] = rng.choice([-3, -2, -1, 1, 2, 5])
+        den = poly.U_ONE
+        if i % 12 >= 6:
+            den = (0,) * rng.randint(0, 2) + den
+            for _ in range(rng.randint(1, 2)):
+                den = poly.u_mul(den, poly.u_lpower_minus_one(rng.randint(1, 4)))
+        yield MotiveClass(g, num, den)
+
+
+def moduli_classes():
+    """The (g,0,2) moduli classes at degree 1 for g = 0..10."""
+    for g in range(11):
+        curve = CurveData(g, 0)
+        problem = HiggsProblem(curve, 2, 1, WeightDatum.empty(0))
+        yield higgs_computation(problem).total
+
+
+def assert_realize_matches_reference(classes, monkeypatch):
+    specialized = []
+    for x in classes:
+        curve = split_curve(x.genus, 2, 3)
+        specialized.append((x, curve, specialize_E(x), specialize_count(x, curve, 6)))
+    with monkeypatch.context() as m:
+        m.setattr(motive, "_realize", term_by_term_realize)
+        for x, curve, e, count in specialized:
+            want = specialize_E(x)
+            assert e == want, x
+            assert str(e) == str(want)
+            assert count == specialize_count(x, curve, 6), x
+    return [e for _, _, e, _ in specialized]
+
+
+def test_horner_realize_matches_term_by_term_on_seeded_classes(monkeypatch):
+    classes = list(seeded_classes(10))
+    assert {x.genus for x in classes} == set(range(6))
+    assert all(10 <= len(x.num) <= 40 or x.genus == 0 for x in classes)
+    epolys = assert_realize_matches_reference(classes, monkeypatch)
+    # polynomial classes and flagged rational E-polynomials both occur
+    assert any(x.is_polynomial() for x in classes)
+    assert any(not e.is_polynomial for e in epolys)
+
+
+def test_horner_realize_matches_term_by_term_on_moduli_classes(monkeypatch):
+    assert_realize_matches_reference(moduli_classes(), monkeypatch)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +576,10 @@ def test_parser_accepts_rewritten_atoms():
     assert parse_class("(Pic) / ((L - 1))", 2) == R.Pic / (R.L - 1)
 
 
-@pytest.mark.parametrize("text", ["L^99999999999", "L^-99999999999", "C99999999999"])
+@pytest.mark.parametrize("text", [
+    "L^99999999999", "L^-99999999999", "C99999999999",
+    "(L + Pic + C1)^100", "(L + Pic + C1)^1000", "(L^-1000)^1000",
+])
 def test_parser_rejects_huge_exponents_fast(text):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="exceeds the bound"):
