@@ -7,7 +7,6 @@ rational or integer polynomial arithmetic.
 """
 
 from .errors import (
-    BaseWallHit,
     BudgetExceeded,
     DeskScaleExceeded,
     DivisionOutsideRing,
@@ -58,7 +57,6 @@ from .chains import (
     chi_hom_rr,
     chi_skyscrapers,
     enumerate_degree_vectors,
-    filtration_types,
     necessary_conditions,
     slopes_decrease,
 )

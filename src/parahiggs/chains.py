@@ -1,4 +1,4 @@
-"""Euler characteristics, existence conditions, degree boxes and filtration types.
+"""Euler characteristics, existence conditions, degree boxes and sub-type splits.
 
 The sign convention is pinned by chi(O_C) = 1 - g: for bundles E, F on the
 curve, chi(Hom(E,F)) = rk(E) deg(F) - rk(F) deg(E) + rk(E) rk(F) (1 - g).
@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import RankMismatch, UnboundedSearch
-from .parabolic import ChainType, frac, par_slope_alpha
+from .parabolic import enumerate_weight_splits, frac, par_slope_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +245,14 @@ def _fm_var_bounds(constraints, nvars, var):
     return lo, hi
 
 
-@lru_cache(maxsize=None)
 def _degree_box(n_vec, alpha, weight_data, pinned, value):
     """Degree vectors passing the existence conditions whose degrees at the
-    pinned indices sum to value, as a tuple in lexicographic order.
+    pinned indices sum to value, as a list in lexicographic order.
 
     The last pinned degree is solved from the pin.  The other, free degrees
     are boxed by the hull of the Fourier-Motzkin projections of the choices
     of condition rows (UnboundedSearch when one is unbounded), and the box is
-    filtered exactly by the same rows.  Cached for the life of the process:
-    every argument is a tuple (alpha of Fractions) or an int, and the weights
-    are part of the key, so each new weight set adds entries.
+    filtered exactly by the same rows.
     """
     if any(n <= 0 for n in n_vec):
         raise ValueError("degree enumeration expects positive ranks")
@@ -284,7 +280,7 @@ def _degree_box(n_vec, alpha, weight_data, pinned, value):
             ]
         box = bounds
     if box is None:
-        return ()
+        return []
     ranges = [
         range((lo - wsums[i]).__ceil__(), (hi - wsums[i]).__floor__() + 1)
         for i, (lo, hi) in zip(free, box)
@@ -296,15 +292,15 @@ def _degree_box(n_vec, alpha, weight_data, pinned, value):
         x = [d + w for d, w in zip(dvec, wsums)]
         if any(_holds(rows, x) for rows in choices):
             out.append(dvec)
-    return tuple(out)
+    return out
 
 
 def enumerate_degree_vectors(n_vec, total_d, alpha, weight_data):
     """All degree vectors with the given total passing the existence
     conditions, as a fresh list in lexicographic order."""
     n_vec = tuple(int(x) for x in n_vec)
-    return list(_degree_box(n_vec, _alpha_fracs(alpha), tuple(weight_data),
-                            tuple(range(len(n_vec))), total_d))
+    return _degree_box(n_vec, _alpha_fracs(alpha), tuple(weight_data),
+                       tuple(range(len(n_vec))), total_d)
 
 
 def enumerate_gap_profiles(n_vec, alpha, weight_data):
@@ -316,8 +312,8 @@ def enumerate_gap_profiles(n_vec, alpha, weight_data):
     """
     if len(set(n_vec)) != 1:
         raise ValueError("gap profiles are defined for constant rank vectors")
-    return list(_degree_box(tuple(int(x) for x in n_vec), _alpha_fracs(alpha),
-                            tuple(weight_data), (0,), 0))
+    return _degree_box(tuple(int(x) for x in n_vec), _alpha_fracs(alpha),
+                       tuple(weight_data), (0,), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +351,6 @@ def index_weight_splits(weight_data, profiles):
     profiles is a tuple of rank vectors (one per part); yields tuples of
     per-part weight tuples, each a tuple of WeightDatum indexed by chain slot.
     """
-    from .parabolic import enumerate_weight_splits
-
     r = len(weight_data) - 1
     per_index = []
     for i in range(r + 1):
@@ -366,65 +360,6 @@ def index_weight_splits(weight_data, profiles):
         yield tuple(
             tuple(combo[i][j] for i in range(r + 1)) for j in range(len(profiles))
         )
-
-
-def filtration_types(tau, alpha, window=None):
-    """Filtration types of tau: tuples of at least two interval-support parts
-    whose ranks, degrees and weights sum to tau's, each in its degree box at
-    alpha.  With no window each part's degree total is pinned by equal slope
-    at alpha, the wall case; with a window the totals run over
-    [-window, window].  No slope order is imposed: callers filter the tuples
-    with slopes_decrease at the parameter they need.
-
-    Parts are peeled off one at a time: after the first part, the remainder
-    is the last part when it is a part itself, and is split again either way.
-    """
-    alpha = _alpha_fracs(alpha)
-    mu = par_slope_alpha(tau, alpha)
-    for first in proper_subprofiles(tau.ranks):
-        if not _has_interval_support(first):
-            continue
-        rest = tuple(n - m for n, m in zip(tau.ranks, first))
-        for w_first, w_rest in index_weight_splits(tau.weights, (first, rest)):
-            if window is None:
-                totals = [
-                    mu * sum(first) - sum(m * a for m, a in zip(first, alpha))
-                    - sum(w.weight_sum() for w in w_first)
-                ]
-            else:
-                totals = range(-window, window + 1)
-            for degrees in _box_vectors(first, w_first, alpha, totals):
-                left = tuple(d - e for d, e in zip(tau.degrees, degrees))
-                if any(d for n, d in zip(rest, left) if n == 0):
-                    continue
-                part = ChainType(first, degrees, w_first)
-                remainder = ChainType(rest, left, w_rest)
-                t = sum(left)
-                if (
-                    _has_interval_support(rest)
-                    and (window is None or abs(t) <= window)
-                    and left in _box_vectors(rest, w_rest, alpha, [t])
-                ):
-                    yield (part, remainder)
-                for tail in filtration_types(remainder, alpha, window):
-                    yield (part,) + tail
-
-
-def _box_vectors(profile, weights, alpha, totals):
-    """Degree vectors of a part in its box at each integral total, zero off
-    its support."""
-    block = [i for i, m in enumerate(profile) if m]
-    for t in totals:
-        if t.denominator != 1:
-            continue
-        for dvec in enumerate_degree_vectors(
-            tuple(profile[i] for i in block), int(t),
-            tuple(alpha[i] for i in block), tuple(weights[i] for i in block),
-        ):
-            degrees = [0] * len(profile)
-            for i, d in zip(block, dvec):
-                degrees[i] = d
-            yield tuple(degrees)
 
 
 def slopes_decrease(parts, alpha):

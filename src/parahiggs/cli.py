@@ -52,7 +52,10 @@ def _rational(value, what):
     """An exact rational entry: a "p/q" string or a JSON integer."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(f"{what} must be a 'p/q' string, got {value!r}")
-    return frac(value)
+    try:
+        return frac(value)
+    except ZeroDivisionError:
+        raise ConfigError(f"{what} has a zero denominator: {value!r}") from None
 
 
 def _list(value, what):
@@ -160,6 +163,12 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
         raise ConfigError("outputs must be a JSON object")
     verify = bool(config.get("verify", False))
     cache_path = cache_path or config.get("cache_path")
+    pc = {"q": q_override} if q_override is not None else outputs.get("point_count")
+    q = None
+    if pc:
+        q = _int(_req(pc, "q", "point_count"), "q")
+        if q < 2:
+            raise ConfigError(f"point_count q must be at least 2, got {q}")
 
     seed = {}
     skipped = 0
@@ -228,11 +237,7 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     specs = {}
     if outputs.get("e_polynomial"):
         specs["e_polynomial"] = str(specialize_E(cls))
-    pc = outputs.get("point_count")
-    if q_override is not None:
-        pc = {"q": q_override}
-    if pc:
-        q = _int(_req(pc, "q", "point_count"), "q")
+    if q is not None:
         specs["point_count"] = {"q": q, "value": str(specialize_count(cls, curve, q))}
     report["specializations"] = specs
     report["diagnostics"]["wall_count"] = engine.stats["walls_crossed"]

@@ -17,13 +17,15 @@ from .motive import ring
 from .parabolic import ChainType, frac, par_slope_alpha
 from .chains import (
     _alpha_fracs,
+    _has_interval_support,
     chi_skyscrapers,
     compositions,
+    enumerate_degree_vectors,
     enumerate_gap_profiles,
     ext_exponent,
-    filtration_types,
     index_weight_splits,
     necessary_conditions,
+    proper_subprofiles,
     slopes_decrease,
 )
 from .stacks import pbundle_stack_class, phecke_class
@@ -31,12 +33,13 @@ from . import walls as wallmod
 
 
 class ChainEngine:
-    """Stateful front end: memo table, wall caches, crossing trace.
+    """Stateful front end: memo, enumerator tables, crossing trace.
 
     Everything computed is a pure function of (type, parameter), so the memo
     is idempotent: concurrent or re-ordered insertions of the same key can
     only store the identical canonical value, and results are independent of
-    evaluation schedule.
+    evaluation schedule.  The tables hold the degree boxes and weight splits
+    of this problem's weights; they live exactly as long as the engine.
     """
 
     def __init__(self, curve, trace_walls=False, seed_cache=None):
@@ -44,6 +47,7 @@ class ChainEngine:
         self.R = ring(curve.genus)
         self.trace_walls = trace_walls
         self.memo = {}
+        self.tables = {}
         self.seed_cache = dict(seed_cache or {})
         self.new_cache_entries = {}
         self.wall_trace = []
@@ -94,6 +98,14 @@ class ChainEngine:
         self.new_cache_entries[key_str] = str(val)
         return val
 
+    def _table(self, fn, *args):
+        """fn(*args) as a tuple, computed once per engine; fn is a pure
+        enumerator of the chains module."""
+        key = (fn, args)
+        if key not in self.tables:
+            self.tables[key] = tuple(fn(*args))
+        return self.tables[key]
+
     # -------------------------------------------------------------- dispatch
 
     def _compute(self, tau, alpha):
@@ -103,13 +115,11 @@ class ChainEngine:
             return self._zero_padded(tau, alpha)
         if not necessary_conditions(tau, alpha):
             return self.R.zero
-        # a bundle has no stability parameter to perturb: on a wall the base
-        # case gives its semistable class
-        if tau.length > 0 and wallmod.is_on_wall(tau, alpha):
-            raise WallHit(
-                f"stability parameter {alpha} lies on a wall for type {tau}"
-            )
         if len(set(tau.ranks)) == 1 and wallmod.hecke_shortfall(tau, alpha) < 0:
+            # a bundle has no stability parameter to perturb: on a wall the
+            # base case gives its semistable class; cross_ray checks the rest
+            if tau.length > 0:
+                wallmod.require_off_wall(tau, alpha)
             self.stats["base_cases"] += 1
             return self._base_case(tau, alpha)
         ray = wallmod.choose_ray(tau, alpha)
@@ -175,13 +185,12 @@ class ChainEngine:
         for comp in compositions(n):
             if len(comp) < 2:
                 continue
-            profiles = [(m,) * (r + 1) for m in comp]
-            for weight_parts in index_weight_splits(tau.weights, profiles):
-                profile_lists = []
-                for j, m in enumerate(comp):
-                    profile_lists.append(
-                        enumerate_gap_profiles((m,) * (r + 1), alpha, weight_parts[j])
-                    )
+            profiles = tuple((m,) * (r + 1) for m in comp)
+            for weight_parts in self._table(index_weight_splits, tau.weights, profiles):
+                profile_lists = [
+                    self._table(enumerate_gap_profiles, prof, alpha, weight_parts[j])
+                    for j, prof in enumerate(profiles)
+                ]
                 for combo in itertools.product(*profile_lists):
                     rho_vals = {
                         tau.degrees[i] - sum(prof[i] for prof in combo)
@@ -303,7 +312,7 @@ class ChainEngine:
         order = {side: ray.at(t_wall + side) for side in (+1, -1)}
         totals = {side: self.R.zero for side in order}
         count = 0
-        for parts in filtration_types(tau, ray.at(t_wall)):
+        for parts in self.filtration_types(tau, ray.at(t_wall)):
             side = next(
                 (s for s, a in order.items() if slopes_decrease(parts, a)), None
             )
@@ -319,6 +328,58 @@ class ChainEngine:
             totals[side] = totals[side] + cls
             count += 1
         return (totals[+1], totals[-1]), count
+
+    def filtration_types(self, tau, alpha):
+        """Filtration types of tau at a wall alpha: tuples of at least two
+        interval-support parts whose ranks, degrees and weights sum to tau's,
+        each part's degree total pinned by equal slope at alpha and its
+        degrees in its box there.  No slope order is imposed: callers filter
+        the tuples with slopes_decrease at the parameter they need.
+
+        Parts are peeled off one at a time: after the first part, the
+        remainder is the last part when it is a part itself, and is split
+        again either way.
+        """
+        mu = par_slope_alpha(tau, alpha)
+        for first in proper_subprofiles(tau.ranks):
+            if not _has_interval_support(first):
+                continue
+            rest = tuple(n - m for n, m in zip(tau.ranks, first))
+            for w_first, w_rest in self._table(
+                index_weight_splits, tau.weights, (first, rest)
+            ):
+                total = (
+                    mu * sum(first) - sum(m * a for m, a in zip(first, alpha))
+                    - sum(w.weight_sum() for w in w_first)
+                )
+                if total.denominator != 1:
+                    continue
+                for degrees in self._part_box(first, w_first, alpha, int(total)):
+                    left = tuple(d - e for d, e in zip(tau.degrees, degrees))
+                    if any(d for n, d in zip(rest, left) if n == 0):
+                        continue
+                    part = ChainType(first, degrees, w_first)
+                    remainder = ChainType(rest, left, w_rest)
+                    if _has_interval_support(rest) and left in self._part_box(
+                        rest, w_rest, alpha, sum(left)
+                    ):
+                        yield (part, remainder)
+                    for tail in self.filtration_types(remainder, alpha):
+                        yield (part,) + tail
+
+    def _part_box(self, profile, weights, alpha, total):
+        """Degree vectors of a part in its box at the given total, zero off
+        its support; the boxes are tabulated per support block."""
+        block = [i for i, m in enumerate(profile) if m]
+        for dvec in self._table(
+            enumerate_degree_vectors,
+            tuple(profile[i] for i in block), total,
+            tuple(alpha[i] for i in block), tuple(weights[i] for i in block),
+        ):
+            degrees = [0] * len(profile)
+            for i, d in zip(block, dvec):
+                degrees[i] = d
+            yield tuple(degrees)
 
     def _part_class_near(self, part, ray, t_wall, side):
         """Part class in its own chamber adjacent to the wall, retrying past

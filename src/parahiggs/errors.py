@@ -63,10 +63,6 @@ class WallHit(EngineError):
     exit_code = 2
 
 
-class BaseWallHit(WallHit):
-    exit_code = 2
-
-
 class NonIntegerDimension(EngineError):
     exit_code = 20
 

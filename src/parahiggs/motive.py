@@ -174,12 +174,9 @@ class MotiveClass:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        nv = num_vars(self.genus)
-        num = p_pow(self.num, n, nv)
-        den = U_ONE
-        for _ in range(n):
-            den = u_mul(den, self.den)
-        return MotiveClass(self.genus, num, den)
+        _, b, factors = _den_factors(self.den)
+        den = _den_poly(n * b, tuple((e, n * m) for e, m in factors))
+        return MotiveClass(self.genus, p_pow(self.num, n, num_vars(self.genus)), den)
 
     def inverse(self):
         """Invert; only unit multiples of admissible denominator factors allow it."""

@@ -13,7 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Tuple
 
 from .errors import BudgetExceeded, NonGenericWeights, RankMismatch
@@ -296,14 +295,9 @@ def enumerate_weight_splits(datum, part_ranks):
     """All ways to distribute the weights at each point into the given part ranks.
 
     Requires multiplicity-one data; returns a fresh list whose entries are
-    tuples of WeightDatum, one per part, in the order of part_ranks.  The
-    splits are cached for the life of the process, keyed by the datum.
+    tuples of WeightDatum, one per part, in the order of part_ranks.
     """
-    return list(_weight_splits(datum, tuple(int(r) for r in part_ranks)))
-
-
-@lru_cache(maxsize=None)
-def _weight_splits(datum, part_ranks):
+    part_ranks = tuple(int(r) for r in part_ranks)
     if datum.points and sum(part_ranks) != datum.rank:
         raise RankMismatch(
             f"part ranks sum to {sum(part_ranks)}, datum rank is {datum.rank}"
@@ -312,10 +306,10 @@ def _weight_splits(datum, part_ranks):
         if any(m != 1 for _, m in point):
             raise RankMismatch("weight splitting requires multiplicity-one data")
     per_point = [list(_point_splits(point, part_ranks)) for point in datum.points]
-    out = []
-    for combo in itertools.product(*per_point):
-        parts = []
-        for j in range(len(part_ranks)):
-            parts.append(WeightDatum(tuple(point_split[j] for point_split in combo)))
-        out.append(tuple(parts))
-    return tuple(out)
+    return [
+        tuple(
+            WeightDatum(tuple(point_split[j] for point_split in combo))
+            for j in range(len(part_ranks))
+        )
+        for combo in itertools.product(*per_point)
+    ]

@@ -234,10 +234,8 @@ def u_factor_cyclotomic(u):
     u = u_trim(u)
     if not u:
         return None
-    b = 0
-    while u[0] == 0:
-        u = u[1:]
-        b += 1
+    b = next(i for i, c in enumerate(u) if c)
+    u = u[b:]
     sign = 1 if u[-1] > 0 else -1
     if sign < 0:
         u = tuple(-c for c in u)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Tuple
 
-from .errors import BaseWallHit, EngineError, UnboundedCandidates
+from .errors import EngineError, RankMismatch, UnboundedCandidates, WallHit
 from .parabolic import frac, par_slope_alpha
-from .chains import _alpha_fracs, index_weight_splits, proper_subprofiles
+from .chains import _alpha_fracs, proper_subprofiles
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,23 @@ def choose_ray(tau, alpha):
 
 
 def _subtype_weight_sums(tau):
-    """Distinct (rank profile, weight sum) pairs of tau's proper sub-types."""
+    """Distinct (rank profile, weight sum) pairs of tau's proper sub-types.
+
+    An index taken whole adds its datum's weight sum; a partial one adds, at
+    each point, the sum of any m of that point's weights.
+    """
+    for datum in tau.weights:
+        if any(m != 1 for point in datum.points for _, m in point):
+            raise RankMismatch("weight splitting requires multiplicity-one data")
     for profile in proper_subprofiles(tau.ranks):
-        rest = tuple(n - p for n, p in zip(tau.ranks, profile))
-        sums = {
-            sum(w.weight_sum() for w in sub)
-            for sub, _ in index_weight_splits(tau.weights, (profile, rest))
-        }
+        sums = {Fraction(0)}
+        for m, n, datum in zip(profile, tau.ranks, tau.weights):
+            if m == n:
+                sums = {s + datum.weight_sum() for s in sums}
+                continue
+            for point in datum.points:
+                picks = {sum(c) for c in combinations([w for w, _ in point], m)}
+                sums = {s + p for s in sums for p in picks}
         for wsum in sums:
             yield profile, wsum
 
@@ -161,6 +172,12 @@ def is_on_wall(tau, alpha):
     return False
 
 
+def require_off_wall(tau, alpha):
+    """Raise WallHit when alpha lies on a wall for tau."""
+    if is_on_wall(tau, alpha):
+        raise WallHit(f"stability parameter {alpha} lies on a wall for type {tau}")
+
+
 # ---------------------------------------------------------------------------
 # crossing walk
 
@@ -174,8 +191,7 @@ def cross_ray(engine, tau, ray):
     filtration types are enumerated once, by one strata_at_wall call that
     sorts them into the two sides.
     """
-    if is_on_wall(tau, ray.base):
-        raise BaseWallHit(f"the ray base parameter is critical for {tau}")
+    require_off_wall(tau, ray.base)
     anchor = ray.t_max
     for _ in range(64):
         walls = wall_positions(tau, ray, Fraction(0), anchor)

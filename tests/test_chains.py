@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parahiggs.engine import ChainEngine
 from parahiggs.errors import UnboundedSearch
+from parahiggs.motive import CurveData
 from parahiggs.parabolic import (
     ChainType,
     WeightDatum,
@@ -23,7 +25,6 @@ from parahiggs.chains import (
     chi_spar,
     enumerate_degree_vectors,
     enumerate_gap_profiles,
-    filtration_types,
     index_weight_splits,
     necessary_conditions,
     slopes_decrease,
@@ -471,24 +472,23 @@ def test_filtration_types_match_product_reference():
     from parahiggs.walls import choose_ray, wall_positions
 
     rng = random.Random(20260)
-    seen = Counter()  # (pinned, number of parts) over the reference's types
+    engine = ChainEngine(CurveData(0, 0))
+    seen = Counter()  # number of parts over the reference's types
     for _ in range(120):
         tau, alpha = random_filtration_input(rng)
-        params = [(alpha, 2)]
         if tau.length == 0 or 0 in tau.ranks:
-            params.append((alpha, None))
+            params = [alpha]
         else:
             ray = choose_ray(tau, alpha)
             walls = wall_positions(tau, ray, Fraction(0), ray.t_max)
-            for t in walls[:6]:
-                params.append((ray.at(t), None))
-        for at, window in params:
-            got = Counter(filtration_types(tau, at, window))
-            want = Counter(product_filtration_types(tau, at, window))
-            assert got == want, (tau, at, window)
+            params = [ray.at(t) for t in walls[:6]]
+        for at in params:
+            got = Counter(engine.filtration_types(tau, at))
+            want = Counter(product_filtration_types(tau, at))
+            assert got == want, (tau, at)
             for parts, n in want.items():
-                seen[window is None, len(parts)] += n
-    assert all(seen[key] for key in itertools.product((True, False), (2, 3)))
+                seen[len(parts)] += n
+    assert seen[2] and seen[3]
 
 
 def hn_types(tau, alpha, window=None, order_at=None):
@@ -496,7 +496,7 @@ def hn_types(tau, alpha, window=None, order_at=None):
     order_at = alpha if order_at is None else order_at
     return [
         parts
-        for parts in filtration_types(tau, alpha, window)
+        for parts in product_filtration_types(tau, alpha, window)
         if slopes_decrease(parts, order_at)
     ]
 

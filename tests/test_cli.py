@@ -131,20 +131,40 @@ def _with(update):
     return cfg
 
 
+# the projective line: its chain classes have the denominator L - 1
+P1 = {"genus": 0, "marked_points": 0, "zeta_numerator": [1]}
+
+
+def _chain_with(update):
+    cfg = json.loads(json.dumps(CHAIN_CFG))
+    cfg.update(update)
+    return cfg
+
+
 @pytest.mark.parametrize(
-    "cfg",
+    "argv, cfg",
     [
-        _with({"problem": dict(HIGGS_CFG["problem"], weights=[[0.25, 0.5]])}),
-        _with({"curve": dict(HIGGS_CFG["curve"], zeta_numerator=5)}),
-        [1, 2],
-        _with({"curve": 3}),
+        (["higgs"], _with({"problem": dict(HIGGS_CFG["problem"], weights=[[0.25, 0.5]])})),
+        (["higgs"], _with({"curve": dict(HIGGS_CFG["curve"], zeta_numerator=5)})),
+        (["higgs"], [1, 2]),
+        (["higgs"], _with({"curve": 3})),
+        (["higgs"], _with({"problem": dict(HIGGS_CFG["problem"], weights=[["1/0"]])})),
+        (["chain"], _chain_with({"problem": dict(CHAIN_CFG["problem"], alpha=["1/0"])})),
+        (["chain"], _chain_with({"curve": P1, "outputs": {"point_count": {"q": 1}}})),
+        (["chain", "--q", "1"], _chain_with({"curve": P1})),
+        (["chain"], _chain_with({"curve": P1, "outputs": {"point_count": {"q": 0}}})),
+        (["chain", "--q", "-3"], _chain_with({"curve": P1})),
     ],
-    ids=["float-weights", "scalar-zeta", "top-level-array", "scalar-curve"],
+    ids=[
+        "float-weights", "scalar-zeta", "top-level-array", "scalar-curve",
+        "zero-denominator-weight", "zero-denominator-alpha", "q-one", "q-one-flag",
+        "q-zero", "q-negative-flag",
+    ],
 )
-def test_malformed_config_exit_code(tmp_path, capsys, cfg):
+def test_malformed_config_exit_code(tmp_path, capsys, argv, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    assert main(["higgs", "--config", str(path)]) == 5
+    assert main(argv + ["--config", str(path)]) == 5
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in err[0]

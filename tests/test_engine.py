@@ -13,7 +13,9 @@ from parahiggs.parabolic import (
 )
 from parahiggs.engine import ChainEngine, chain_key_str
 from parahiggs.stacks import pbundle_stack_class
-from parahiggs.chains import ext_exponent, filtration_types, slopes_decrease
+from parahiggs.chains import ext_exponent, slopes_decrease
+
+from test_chains import product_filtration_types
 
 
 ZETA = (1, 0, 0, 0, 4)
@@ -98,7 +100,7 @@ def test_stratification_identity_rank2():
     ss = eng.chain_class(tau, alpha)
     ambient = pbundle_stack_class(2, 1, full, curve)
     total = specialize_count(ss, curve, 2)
-    for parts in filtration_types(tau, alpha, window=40):
+    for parts in product_filtration_types(tau, alpha, window=40):
         if not slopes_decrease(parts, alpha):
             continue
         stratum = eng.R.L_pow(ext_exponent(parts, 2, 1))
@@ -219,7 +221,6 @@ def test_emptiness_monotonicity():
 
 
 def test_find_walls_descending_and_base_wall_hit():
-    from parahiggs.errors import BaseWallHit
     from parahiggs.walls import Ray, cross_ray, wall_positions
 
     curve = CurveData(2, 0, ZETA)
@@ -231,7 +232,7 @@ def test_find_walls_descending_and_base_wall_hit():
     assert walls == sorted(walls, reverse=True)
     # a critical base parameter aborts the walk explicitly
     even = ChainType((2,), (0,), (WeightDatum.empty(0),))
-    with pytest.raises(BaseWallHit):
+    with pytest.raises(WallHit):
         cross_ray(eng, even, Ray((Fraction(0),), (0,), Fraction(3)))
 
 

@@ -1,5 +1,6 @@
 """Localization assembly: fixed types, half dimension, moduli classes."""
 
+import gc
 import itertools
 import random
 import sys
@@ -299,3 +300,24 @@ def test_out_of_scope_inputs_fail_fast(genus, points, rank, error):
     with pytest.raises(error):
         higgs_computation(problem)
     assert time.perf_counter() - start < 1.0
+
+
+def test_solved_problem_leaves_no_weight_data_alive():
+    """The degree boxes and weight splits of a problem live in its engine's
+    tables, so no WeightDatum with its weights outlives the engine."""
+    weights = {Fraction(p, 2_147_483_647) for p in (271_828_182, 1_414_213_562)}
+    curve = CurveData(2, 1)
+
+    def solve():
+        datum = WeightDatum.full_flags([sorted(weights)])
+        engine = ChainEngine(curve)
+        cls = higgs_moduli_class(HiggsProblem(curve, 2, 1, datum), engine)
+        assert engine.tables and not cls.is_zero()
+
+    solve()
+    gc.collect()
+    alive = [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, WeightDatum) and weights & set(obj.all_weights())
+    ]
+    assert alive == []

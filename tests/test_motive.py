@@ -171,6 +171,25 @@ def test_p_pow_squares_only_while_bits_remain(monkeypatch):
         assert len(squarings) == want, n
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_class_pow_matches_repeated_products(n):
+    R = ring(2)
+    x = (R.Pic + R.L) * R.L_pow(-3) / ((R.L - 1) * (R.L ** 2 - 1))
+    want = R.one
+    for _ in range(n):
+        want = want * x
+    got = x ** n
+    assert got == want and str(got) == str(want)
+
+
+def test_class_pow_of_large_denominator_is_fast():
+    R = ring(2)
+    start = time.perf_counter()
+    got = R.L_pow(-30) ** 1000
+    assert time.perf_counter() - start < 0.5
+    assert got == R.L_pow(-30000)
+
+
 def test_p_mul_explicit_zero_coefficient():
     assert poly.p_mul({(): 0}, {(): 1}) == {}
     assert poly.p_mul({(1,): 2, (0,): 0}, {(0,): 3}) == {(1,): 6}
