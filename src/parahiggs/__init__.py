@@ -36,13 +36,14 @@ from .motive import (
 )
 from .parabolic import (
     ChainType,
+    Param,
     WeightDatum,
     certify_generic,
     dual_weight_datum,
     enumerate_weight_splits,
     generate_generic_weights,
     genericity_check,
-    par_slope_alpha,
+    par_slope,
     pardeg,
 )
 from .stacks import (

@@ -9,10 +9,11 @@ the weight comparisons at the marked points.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
+from operator import mul
 
 from .errors import RankMismatch, UnboundedSearch
-from .parabolic import enumerate_weight_splits, frac, par_slope_alpha
+from .parabolic import Param, enumerate_weight_splits, par_slope
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +35,12 @@ def chi_skyscrapers(datum_e, datum_f, strict):
     """
     if datum_e.num_points != datum_f.num_points:
         raise RankMismatch("marked-point sets differ")
+    de, df = datum_e.den, datum_f.den
     total = 0
-    for pe, pf in zip(datum_e.points, datum_f.points):
+    for pe, pf in zip(datum_e.nums, datum_f.nums):
         for we, me in pe:
             for wf, mf in pf:
-                if (we > wf) if strict else (we >= wf):
+                if (we * df > wf * de) if strict else (we * df >= wf * de):
                     total += me * mf
     return total
 
@@ -93,34 +95,31 @@ def ext_exponent(parts, g, k):
 # existence conditions for semistable chains of a given type
 
 
-def _alpha_fracs(alpha):
-    return tuple(frac(a) for a in alpha)
-
-
 def _condition_rows(ranks, alpha, k):
     """The existence conditions for semistable chains of the given ranks.
 
-    Returns one list of rows (coeffs, rhs), read sum coeffs_i x_i <= rhs over
-    the parabolic degrees x_i, per choice of gap condition; a type passes iff
-    every row of some choice holds.  Low-index truncations are sub-chains for
-    every parameter.  Rank dips and rises are used only for strictly
-    increasing parameters (their derivation needs it); there the equal-rank
-    gap is the printed one.  Otherwise the map to the lower index at an
-    equal-rank site may vanish, making the high-index truncation a sub-chain,
-    so each site takes either the printed gap or that suffix truncation.
+    Returns one list of integer rows (coeffs, rhs), read sum coeffs_i x_i <=
+    rhs / alpha.den over the parabolic degrees x_i, per choice of gap
+    condition; a type passes iff every row of some choice holds.  Low-index
+    truncations are sub-chains for every parameter.  Rank dips and rises are
+    used only for strictly increasing parameters (their derivation needs it);
+    there the equal-rank gap is the printed one.  Otherwise the map to the
+    lower index at an equal-rank site may vanish, making the high-index
+    truncation a sub-chain, so each site takes either the printed gap or that
+    suffix truncation.
     """
     r = len(ranks) - 1
     n = ranks
     n_tot = sum(n)
-    A = [n[i] * alpha[i] for i in range(r + 1)]
+    a, D = alpha.nums, alpha.den
+    A = [n[i] * a[i] for i in range(r + 1)]
     A_tot = sum(A)
 
     def slope_row(c, const, m):
-        """(sum_i c_i x_i + const)/m <= (sum_i x_i + A_tot)/n_tot."""
-        coeffs = tuple(
-            Fraction(c.get(i, 0), m) - Fraction(1, n_tot) for i in range(r + 1)
-        )
-        return coeffs, Fraction(A_tot, n_tot) - Fraction(const, m)
+        """(sum_i c_i x_i + const/D)/m <= (sum_i x_i + A_tot/D)/n_tot, times
+        m n_tot."""
+        coeffs = tuple(c.get(i, 0) * n_tot - m for i in range(r + 1))
+        return coeffs, m * A_tot - n_tot * const
 
     def truncation(indices):
         return slope_row(
@@ -131,13 +130,13 @@ def _condition_rows(ranks, alpha, k):
 
     def printed_gap(j):
         """x_j - x_{j-1} <= n_j k."""
-        coeffs = [Fraction(0)] * (r + 1)
-        coeffs[j], coeffs[j - 1] = Fraction(1), Fraction(-1)
-        return tuple(coeffs), Fraction(n[j] * k)
+        coeffs = [0] * (r + 1)
+        coeffs[j], coeffs[j - 1] = 1, -1
+        return tuple(coeffs), n[j] * k * D
 
     prefixes = [truncation(range(j + 1)) for j in range(r)]
     sites = [j for j in range(1, r + 1) if n[j] == n[j - 1]]
-    if not all(a < b for a, b in zip(alpha, alpha[1:])):
+    if not all(x < y for x, y in zip(a, a[1:])):
         return [
             prefixes + list(picks)
             for picks in itertools.product(
@@ -154,7 +153,7 @@ def _condition_rows(ranks, alpha, k):
                 c = {i: 1 for i in outside}
                 c[j] = width
                 const = sum(A[i] for i in outside) + n[j] * (
-                    sum(alpha[kk : j + 1]) - Fraction(width * (width - 1), 2) * k
+                    sum(a[kk : j + 1]) - width * (width - 1) // 2 * k * D
                 )
                 m = sum(n[i] for i in outside) + width * n[j]
                 rows.append(slope_row(c, const, m))
@@ -164,14 +163,24 @@ def _condition_rows(ranks, alpha, k):
                 c = {i: 1 for i in span}
                 c[kk] = -len(span)
                 const = sum(
-                    alpha[i] * (n[i] - n[kk]) - n[kk] * (i - kk) * k for i in span
+                    a[i] * (n[i] - n[kk]) - n[kk] * (i - kk) * k * D for i in span
                 )
                 rows.append(slope_row(c, const, sum(n[i] - n[kk] for i in span)))
     return [rows]
 
 
-def _holds(rows, x):
-    return all(sum(c * xi for c, xi in zip(coeffs, x)) <= rhs for coeffs, rhs in rows)
+def _fold(rows, D, Q, weight_nums):
+    """Condition rows over the degrees d_i of parabolic degrees d_i + W_i/Q:
+    sum coeffs_i d_i <= b / (D Q), the weight part folded into b."""
+    return [
+        (coeffs, rhs * Q - D * sum(c * w for c, w in zip(coeffs, weight_nums)))
+        for coeffs, rhs in rows
+    ]
+
+
+def _holds(rows, d):
+    """Every integer row (coeffs, b), read sum coeffs_i d_i <= b, holds at d."""
+    return all(sum(map(mul, coeffs, d)) <= b for coeffs, b in rows)
 
 
 def necessary_conditions(tau, alpha):
@@ -179,9 +188,15 @@ def necessary_conditions(tau, alpha):
     some choice of _condition_rows holds at tau's parabolic degrees."""
     if any(n == 0 for n in tau.ranks):
         raise ValueError("necessary_conditions expects full-support types")
-    x = tau.pardegs()
-    choices = _condition_rows(tau.ranks, _alpha_fracs(alpha), tau.num_points)
-    return any(_holds(rows, x) for rows in choices)
+    alpha = Param.of(alpha)
+    scale = alpha.den * tau.Q
+    return any(
+        _holds(
+            [(c, b // scale) for c, b in _fold(rows, alpha.den, tau.Q, tau.weight_nums)],
+            tau.degrees,
+        )
+        for rows in _condition_rows(tau.ranks, alpha, tau.num_points)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +204,7 @@ def necessary_conditions(tau, alpha):
 
 
 def _fm_eliminate(constraints, var):
-    """Eliminate one variable from a list of (coeffs, rhs) <= constraints."""
+    """Eliminate one variable from a list of integer (coeffs, rhs) <= rows."""
     uppers, lowers, keep = [], [], []
     for coeffs, rhs in constraints:
         c = coeffs[var]
@@ -223,9 +238,10 @@ def _fm_eliminate(constraints, var):
     return out
 
 
-def _fm_var_bounds(constraints, nvars, var):
-    """Bounds (lo, hi) for one variable after eliminating all others (a side
-    is None when unbounded), or None when the constraints are infeasible."""
+def _fm_var_bounds(constraints, nvars, var, scale):
+    """Integer bounds (lo, hi) for one variable of rows sum c_i d_i <= b /
+    scale after eliminating all others (a side is None when unbounded), or
+    None when the constraints are infeasible."""
     cons = constraints
     for v in range(nvars):
         if v == var:
@@ -237,10 +253,10 @@ def _fm_var_bounds(constraints, nvars, var):
     for coeffs, rhs in cons:
         c = coeffs[var]
         if c > 0:
-            bound = rhs / c
+            bound = rhs // (scale * c)
             hi = bound if hi is None else min(hi, bound)
         elif c < 0:
-            bound = rhs / c
+            bound = -(rhs // (-scale * c))
             lo = bound if lo is None else max(lo, bound)
     return lo, hi
 
@@ -249,24 +265,30 @@ def _degree_box(n_vec, alpha, weight_data, pinned, value):
     """Degree vectors passing the existence conditions whose degrees at the
     pinned indices sum to value, as a list in lexicographic order.
 
-    The last pinned degree is solved from the pin.  The other, free degrees
-    are boxed by the hull of the Fourier-Motzkin projections of the choices
-    of condition rows (UnboundedSearch when one is unbounded), and the box is
-    filtered exactly by the same rows.
+    The conditions are folded into integer rows over the degrees.  The last
+    pinned degree is solved from the pin.  The other, free degrees are boxed
+    by the hull of the Fourier-Motzkin projections of the choices of rows
+    (UnboundedSearch when one is unbounded), and the box is filtered exactly
+    by the same rows.
     """
     if any(n <= 0 for n in n_vec):
         raise ValueError("degree enumeration expects positive ranks")
-    wsums = [w.weight_sum() for w in weight_data]
+    Q = math.lcm(*(w.den for w in weight_data))
+    weight_nums = [w.weight_num * (Q // w.den) for w in weight_data]
+    D = alpha.den
+    scale = D * Q
     nvars = len(n_vec)
-    choices = _condition_rows(n_vec, alpha, weight_data[0].num_points)
-    pin = tuple(Fraction(int(i in pinned)) for i in range(nvars))
-    pin_value = value + sum((wsums[i] for i in pinned), Fraction(0))
-    pin_rows = [(pin, pin_value), (tuple(-c for c in pin), -pin_value)]
+    choices = [
+        _fold(rows, D, Q, weight_nums)
+        for rows in _condition_rows(n_vec, alpha, weight_data[0].num_points)
+    ]
+    pin = tuple(int(i in pinned) for i in range(nvars))
+    pin_rows = [(pin, value * scale), (tuple(-c for c in pin), -value * scale)]
     solved = pinned[-1]
     free = [i for i in range(nvars) if i != solved]
     box = None
     for rows in choices:
-        bounds = [_fm_var_bounds(rows + pin_rows, nvars, var) for var in free]
+        bounds = [_fm_var_bounds(rows + pin_rows, nvars, var, scale) for var in free]
         if None in bounds:
             continue  # infeasible choice
         if any(b is None for bound in bounds for b in bound):
@@ -281,16 +303,12 @@ def _degree_box(n_vec, alpha, weight_data, pinned, value):
         box = bounds
     if box is None:
         return []
-    ranges = [
-        range((lo - wsums[i]).__ceil__(), (hi - wsums[i]).__floor__() + 1)
-        for i, (lo, hi) in zip(free, box)
-    ]
+    filters = [[(c, b // scale) for c, b in rows] for rows in choices]
     out = []
-    for head in itertools.product(*ranges):
+    for head in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
         last = value - sum(head[i] for i in pinned[:-1])
         dvec = head[:solved] + (last,) + head[solved:]
-        x = [d + w for d, w in zip(dvec, wsums)]
-        if any(_holds(rows, x) for rows in choices):
+        if any(_holds(rows, dvec) for rows in filters):
             out.append(dvec)
     return out
 
@@ -299,7 +317,7 @@ def enumerate_degree_vectors(n_vec, total_d, alpha, weight_data):
     """All degree vectors with the given total passing the existence
     conditions, as a fresh list in lexicographic order."""
     n_vec = tuple(int(x) for x in n_vec)
-    return _degree_box(n_vec, _alpha_fracs(alpha), tuple(weight_data),
+    return _degree_box(n_vec, Param.of(alpha), tuple(weight_data),
                        tuple(range(len(n_vec))), total_d)
 
 
@@ -312,7 +330,7 @@ def enumerate_gap_profiles(n_vec, alpha, weight_data):
     """
     if len(set(n_vec)) != 1:
         raise ValueError("gap profiles are defined for constant rank vectors")
-    return _degree_box(tuple(int(x) for x in n_vec), _alpha_fracs(alpha),
+    return _degree_box(tuple(int(x) for x in n_vec), Param.of(alpha),
                        tuple(weight_data), (0,), 0)
 
 
@@ -364,5 +382,8 @@ def index_weight_splits(weight_data, profiles):
 
 def slopes_decrease(parts, alpha):
     """True when the parts' slopes at alpha strictly decrease (HN order)."""
-    slopes = [par_slope_alpha(p, alpha) for p in parts]
-    return all(slopes[j] > slopes[j + 1] for j in range(len(slopes) - 1))
+    alpha = Param.of(alpha)
+    slopes = [par_slope(p, alpha) for p in parts]
+    return all(
+        a * d > c * b for (a, b), (c, d) in zip(slopes, slopes[1:])
+    )

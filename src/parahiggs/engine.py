@@ -9,14 +9,12 @@ wall-crossing walk.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
 from .errors import DivisionOutsideRing, EngineError, WallHit
 from .motive import ring
-from .parabolic import ChainType, frac, par_slope_alpha
+from .parabolic import ChainType, Param, par_slope, ratio_str
 from .chains import (
-    _alpha_fracs,
     _has_interval_support,
     chi_skyscrapers,
     compositions,
@@ -38,8 +36,10 @@ class ChainEngine:
     Everything computed is a pure function of (type, parameter), so the memo
     is idempotent: concurrent or re-ordered insertions of the same key can
     only store the identical canonical value, and results are independent of
-    evaluation schedule.  The tables hold the degree boxes and weight splits
-    of this problem's weights; they live exactly as long as the engine.
+    evaluation schedule.  The tables hold the degree boxes, weight splits and
+    sub-type weight sums of this problem's weights, and the interned chain
+    types and weight data the recursion builds from them; they live exactly
+    as long as the engine.
     """
 
     def __init__(self, curve, trace_walls=False, seed_cache=None):
@@ -48,6 +48,8 @@ class ChainEngine:
         self.trace_walls = trace_walls
         self.memo = {}
         self.tables = {}
+        self.types = {}
+        self.data = {}
         self.seed_cache = dict(seed_cache or {})
         self.new_cache_entries = {}
         self.wall_trace = []
@@ -64,11 +66,10 @@ class ChainEngine:
 
     @staticmethod
     def _normalize_alpha(tau, alpha):
-        alpha = _alpha_fracs(alpha)
+        alpha = Param.of(alpha)
         if len(alpha) != len(tau.ranks):
             raise ValueError("stability parameter length mismatch")
-        shift = alpha[0]
-        return tuple(a - shift for a in alpha)
+        return alpha.shifted()
 
     def chain_class(self, tau, alpha):
         """Class of the stack of semistable chains of type tau at alpha.
@@ -100,11 +101,42 @@ class ChainEngine:
 
     def _table(self, fn, *args):
         """fn(*args) as a tuple, computed once per engine; fn is a pure
-        enumerator of the chains module."""
+        enumerator of the chains or walls module."""
         key = (fn, args)
         if key not in self.tables:
             self.tables[key] = tuple(fn(*args))
         return self.tables[key]
+
+    def _splits(self, weights, profiles):
+        """index_weight_splits(weights, profiles) as a table, with every part
+        datum interned."""
+        key = (index_weight_splits, weights, profiles)
+        if key not in self.tables:
+            intern = self.data.setdefault
+            self.tables[key] = tuple(
+                tuple(tuple(intern(d, d) for d in part) for part in split)
+                for split in index_weight_splits(weights, profiles)
+            )
+        return self.tables[key]
+
+    def subtype_sums(self, tau):
+        """walls.subtype_weight_sums of tau's ranks and weights, as a table."""
+        return self._table(wallmod.subtype_weight_sums, tau.ranks, tau.weights)
+
+    def _type(self, ranks, degrees, weights):
+        """The interned ChainType of these ranks, degrees and weights."""
+        key = (ranks, degrees, weights)
+        tau = self.types.get(key)
+        if tau is None:
+            tau = self.types[key] = ChainType(ranks, degrees, weights)
+        return tau
+
+    def _restrict(self, tau, indices):
+        return self._type(
+            tuple(tau.ranks[i] for i in indices),
+            tuple(tau.degrees[i] for i in indices),
+            tuple(tau.weights[i] for i in indices),
+        )
 
     # -------------------------------------------------------------- dispatch
 
@@ -119,7 +151,7 @@ class ChainEngine:
             # a bundle has no stability parameter to perturb: on a wall the
             # base case gives its semistable class; cross_ray checks the rest
             if tau.length > 0:
-                wallmod.require_off_wall(tau, alpha)
+                wallmod.require_off_wall(self, tau, alpha)
             self.stats["base_cases"] += 1
             return self._base_case(tau, alpha)
         ray = wallmod.choose_ray(tau, alpha)
@@ -127,23 +159,17 @@ class ChainEngine:
 
     def _zero_padded(self, tau, alpha):
         """Restrict to support blocks; several blocks need equal slopes."""
-        blocks = tau.support_blocks()
-        if len(blocks) == 1:
-            b = blocks[0]
-            return self.chain_class(
-                tau.restrict(b), tuple(alpha[i] for i in b)
-            )
-        slopes = {
-            par_slope_alpha(tau.restrict(b), tuple(alpha[i] for i in b))
-            for b in blocks
-        }
-        if len(slopes) != 1:
+        pieces = [
+            (self._restrict(tau, b), alpha.restrict(b)) for b in tau.support_blocks()
+        ]
+        if len(pieces) == 1:
+            return self.chain_class(*pieces[0])
+        (n0, d0), *rest = [par_slope(*piece) for piece in pieces]
+        if any(n * d0 != n0 * d for n, d in rest):
             return self.R.zero
         out = self.R.one
-        for b in blocks:
-            out = out * self.chain_class(
-                tau.restrict(b), tuple(alpha[i] for i in b)
-            )
+        for piece in pieces:
+            out = out * self.chain_class(*piece)
         return out
 
     # ------------------------------------------------------------- base case
@@ -186,7 +212,7 @@ class ChainEngine:
             if len(comp) < 2:
                 continue
             profiles = tuple((m,) * (r + 1) for m in comp)
-            for weight_parts in self._table(index_weight_splits, tau.weights, profiles):
+            for weight_parts in self._splits(tau.weights, profiles):
                 profile_lists = [
                     self._table(enumerate_gap_profiles, prof, alpha, weight_parts[j])
                     for j, prof in enumerate(profiles)
@@ -207,12 +233,13 @@ class ChainEngine:
     def _resum(self, tau, alpha, comp, weight_parts, base_profiles, rho):
         """Sum one filtration shape's strata over the lattice points of its cone.
 
-        Part j, shifted by c_j, has slope ((r+1) c_j + s_j + w_j) / m_j up to a
-        common constant.  The strata are the integer c with sum rho whose
-        slopes strictly decrease: an open simplicial cone with its apex where
-        all slopes are equal.  Ray l moves only the l-th slope gap, and each
-        entry is a multiple of its part's rank, so the part classes are
-        periodic along it while the extension exponent is affine.  The cone is
+        Part j, shifted by c_j, has slope ((r+1) c_j + s_j + W_j/Q) / m_j up to
+        a common constant, W_j being its weight sum over tau's Q.  The strata
+        are the integer c with sum rho whose slopes strictly decrease: an open
+        simplicial cone with its apex where all slopes are equal.  Ray l moves
+        only the l-th slope gap, and each entry is a multiple of its part's
+        rank, so the part classes are periodic along it while the extension
+        exponent is affine.  The cone is
         the fundamental parallelepiped's points plus nonnegative ray steps,
         each ray a geometric series (Brion; Beck-Robins ch. 3).
         """
@@ -221,13 +248,17 @@ class ChainEngine:
         g = self.curve.genus
         h = len(comp)
         R = self.R
+        Q = tau.Q
+        M = sum(comp)
         s = [sum(prof) for prof in base_profiles]
-        w = [
-            sum((d.weight_sum() for d in weight_parts[j]), Fraction(0))
+        W = [
+            sum(d.weight_num * (Q // d.den) for d in weight_parts[j])
             for j in range(h)
         ]
-        mu = Fraction(r1 * rho + sum(s) + sum(w), sum(comp))
-        apex = [(mu * m - s[j] - w[j]) / r1 for j, m in enumerate(comp)]
+        # the apex, where all slopes are equal, over the denominator E
+        E = r1 * M * Q
+        level = Q * (r1 * rho + sum(s)) + sum(W)
+        apex = [level * m - (Q * s[j] + W[j]) * M for j, m in enumerate(comp)]
         rays, widths = [], []
         for l in range(h - 1):
             below, above = sum(comp[: l + 1]), sum(comp[l + 1 :])
@@ -238,15 +269,16 @@ class ChainEngine:
             )
             widths.append(r1 * (below + above) // e)
 
-        def slope(j, c):
-            return (r1 * c[j] + s[j] + w[j]) / comp[j]
+        def slope_num(j, c):
+            """Part j's slope times Q m_j."""
+            return Q * (r1 * c[j] + s[j]) + W[j]
 
         def shifted(c, ray, times=1):
             return [cj + times * v for cj, v in zip(c, ray)]
 
         def part_type(j, c):
             degrees = tuple(b + c for b in base_profiles[j])
-            return ChainType((comp[j],) * r1, degrees, weight_parts[j])
+            return self._type((comp[j],) * r1, degrees, weight_parts[j])
 
         def chi_of(c):
             return ext_exponent(
@@ -255,10 +287,10 @@ class ChainEngine:
 
         corners = [apex]
         for ray in rays:
-            corners += [shifted(x, ray) for x in corners]
+            corners += [shifted(x, ray, E) for x in corners]
         box = [
-            range(ceil(min(x[j] for x in corners)),
-                  floor(max(x[j] for x in corners)) + 1)
+            range(-(-min(x[j] for x in corners) // E),
+                  max(x[j] for x in corners) // E + 1)
             for j in range(h - 1)
         ]
         ray_sum = [sum(col) for col in zip(*rays)]
@@ -266,7 +298,8 @@ class ChainEngine:
         for head in itertools.product(*box):
             c = list(head) + [rho - sum(head)]
             if not all(
-                0 < slope(l, c) - slope(l + 1, c) <= widths[l]
+                0 < slope_num(l, c) * comp[l + 1] - slope_num(l + 1, c) * comp[l]
+                <= widths[l] * Q * comp[l] * comp[l + 1]
                 for l in range(h - 1)
             ):
                 continue
@@ -338,28 +371,34 @@ class ChainEngine:
 
         Parts are peeled off one at a time: after the first part, the
         remainder is the last part when it is a part itself, and is split
-        again either way.
+        again either way.  A part of size s and weight sum W/Q has degree
+        total T at equal slope iff N T = s mu_num - n_tot (Q a + D W), with
+        mu_num / N tau's slope and a / D the part's share of alpha.
         """
-        mu = par_slope_alpha(tau, alpha)
+        alpha = Param.of(alpha)
+        Q, D = tau.Q, alpha.den
+        n_tot = tau.total_rank
+        mu_num, N = par_slope(tau, alpha)
         for first in proper_subprofiles(tau.ranks):
             if not _has_interval_support(first):
                 continue
             rest = tuple(n - m for n, m in zip(tau.ranks, first))
-            for w_first, w_rest in self._table(
-                index_weight_splits, tau.weights, (first, rest)
-            ):
-                total = (
-                    mu * sum(first) - sum(m * a for m, a in zip(first, alpha))
-                    - sum(w.weight_sum() for w in w_first)
+            level = sum(first) * mu_num - n_tot * Q * sum(
+                m * a for m, a in zip(first, alpha.nums)
+            )
+            for w_first, w_rest in self._splits(tau.weights, (first, rest)):
+                total, off = divmod(
+                    level - n_tot * D * sum(w.weight_num * (Q // w.den) for w in w_first),
+                    N,
                 )
-                if total.denominator != 1:
+                if off:
                     continue
-                for degrees in self._part_box(first, w_first, alpha, int(total)):
+                for degrees in self._part_box(first, w_first, alpha, total):
                     left = tuple(d - e for d, e in zip(tau.degrees, degrees))
                     if any(d for n, d in zip(rest, left) if n == 0):
                         continue
-                    part = ChainType(first, degrees, w_first)
-                    remainder = ChainType(rest, left, w_rest)
+                    part = self._type(first, degrees, w_first)
+                    remainder = self._type(rest, left, w_rest)
                     if _has_interval_support(rest) and left in self._part_box(
                         rest, w_rest, alpha, sum(left)
                     ):
@@ -374,7 +413,7 @@ class ChainEngine:
         for dvec in self._table(
             enumerate_degree_vectors,
             tuple(profile[i] for i in block), total,
-            tuple(alpha[i] for i in block), tuple(weights[i] for i in block),
+            alpha.restrict(block), tuple(weights[i] for i in block),
         ):
             degrees = [0] * len(profile)
             for i, d in zip(block, dvec):
@@ -385,10 +424,10 @@ class ChainEngine:
         """Part class in its own chamber adjacent to the wall, retrying past
         deeper accidental wall coincidences."""
         if side > 0:
-            ws = wallmod.wall_positions(part, ray, t_wall, t_wall + 1)
+            ws = wallmod.wall_positions(self, part, ray, t_wall, t_wall + 1)
             edge = ws[0] if ws else t_wall + 1
         else:
-            ws = wallmod.wall_positions(part, ray, t_wall - 1, t_wall)
+            ws = wallmod.wall_positions(self, part, ray, t_wall - 1, t_wall)
             below = [t for t in ws if t < t_wall]
             edge = below[-1] if below else t_wall - 1
         t_eval = (t_wall + edge) / 2
@@ -433,5 +472,6 @@ def chain_key_str(tau, alpha, curve):
         "w=" + ";".join(widx),
     ]
     if alpha is not None:
-        parts.append("a=" + ",".join(str(frac(a)) for a in alpha))
+        alpha = Param.of(alpha)
+        parts.append("a=" + ",".join(ratio_str(a, alpha.den) for a in alpha.nums))
     return "#".join(parts)

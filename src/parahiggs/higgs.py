@@ -9,7 +9,6 @@ parameter (0, 2g-2, ..., r(2g-2)) after the degree twist d_i + n_i (r-i)(2g-2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DeskScaleExceeded, NonIntegerDimension, NonPolynomialResult
 from .motive import CurveData, ring
@@ -46,7 +45,7 @@ def half_dimension(n, datum, g):
 
 def chain_stability(r, g):
     """The staircase parameter (0, 2g-2, ..., r(2g-2))."""
-    return tuple(Fraction(i * (2 * g - 2)) for i in range(r + 1))
+    return tuple(i * (2 * g - 2) for i in range(r + 1))
 
 
 def enumerate_fixed_types(problem):

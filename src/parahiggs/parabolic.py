@@ -1,10 +1,15 @@
 """Discrete invariants of parabolic bundles and chains.
 
-Weight data are exact rationals throughout.  A WeightDatum stores, per marked
-point, the strictly increasing weights in [0,1) and their multiplicities; a
-ChainType bundles ranks, degrees and one datum per chain index.  Zero-rank
-chain entries are allowed (they carry degree 0 and empty weights) because
-filtration pieces of a chain naturally have them.
+Weights enter as exact rationals; all arithmetic on them is in integers.  A
+WeightDatum stores, per marked point, the strictly increasing weights in
+[0,1) and their multiplicities, and holds them and its weight sum as integers
+over the lcm of its weight denominators.  A ChainType bundles ranks, degrees
+and one datum per chain index; it fixes the common denominator Q of its
+weights once, at construction, and holds its per-index weight sums as
+integers over Q.  A stability parameter is a Param: integer numerators over
+one common denominator.  Zero-rank chain entries are allowed (they carry
+degree 0 and empty weights) because filtration pieces of a chain naturally
+have them.
 """
 
 from __future__ import annotations
@@ -28,9 +33,66 @@ def frac(x):
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def ratio_str(num, den):
+    """num/den in lowest terms, written as str(Fraction(num, den)) would be."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+class Param:
+    """A stability parameter (alpha_0, ..., alpha_r): integer numerators over
+    one positive common denominator, kept in lowest terms so that equal
+    parameters compare and hash equal.  Not to be mutated."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums, den=1):
+        g = math.gcd(den, *nums)
+        self.nums = tuple(a // g for a in nums)
+        self.den = den // g
+
+    def __eq__(self, other):
+        return isinstance(other, Param) and (
+            (self.nums, self.den) == (other.nums, other.den)
+        )
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    @staticmethod
+    def of(alpha):
+        """alpha as a Param; a sequence of exact rationals is brought over
+        the lcm of its denominators."""
+        if isinstance(alpha, Param):
+            return alpha
+        fracs = [frac(a) for a in alpha]
+        den = math.lcm(*(a.denominator for a in fracs))
+        return Param([a.numerator * (den // a.denominator) for a in fracs], den)
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __repr__(self):
+        return "Param(" + ", ".join(ratio_str(a, self.den) for a in self.nums) + ")"
+
+    def restrict(self, indices):
+        return Param([self.nums[i] for i in indices], self.den)
+
+    def shifted(self):
+        """The same parameter with alpha_0 moved to 0."""
+        a0 = self.nums[0]
+        return Param([a - a0 for a in self.nums], self.den)
+
+
 @dataclass(frozen=True)
 class WeightDatum:
-    """Per-point weighted flag data: ((w, m), ...) per marked point."""
+    """Per-point weighted flag data: ((w, m), ...) per marked point.
+
+    den is the lcm of the weight denominators (1 without weights), nums the
+    points with each weight as its integer numerator over den, and
+    weight_num the weight-multiplicity sum over den.
+    """
 
     points: Tuple[Tuple[Tuple[Fraction, int], ...], ...]
 
@@ -38,13 +100,17 @@ class WeightDatum:
         pts = tuple(
             tuple((frac(w), int(m)) for w, m in point) for point in self.points
         )
-        object.__setattr__(self, "points", pts)
+        den = math.lcm(*(w.denominator for point in pts for w, _ in point))
+        nums = tuple(
+            tuple((w.numerator * (den // w.denominator), m) for w, m in point)
+            for point in pts
+        )
         ranks = set()
-        for point in pts:
+        for point in nums:
             prev = None
             for w, m in point:
-                if not (0 <= w < 1):
-                    raise ValueError(f"weight {w} outside [0,1)")
+                if not (0 <= w < den):
+                    raise ValueError(f"weight {ratio_str(w, den)} outside [0,1)")
                 if m < 1:
                     raise ValueError("multiplicities must be positive")
                 if prev is not None and w <= prev:
@@ -53,8 +119,17 @@ class WeightDatum:
             ranks.add(sum(m for _, m in point))
         if len(ranks) > 1:
             raise RankMismatch(f"inconsistent ranks across points: {sorted(ranks)}")
-        wsum = sum((w * m for point in pts for w, m in point), Fraction(0))
-        object.__setattr__(self, "_weight_sum", wsum)
+        for name, value in (
+            ("points", pts),
+            ("den", den),
+            ("nums", nums),
+            ("weight_num", sum(w * m for point in nums for w, m in point)),
+            ("_hash", hash((den, nums))),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def num_points(self):
@@ -65,10 +140,6 @@ class WeightDatum:
         if not self.points:
             return None  # rank unconstrained without marked points
         return sum(m for _, m in self.points[0])
-
-    def weight_sum(self):
-        """Sum of the weights with multiplicity, computed once at construction."""
-        return self._weight_sum
 
     def all_weights(self):
         return [w for point in self.points for w, m in point for _ in range(m)]
@@ -94,8 +165,9 @@ class WeightDatum:
 
 
 def pardeg(d, datum):
-    """Parabolic degree: ordinary degree plus the weight-multiplicity sum."""
-    return Fraction(d) + datum.weight_sum()
+    """Parabolic degree, ordinary degree plus the weight-multiplicity sum, as
+    (numerator, denominator) over the datum's den."""
+    return d * datum.den + datum.weight_num, datum.den
 
 
 def dual_weight_datum(datum):
@@ -112,7 +184,12 @@ def dual_weight_datum(datum):
 
 @dataclass(frozen=True)
 class ChainType:
-    """Numerical type of a parabolic chain: ranks, degrees, per-index weights."""
+    """Numerical type of a parabolic chain: ranks, degrees, per-index weights.
+
+    Q is the lcm of the weight data's denominators and weight_nums their
+    weight sums as integers over Q; pardeg_total is the parabolic degree
+    sum over Q.  They and the hash are computed once, at construction.
+    """
 
     ranks: Tuple[int, ...]
     degrees: Tuple[int, ...]
@@ -135,6 +212,18 @@ class ChainType:
                     raise ValueError("zero-rank entries carry degree 0 and no weights")
             elif w.points and w.rank != n:
                 raise RankMismatch(f"weight datum rank {w.rank} != {n}")
+        Q = math.lcm(*(w.den for w in self.weights))
+        weight_nums = tuple(w.weight_num * (Q // w.den) for w in self.weights)
+        for name, value in (
+            ("Q", Q),
+            ("weight_nums", weight_nums),
+            ("pardeg_total", Q * sum(self.degrees) + sum(weight_nums)),
+            ("_hash", hash((self.ranks, self.degrees, self.weights))),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def length(self):
@@ -152,12 +241,6 @@ class ChainType:
     def num_points(self):
         return self.weights[0].num_points if self.weights else 0
 
-    def pardegs(self):
-        return tuple(pardeg(d, w) for d, w in zip(self.degrees, self.weights))
-
-    def support(self):
-        return tuple(i for i, n in enumerate(self.ranks) if n > 0)
-
     def support_blocks(self):
         """Maximal runs of consecutive nonzero-rank indices."""
         blocks = []
@@ -172,29 +255,24 @@ class ChainType:
             blocks.append(tuple(cur))
         return blocks
 
-    def restrict(self, indices):
-        return ChainType(
-            tuple(self.ranks[i] for i in indices),
-            tuple(self.degrees[i] for i in indices),
-            tuple(self.weights[i] for i in indices),
-        )
-
     def all_weights(self):
         return [w for datum in self.weights for w in datum.all_weights()]
 
 
-def par_slope_alpha(tau, alpha):
-    """Rank-weighted average of the shifted parabolic slopes."""
+def par_slope(tau, alpha):
+    """Rank-weighted average of the shifted parabolic slopes, as (numerator,
+    denominator) with the denominator total_rank * Q * alpha's den."""
+    alpha = Param.of(alpha)
     if len(alpha) != len(tau.ranks):
         raise RankMismatch("stability parameter length mismatch")
-    total = sum(
-        pardeg(d, w) + n * frac(a)
-        for n, d, w, a in zip(tau.ranks, tau.degrees, tau.weights, alpha)
-    )
     n_tot = tau.total_rank
     if n_tot == 0:
         raise ValueError("slope of the zero chain is undefined")
-    return Fraction(total, 1) / n_tot
+    shift = sum(n * a for n, a in zip(tau.ranks, alpha.nums))
+    return (
+        tau.pardeg_total * alpha.den + shift * tau.Q,
+        n_tot * tau.Q * alpha.den,
+    )
 
 
 GENERICITY_BUDGET = 5_000_000

@@ -230,7 +230,7 @@ def test_criterion_8_wall_crossing_consistency():
         # chamber constancy between consecutive walls
         eng = ChainEngine(curve)
         ray = Ray(alpha, (0, 1), Fraction(9))
-        walls = [Fraction(0)] + wall_positions(tau, ray, Fraction(0), Fraction(9))
+        walls = [Fraction(0)] + wall_positions(eng, tau, ray, Fraction(0), Fraction(9))
         for lo, hi in zip(walls, walls[1:]):
             s1 = lo + (hi - lo) / 3
             s2 = lo + 2 * (hi - lo) / 3

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_reference import fracs, pardegs, slope, weight_sum
 from parahiggs.engine import ChainEngine
 from parahiggs.errors import UnboundedSearch
 from parahiggs.motive import CurveData
@@ -15,7 +16,6 @@ from parahiggs.parabolic import (
     ChainType,
     WeightDatum,
     generate_generic_weights,
-    par_slope_alpha,
 )
 from parahiggs.chains import (
     chi_ext_fiber,
@@ -171,11 +171,11 @@ def scalar_conditions(tau, alpha):
     Conditions on rank dips and rises are applied only for strictly increasing
     parameters; the truncation conditions hold for any parameter.
     """
-    alpha = tuple(Fraction(a) for a in alpha)
+    alpha = fracs(alpha)
     k = tau.num_points
     r = tau.length
     n = tau.ranks
-    P = tau.pardegs()
+    P = pardegs(tau)
     shifted = [P[i] + n[i] * alpha[i] for i in range(r + 1)]
     mu = Fraction(sum(shifted), sum(n))
     increasing = all(alpha[i] > alpha[i - 1] for i in range(1, r + 1))
@@ -392,8 +392,8 @@ def product_filtration_types(tau, alpha, window=None):
     least two interval-support rank profiles summing to tau's ranks, every
     weight split, then the product of the parts' boxed degree vectors, kept
     when the degrees sum to tau's."""
-    alpha = alpha_f(*alpha)
-    mu = par_slope_alpha(tau, alpha)
+    alpha = fracs(alpha)
+    mu = slope(tau, alpha)
 
     def profile_tuples(remaining):
         if not any(remaining):
@@ -416,7 +416,7 @@ def product_filtration_types(tau, alpha, window=None):
                     total = (
                         mu * sum(prof)
                         - sum(n * a for n, a in zip(prof, alpha))
-                        - sum(w.weight_sum() for w in wparts)
+                        - sum(weight_sum(w) for w in wparts)
                     )
                     totals = [int(total)] if total.denominator == 1 else []
                 else:
@@ -480,7 +480,7 @@ def test_filtration_types_match_product_reference():
             params = [alpha]
         else:
             ray = choose_ray(tau, alpha)
-            walls = wall_positions(tau, ray, Fraction(0), ray.t_max)
+            walls = wall_positions(engine, tau, ray, Fraction(0), ray.t_max)
             params = [ray.at(t) for t in walls[:6]]
         for at in params:
             got = Counter(engine.filtration_types(tau, at))
@@ -530,7 +530,8 @@ def test_hn_types_wall_filter():
     from parahiggs.walls import Ray, wall_positions
 
     ray = Ray(alpha, (0, 1), Fraction(6))
-    walls = wall_positions(tau, ray, Fraction(0), Fraction(6))
+    eng = ChainEngine(CurveData(2, 1))
+    walls = wall_positions(eng, tau, ray, Fraction(0), Fraction(6))
     # genuine wall: the index-0 truncation sub-line reaches the total slope
     t_true = Fraction(3) + a - b - 2
     assert t_true in walls
@@ -541,7 +542,7 @@ def test_hn_types_wall_filter():
     )
     assert off_wall == []
     for parts in on_wall:
-        slopes = [par_slope_alpha(p, ray.at(t_true)) for p in parts]
+        slopes = [slope(p, ray.at(t_true)) for p in parts]
         assert len(set(slopes)) == 1
-        ordered = [par_slope_alpha(p, ray.at(t_true + 1)) for p in parts]
+        ordered = [slope(p, ray.at(t_true + 1)) for p in parts]
         assert ordered == sorted(ordered, reverse=True)

@@ -15,6 +15,7 @@ from parahiggs.engine import ChainEngine, chain_key_str
 from parahiggs.stacks import pbundle_stack_class
 from parahiggs.chains import ext_exponent, slopes_decrease
 
+from fraction_reference import weight_sum
 from test_chains import product_filtration_types
 
 
@@ -161,6 +162,25 @@ def test_cache_key_round_trip():
     assert key in entries
 
 
+def test_cache_key_bytes_pinned():
+    """Memo-cache keys print the weights and the shifted parameter as
+    rationals, so caches written before the integer lattice stay valid."""
+    curve = CurveData(2, 1)
+    data = tuple(
+        WeightDatum.full_flags([[w]])
+        for w in (Fraction(1, 7), Fraction(3, 11), Fraction(5, 13))
+    )
+    tau = ChainType((1, 1, 1), (2, 0, -1), data)
+    key = "g=2#k=1#n=1,1,1#d=2,0,-1#w=1/7:1;3/11:1;5/13:1#a=0,5/2,17/3"
+    assert chain_key_str(tau, (0, Fraction(5, 2), Fraction(17, 3)), curve) == key
+    eng = ChainEngine(curve)
+    val = eng.chain_class(tau, (Fraction(1, 2), Fraction(3), Fraction(37, 6)))
+    assert key in eng.new_cache_entries
+    seeded = ChainEngine(curve, seed_cache={key: str(val)})
+    assert seeded.chain_class(tau, (0, Fraction(5, 2), Fraction(17, 3))) == val
+    assert seeded.stats["seed_cache_hits"] == 1
+
+
 def test_resummation_twist_periodicity_validated():
     """The resummation's premise: a part class equals the class of its twist
     by the period, here for the rank-one parts of a rank-2, one-point type."""
@@ -228,7 +248,7 @@ def test_find_walls_descending_and_base_wall_hit():
     ws, d1, d2 = gen_pair()
     tau = ChainType((1, 1), (3, 0), (d1, d2))
     ray = Ray((Fraction(0), Fraction(2)), (0, 1), Fraction(8))
-    walls = list(reversed(wall_positions(tau, ray, 0, ray.t_max)))
+    walls = list(reversed(wall_positions(eng, tau, ray, 0, ray.t_max)))
     assert walls == sorted(walls, reverse=True)
     # a critical base parameter aborts the walk explicitly
     even = ChainType((2,), (0,), (WeightDatum.empty(0),))
@@ -300,7 +320,7 @@ def test_rank3_filtration_sum_matches_windowed_series():
                 closed = closed + eng._resum(
                     tau, alpha, comp, weight_parts, tuple((0,) for _ in comp), rho
                 )
-                wsums = [wp[0].weight_sum() for wp in weight_parts]
+                wsums = [weight_sum(wp[0]) for wp in weight_parts]
                 h = len(comp)
                 window = 20
                 for ts in itertools.product(range(-window, window + 1), repeat=h - 1):

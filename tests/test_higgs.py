@@ -17,7 +17,12 @@ from parahiggs.errors import (
 from parahiggs import parabolic
 from parahiggs.cli import run
 from parahiggs.motive import CurveData, ring, specialize_E, specialize_count
-from parahiggs.parabolic import WeightDatum, generate_generic_weights, genericity_check
+from parahiggs.parabolic import (
+    ChainType,
+    WeightDatum,
+    generate_generic_weights,
+    genericity_check,
+)
 from parahiggs.engine import ChainEngine
 from parahiggs.higgs import (
     HiggsProblem,
@@ -116,8 +121,6 @@ def test_r0_summand_is_stable_bundle_locus():
     eng = ChainEngine(curve)
     comp = higgs_computation(HiggsProblem(curve, 2, 0, datum), eng)
     R = ring(2)
-    from parahiggs.parabolic import ChainType
-
     tau0 = ChainType((2,), (0,), (datum,))
     expected = (R.L - R.one) * eng.chain_class(tau0, (Fraction(0),))
     got = [contr for t, contr in comp.summands if t.ranks == (2,)]
@@ -303,8 +306,9 @@ def test_out_of_scope_inputs_fail_fast(genus, points, rank, error):
 
 
 def test_solved_problem_leaves_no_weight_data_alive():
-    """The degree boxes and weight splits of a problem live in its engine's
-    tables, so no WeightDatum with its weights outlives the engine."""
+    """The degree boxes, weight splits and sub-type weight sums of a problem
+    and its interned types and data live in its engine, so no WeightDatum
+    or ChainType with its weights outlives the engine."""
     weights = {Fraction(p, 2_147_483_647) for p in (271_828_182, 1_414_213_562)}
     curve = CurveData(2, 1)
 
@@ -312,12 +316,13 @@ def test_solved_problem_leaves_no_weight_data_alive():
         datum = WeightDatum.full_flags([sorted(weights)])
         engine = ChainEngine(curve)
         cls = higgs_moduli_class(HiggsProblem(curve, 2, 1, datum), engine)
-        assert engine.tables and not cls.is_zero()
+        assert engine.tables and engine.types and not cls.is_zero()
 
     solve()
     gc.collect()
     alive = [
         obj for obj in gc.get_objects()
-        if isinstance(obj, WeightDatum) and weights & set(obj.all_weights())
+        if isinstance(obj, (WeightDatum, ChainType))
+        and weights & set(obj.all_weights())
     ]
     assert alive == []

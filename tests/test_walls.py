@@ -63,27 +63,30 @@ def test_wall_positions_rank1_empty():
     d1 = WeightDatum.full_flags([[Fraction(2, 3)]])
     tau = ChainType((1,), (0,), (d1,))
     ray = Ray((Fraction(0),), (0,), Fraction(5))
-    assert wall_positions(tau, ray, Fraction(0), Fraction(5)) == []
+    eng = ChainEngine(CurveData(2, 1))
+    assert wall_positions(eng, tau, ray, Fraction(0), Fraction(5)) == []
 
 
 def test_wall_positions_explicit_root():
     a, b, d1, d2 = gen_types()
     tau = ChainType((1, 1), (3, 0), (d1, d2))
     ray = Ray((Fraction(0), Fraction(2)), (0, 1), Fraction(8))
-    walls = wall_positions(tau, ray, Fraction(0), Fraction(8))
+    eng = ChainEngine(CurveData(2, 1))
+    walls = wall_positions(eng, tau, ray, Fraction(0), Fraction(8))
     assert Fraction(3) + a - b - 2 in walls
     assert walls == sorted(walls)
     # sampled midpoints between walls are not on any wall
     for lo, hi in zip([Fraction(0)] + walls, walls):
         mid = (lo + hi) / 2
-        assert not is_on_wall(tau, ray.at(mid))
+        assert not is_on_wall(eng, tau, ray.at(mid))
 
 
 def test_is_on_wall_even_degree_no_points():
+    eng = ChainEngine(CurveData(2, 0))
     tau = ChainType((2,), (0,), (WeightDatum.empty(0),))
-    assert is_on_wall(tau, (Fraction(0),))
+    assert is_on_wall(eng, tau, (Fraction(0),))
     tau_odd = ChainType((2,), (1,), (WeightDatum.empty(0),))
-    assert not is_on_wall(tau_odd, (Fraction(0),))
+    assert not is_on_wall(eng, tau_odd, (Fraction(0),))
 
 
 def test_cross_ray_no_walls_keeps_terminal_value():
@@ -115,7 +118,7 @@ def test_chamber_constancy():
     eng = ChainEngine(curve)
     tau = ChainType((1, 1), (3, 0), (d1, d2))
     ray = Ray((Fraction(0), Fraction(2)), (0, 1), Fraction(8))
-    walls = wall_positions(tau, ray, Fraction(0), Fraction(8))
+    walls = wall_positions(eng, tau, ray, Fraction(0), Fraction(8))
     t_true = Fraction(3) + a - b - 2
     assert t_true in walls
     above = [t for t in walls if t > t_true]
