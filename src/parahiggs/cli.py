@@ -162,6 +162,8 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     if not isinstance(outputs, dict):
         raise ConfigError("outputs must be a JSON object")
     verify = bool(config.get("verify", False))
+    if not isinstance(config.get("cache_path", ""), str):
+        raise ConfigError(f"cache_path must be a string, got {config['cache_path']!r}")
     cache_path = cache_path or config.get("cache_path")
     pc = {"q": q_override} if q_override is not None else outputs.get("point_count")
     q = None

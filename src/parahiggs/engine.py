@@ -8,6 +8,7 @@ wall-crossing walk.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from math import gcd
 
@@ -37,7 +38,7 @@ class ChainEngine:
     is idempotent: concurrent or re-ordered insertions of the same key can
     only store the identical canonical value, and results are independent of
     evaluation schedule.  The tables hold the degree boxes, weight splits and
-    sub-type weight sums of this problem's weights, and the interned chain
+    sub-types of this problem's weights, and the interned chain
     types and weight data the recursion builds from them; they live exactly
     as long as the engine.
     """
@@ -51,7 +52,7 @@ class ChainEngine:
         self.types = {}
         self.data = {}
         self.seed_cache = dict(seed_cache or {})
-        self.new_cache_entries = {}
+        self.seeded = set()
         self.wall_trace = []
         self.stats = {
             "chain_class_calls": 0,
@@ -84,7 +85,7 @@ class ChainEngine:
         if key in self.memo:
             self.stats["memo_hits"] += 1
             return self.memo[key]
-        key_str = chain_key_str(tau, alpha, self.curve)
+        key_str = chain_key_str(tau, alpha, self.curve) if self.seed_cache else None
         if key_str in self.seed_cache:
             try:
                 val = self.R.parse(self.seed_cache[key_str])
@@ -92,16 +93,26 @@ class ChainEngine:
                 self.stats["cache_records_skipped"] += 1
             else:
                 self.stats["seed_cache_hits"] += 1
+                self.seeded.add(key)
                 self.memo[key] = val
                 return val
         val = self._compute(tau, alpha)
         self.memo[key] = val
-        self.new_cache_entries[key_str] = str(val)
         return val
+
+    @property
+    def new_cache_entries(self):
+        """Cache records of every memo entry not read from the seed cache,
+        a recomputed corrupt record included."""
+        return {
+            chain_key_str(tau, alpha, self.curve): str(val)
+            for (tau, alpha), val in self.memo.items()
+            if (tau, alpha) not in self.seeded
+        }
 
     def _table(self, fn, *args):
         """fn(*args) as a tuple, computed once per engine; fn is a pure
-        enumerator of the chains or walls module."""
+        enumerator of the chains module."""
         key = (fn, args)
         if key not in self.tables:
             self.tables[key] = tuple(fn(*args))
@@ -119,9 +130,22 @@ class ChainEngine:
             )
         return self.tables[key]
 
-    def subtype_sums(self, tau):
-        """walls.subtype_weight_sums of tau's ranks and weights, as a table."""
-        return self._table(wallmod.subtype_weight_sums, tau.ranks, tau.weights)
+    def subtypes(self, tau):
+        """Per proper sub-rank-profile of tau, (profile, size, groups) as a
+        table: its (first, rest) weight splits grouped as (W, splits) by the
+        first part's weight sum W over tau's Q, W ascending."""
+        key = ("subtypes", tau.ranks, tau.weights)
+        if key not in self.tables:
+            table = []
+            for first in proper_subprofiles(tau.ranks):
+                rest = tuple(n - m for n, m in zip(tau.ranks, first))
+                groups = {}
+                for split in self._splits(tau.weights, (first, rest)):
+                    W = sum(d.weight_num * (tau.Q // d.den) for d in split[0])
+                    groups.setdefault(W, []).append(split)
+                table.append((first, sum(first), tuple(sorted(groups.items()))))
+            self.tables[key] = tuple(table)
+        return self.tables[key]
 
     def _type(self, ranks, degrees, weights):
         """The interned ChainType of these ranks, degrees and weights."""
@@ -369,56 +393,46 @@ class ChainEngine:
         degrees in its box there.  No slope order is imposed: callers filter
         the tuples with slopes_decrease at the parameter they need.
 
-        Parts are peeled off one at a time: after the first part, the
-        remainder is the last part when it is a part itself, and is split
-        again either way.  A part of size s and weight sum W/Q has degree
-        total T at equal slope iff N T = s mu_num - n_tot (Q a + D W), with
-        mu_num / N tau's slope and a / D the part's share of alpha.
+        Parts are peeled off one at a time: the first part is an equal-slope
+        sub-type (walls.equal_slope_subtypes), and the remainder is the last
+        part when its support block passes the existence conditions, and is
+        split again either way.
         """
         alpha = Param.of(alpha)
-        Q, D = tau.Q, alpha.den
-        n_tot = tau.total_rank
-        mu_num, N = par_slope(tau, alpha)
-        for first in proper_subprofiles(tau.ranks):
+        for first, total, splits in wallmod.equal_slope_subtypes(self, tau, alpha):
             if not _has_interval_support(first):
                 continue
             rest = tuple(n - m for n, m in zip(tau.ranks, first))
-            level = sum(first) * mu_num - n_tot * Q * sum(
-                m * a for m, a in zip(first, alpha.nums)
-            )
-            for w_first, w_rest in self._splits(tau.weights, (first, rest)):
-                total, off = divmod(
-                    level - n_tot * D * sum(w.weight_num * (Q // w.den) for w in w_first),
-                    N,
-                )
-                if off:
-                    continue
+            block = [i for i, n in enumerate(rest) if n]
+            for w_first, w_rest in splits:
                 for degrees in self._part_box(first, w_first, alpha, total):
                     left = tuple(d - e for d, e in zip(tau.degrees, degrees))
                     if any(d for n, d in zip(rest, left) if n == 0):
                         continue
                     part = self._type(first, degrees, w_first)
                     remainder = self._type(rest, left, w_rest)
-                    if _has_interval_support(rest) and left in self._part_box(
-                        rest, w_rest, alpha, sum(left)
+                    if _has_interval_support(rest) and necessary_conditions(
+                        self._restrict(remainder, block), alpha.restrict(block)
                     ):
                         yield (part, remainder)
                     for tail in self.filtration_types(remainder, alpha):
                         yield (part,) + tail
 
     def _part_box(self, profile, weights, alpha, total):
-        """Degree vectors of a part in its box at the given total, zero off
-        its support; the boxes are tabulated per support block."""
-        block = [i for i, m in enumerate(profile) if m]
-        for dvec in self._table(
-            enumerate_degree_vectors,
-            tuple(profile[i] for i in block), total,
-            alpha.restrict(block), tuple(weights[i] for i in block),
-        ):
-            degrees = [0] * len(profile)
-            for i, d in zip(block, dvec):
-                degrees[i] = d
-            yield tuple(degrees)
+        """Degree vectors of an interval-support part in its box at the given
+        total, zero off its support: its support block's box, padded once."""
+        key = ("part_box", profile, weights, alpha, total)
+        if key not in self.tables:
+            block = [i for i, m in enumerate(profile) if m]
+            lo, hi = block[0], block[-1] + 1
+            self.tables[key] = tuple(
+                (0,) * lo + dvec + (0,) * (len(profile) - hi)
+                for dvec in self._table(
+                    enumerate_degree_vectors, profile[lo:hi], total,
+                    alpha.restrict(block), weights[lo:hi],
+                )
+            )
+        return self.tables[key]
 
     def _part_class_near(self, part, ray, t_wall, side):
         """Part class in its own chamber adjacent to the wall, retrying past
@@ -443,27 +457,20 @@ class ChainEngine:
     def record_wall(self, tau, t, strata_count, cls):
         self.stats["walls_crossed"] += 1
         if self.trace_walls:
-            import hashlib
-
-            digest = hashlib.sha256(str(cls).encode()).hexdigest()[:16]
-            self.wall_trace.append(
-                {
-                    "type": chain_key_str(tau, None, self.curve),
-                    "t": str(t),
-                    "strata": strata_count,
-                    "class_hash": digest,
-                }
-            )
+            self.wall_trace.append({
+                "type": chain_key_str(tau, None, self.curve),
+                "t": str(t),
+                "strata": strata_count,
+                "class_hash": hashlib.sha256(str(cls).encode()).hexdigest()[:16],
+            })
 
 
 def chain_key_str(tau, alpha, curve):
     """Deterministic text key for the on-disk memo cache."""
-    widx = []
-    for datum in tau.weights:
-        pts = []
-        for point in datum.points:
-            pts.append(",".join(f"{w}:{m}" for w, m in point))
-        widx.append("|".join(pts))
+    widx = [
+        "|".join(",".join(f"{w}:{m}" for w, m in point) for point in datum.points)
+        for datum in tau.weights
+    ]
     parts = [
         f"g={curve.genus}",
         f"k={curve.num_marked}",

@@ -2,22 +2,23 @@
 
 A ray alpha_t = alpha + t*delta has non-decreasing integer direction so the
 gap hypothesis never degrades along it.  Walls are parameters where some
-proper sub-type reaches the ambient slope; candidates are exhaustively
-enumerated from the linear slope equations (the sub-type's degree total is
-pinned into a bounded interval by t lying in the traversal window).
+proper sub-type reaches the ambient slope.  The sub-types, by rank profile
+and weight sum, come from one engine table, ChainEngine.subtypes;
+equal_slope_subtypes states the equal-slope pin on their degree totals at
+one parameter, for the on-wall test and the filtration types, and
+wall_positions solves the slope equations for the totals whose crossing t
+lies in the traversal window.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from operator import mul
 from typing import Tuple
 
-from .errors import EngineError, RankMismatch, UnboundedCandidates, WallHit
+from .errors import EngineError, UnboundedCandidates, WallHit
 from .parabolic import Param, frac, par_slope
-from .chains import proper_subprofiles
 
 
 @dataclass(frozen=True)
@@ -101,31 +102,25 @@ def choose_ray(tau, alpha):
 # wall candidates
 
 
-def subtype_weight_sums(ranks, weights):
-    """Per proper sub-rank-profile, its size and the distinct weight sums of
-    its sub-types as sorted integers over Q, the lcm of the weight
-    denominators (the Q of a type with these weights).
+def equal_slope_subtypes(engine, tau, alpha):
+    """The proper sub-types of tau that can take its slope at alpha.
 
-    An index taken whole adds its datum's weight sum; a partial one adds, at
-    each point, the sum of any m of that point's weights.
+    A sub-type of rank profile p, size s and weight sum W/Q has tau's slope
+    at alpha iff its degree total T solves N T = s mu_num - n_tot (Q a + D W),
+    with mu_num / N tau's slope and a / D the profile's share of alpha.
+    Yields (profile, T, splits) for each weight sum of engine.subtypes(tau)
+    with an integer T, splits being its (sub-type, quotient) weight splits.
     """
-    for datum in weights:
-        if any(m != 1 for point in datum.points for _, m in point):
-            raise RankMismatch("weight splitting requires multiplicity-one data")
-    Q = math.lcm(*(datum.den for datum in weights))
-    table = []
-    for profile in proper_subprofiles(ranks):
-        sums = {0}
-        for m, n, datum in zip(profile, ranks, weights):
-            scale = Q // datum.den
-            if m == n:
-                sums = {s + datum.weight_num * scale for s in sums}
-                continue
-            for point in datum.nums:
-                picks = {sum(c) * scale for c in combinations([w for w, _ in point], m)}
-                sums = {s + p for s in sums for p in picks}
-        table.append((profile, sum(profile), tuple(sorted(sums))))
-    return tuple(table)
+    alpha = Param.of(alpha)
+    Q, D = tau.Q, alpha.den
+    n_tot = tau.total_rank
+    mu_num, N = par_slope(tau, alpha)
+    for profile, size, groups in engine.subtypes(tau):
+        level = size * mu_num - n_tot * Q * sum(map(mul, profile, alpha.nums))
+        for W, splits in groups:
+            T, off = divmod(level - n_tot * D * W, N)
+            if not off:
+                yield profile, T, splits
 
 
 def wall_positions(engine, tau, ray, lo, hi):
@@ -136,6 +131,8 @@ def wall_positions(engine, tau, ray, lo, hi):
     of weight sum W/Q and degree total T has the ambient slope at t iff
     N T = K + t rate, with N = n_tot Q D and K, rate the integers below;
     multiplied by the sign of rate, the T with t in (lo, hi] form a range.
+    A profile with rate 0 has no wall, unless it has equal slope at the base
+    and so all along the ray: a degenerate family, excluded by genericity.
     """
     lo, hi = frac(lo), frac(hi)
     base, delta = ray.base, ray.delta
@@ -145,42 +142,35 @@ def wall_positions(engine, tau, ray, lo, hi):
     mu_num = par_slope(tau, base)[0]
     mu_rate = sum(d * n for d, n in zip(delta, tau.ranks))
     walls = set()
-    for profile, size, sums in engine.subtype_sums(tau):
+    parallel = set()
+    for profile, size, groups in engine.subtypes(tau):
         a0 = sum(p * a for p, a in zip(profile, base.nums))
         d0 = sum(p * d for p, d in zip(profile, delta))
         rate = Q * D * (size * mu_rate - n_tot * d0)
+        if rate == 0:
+            parallel.add(profile)
+            continue
         K0 = size * mu_num - n_tot * Q * a0
         s, rate = (-1, -rate) if rate < 0 else (1, rate)
-        for W in sums:
+        for W, _ in groups:
+            # N s T runs over (K + lo rate, K + hi rate], rate now |rate|
             K = s * (K0 - n_tot * D * W)
-            if rate == 0:
-                # parallel slopes: the gap is constant in t, so either no wall
-                # or a degenerate everywhere-wall (excluded by genericity)
-                if K % N == 0:
-                    raise UnboundedCandidates(
-                        "degenerate wall family: sub-type slope parallel and equal"
-                    )
-                continue
-            # K is s K here and rate |rate|: N s T runs over (K + lo rate, K + hi rate]
             sT_lo = (K * lo.denominator + lo.numerator * rate) // (N * lo.denominator)
             sT_hi = (K * hi.denominator + hi.numerator * rate) // (N * hi.denominator)
             for sT in range(sT_lo + 1, sT_hi + 1):
                 walls.add(Fraction(N * sT - K, rate))
+    if parallel and any(
+        p in parallel for p, _, _ in equal_slope_subtypes(engine, tau, base)
+    ):
+        raise UnboundedCandidates(
+            "degenerate wall family: sub-type slope parallel and equal"
+        )
     return sorted(walls)
 
 
 def is_on_wall(engine, tau, alpha):
-    """Exact slope-equality test against every candidate proper sub-type."""
-    alpha = Param.of(alpha)
-    Q, D = tau.Q, alpha.den
-    n_tot = tau.total_rank
-    N = n_tot * Q * D
-    mu_num = par_slope(tau, alpha)[0]
-    for profile, size, sums in engine.subtype_sums(tau):
-        K0 = size * mu_num - n_tot * Q * sum(p * a for p, a in zip(profile, alpha.nums))
-        if any((K0 - n_tot * D * W) % N == 0 for W in sums):
-            return True
-    return False
+    """True when some proper sub-type can take tau's slope at alpha."""
+    return next(equal_slope_subtypes(engine, tau, alpha), None) is not None
 
 
 def require_off_wall(engine, tau, alpha):

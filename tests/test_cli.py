@@ -154,11 +154,13 @@ def _chain_with(update):
         (["chain", "--q", "1"], _chain_with({"curve": P1})),
         (["chain"], _chain_with({"curve": P1, "outputs": {"point_count": {"q": 0}}})),
         (["chain", "--q", "-3"], _chain_with({"curve": P1})),
+        (["higgs"], _with({"cache_path": ["x"]})),
+        (["higgs"], _with({"cache_path": True})),
     ],
     ids=[
         "float-weights", "scalar-zeta", "top-level-array", "scalar-curve",
         "zero-denominator-weight", "zero-denominator-alpha", "q-one", "q-one-flag",
-        "q-zero", "q-negative-flag",
+        "q-zero", "q-negative-flag", "cache-path-list", "cache-path-true",
     ],
 )
 def test_malformed_config_exit_code(tmp_path, capsys, argv, cfg):

@@ -162,6 +162,26 @@ def test_cache_key_round_trip():
     assert key in entries
 
 
+def test_new_cache_entries_hold_computed_classes_only():
+    """Cache records are the memo entries the engine computed: a class read
+    from the seed cache is not written back, one recomputed over a corrupt
+    record is."""
+    curve = CurveData(2, 1)
+    datum = WeightDatum.full_flags([[Fraction(2, 3)]])
+    taus = [ChainType((1,), (d,), (datum,)) for d in (0, 1, 2)]
+    alpha = (Fraction(0),)
+    keys = [chain_key_str(tau, alpha, curve) for tau in taus]
+    cold = ChainEngine(curve)
+    vals = [str(cold.chain_class(tau, alpha)) for tau in taus]
+    assert cold.new_cache_entries == dict(zip(keys, vals))
+    seeded = ChainEngine(curve, seed_cache={keys[0]: vals[0], keys[2]: "Pic +* L"})
+    for tau in taus:
+        seeded.chain_class(tau, alpha)
+    assert seeded.stats["seed_cache_hits"] == 1
+    assert seeded.stats["cache_records_skipped"] == 1
+    assert seeded.new_cache_entries == {keys[1]: vals[1], keys[2]: vals[2]}
+
+
 def test_cache_key_bytes_pinned():
     """Memo-cache keys print the weights and the shifted parameter as
     rationals, so caches written before the integer lattice stay valid."""

@@ -203,6 +203,29 @@ def test_wall_positions_match_fraction_reference():
     assert seen == {"parallel", True, False}
 
 
+def test_subtype_weight_sums_match_fraction_reference():
+    """Per rank profile, the weight sums by which engine.subtypes groups its
+    splits are the reference's distinct sub-type weight sums, ascending, and
+    every split in a group has its group's sum."""
+    rng = random.Random(20265)
+    engine = ChainEngine(CurveData(0, 3))
+    for _ in range(200):
+        tau = random_wall_type(rng)
+        want = {}
+        for profile, wsum in ref.subtype_weight_sums(tau):
+            want.setdefault(profile, set()).add(wsum)
+        got = {}
+        for profile, size, groups in engine.subtypes(tau):
+            assert size == sum(profile)
+            sums = [Fraction(W, tau.Q) for W, _ in groups]
+            assert sums == sorted(want[profile]), (tau, profile)
+            got[profile] = set(sums)
+            for wsum, (_, splits) in zip(sums, groups):
+                for first, _ in splits:
+                    assert sum(ref.weight_sum(d) for d in first) == wsum
+        assert got == want, tau
+
+
 def test_parallel_slope_family():
     """A direction along which every sub-type slope stays parallel: an
     integral gap raises UnboundedCandidates, a fractional one has no walls."""
