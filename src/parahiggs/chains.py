@@ -98,7 +98,7 @@ def ext_exponent(parts, g, k):
 def _condition_rows(ranks, alpha, k):
     """The existence conditions for semistable chains of the given ranks.
 
-    Returns one list of integer rows (coeffs, rhs), read sum coeffs_i x_i <=
+    Returns one tuple of integer rows (coeffs, rhs), read sum coeffs_i x_i <=
     rhs / alpha.den over the parabolic degrees x_i, per choice of gap
     condition; a type passes iff every row of some choice holds.  Low-index
     truncations are sub-chains for every parameter.  Rank dips and rises are
@@ -134,16 +134,16 @@ def _condition_rows(ranks, alpha, k):
         coeffs[j], coeffs[j - 1] = 1, -1
         return tuple(coeffs), n[j] * k * D
 
-    prefixes = [truncation(range(j + 1)) for j in range(r)]
+    prefixes = tuple(truncation(range(j + 1)) for j in range(r))
     sites = [j for j in range(1, r + 1) if n[j] == n[j - 1]]
     if not all(x < y for x, y in zip(a, a[1:])):
-        return [
-            prefixes + list(picks)
+        return tuple(
+            prefixes + picks
             for picks in itertools.product(
                 *[(printed_gap(j), truncation(range(j, r + 1))) for j in sites]
             )
-        ]
-    rows = prefixes + [printed_gap(j) for j in sites]
+        )
+    rows = list(prefixes) + [printed_gap(j) for j in sites]
     for j in range(1, r + 1):
         for kk in range(j):
             # rank dip: replace the window [kk, j] by twists of the j-th bundle
@@ -166,7 +166,7 @@ def _condition_rows(ranks, alpha, k):
                     a[i] * (n[i] - n[kk]) - n[kk] * (i - kk) * k * D for i in span
                 )
                 rows.append(slope_row(c, const, sum(n[i] - n[kk] for i in span)))
-    return [rows]
+    return (tuple(rows),)
 
 
 def _fold(rows, D, Q, weight_nums):
@@ -183,19 +183,22 @@ def _holds(rows, d):
     return all(sum(map(mul, coeffs, d)) <= b for coeffs, b in rows)
 
 
-def necessary_conditions(tau, alpha):
+def necessary_conditions(tau, alpha, choices=None):
     """Existence test for semistable chains of type tau at the given parameter:
-    some choice of _condition_rows holds at tau's parabolic degrees."""
+    some choice of _condition_rows holds at tau's parabolic degrees.  A caller
+    that tables the rows passes them as choices."""
     if any(n == 0 for n in tau.ranks):
         raise ValueError("necessary_conditions expects full-support types")
     alpha = Param.of(alpha)
     scale = alpha.den * tau.Q
+    if choices is None:
+        choices = _condition_rows(tau.ranks, alpha, tau.num_points)
     return any(
         _holds(
             [(c, b // scale) for c, b in _fold(rows, alpha.den, tau.Q, tau.weight_nums)],
             tau.degrees,
         )
-        for rows in _condition_rows(tau.ranks, alpha, tau.num_points)
+        for rows in choices
     )
 
 

@@ -4,7 +4,10 @@ Elements live in the subring generated by L (the affine-line class), Pic
 (the Jacobian class), and the symmetric-power classes of the curve, with
 denominators restricted to products of (L^a - 1) factors and powers of L.
 Fractions are kept in a canonical reduced form so equal ring elements compare
-equal as Python objects.
+equal as Python objects: every MotiveClass is in lowest terms with a monic
+denominator, which MotiveClass(genus, num, den) establishes and the
+_reduced=True constructors keep.  The product relies on it: for a/b and c/d in
+lowest terms, gcd(ac, bd) = gcd(a, d) gcd(c, b).
 
 Symmetric powers are not independent: the Abel-Jacobi stratification gives
     [C^(d)] = L^{d-g+1} [C^(2g-2-d)] + Pic * [P^{d-g}]   for d >= g,
@@ -128,6 +131,12 @@ class MotiveClass:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if self.den == other.den:
+            return MotiveClass(self.genus, p_add(self.num, other.num), self.den)
         fa, fb = _den_factors(self.den), _den_factors(other.den)
         ca, cb = _cofactor(fa, fb), _cofactor(fb, fa)
         nv = num_vars(self.genus)
@@ -153,9 +162,9 @@ class MotiveClass:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return MotiveClass(
-            self.genus, p_mul(self.num, other.num), u_mul(self.den, other.den)
-        )
+        a, d = _reduce(self.num, other.den)
+        c, b = _reduce(other.num, self.den)
+        return MotiveClass(self.genus, p_mul(a, c), u_mul(b, d), _reduced=True)
 
     __rmul__ = __mul__
 
@@ -272,6 +281,8 @@ def _times_univariate(num, u, nvars):
 
 
 def _reduce(num, den):
+    if den == U_ONE:
+        return num, den
     den = u_trim(den)
     if not den:
         raise ZeroDivisionError("zero denominator")
@@ -280,8 +291,6 @@ def _reduce(num, den):
     if den[-1] < 0:
         den = tuple(-c for c in den)
         num = p_neg(num)
-    if u_is_one(den):
-        return num, den
     # Cancel L, then each Phi_e, while it divides den and every L-coefficient
     # polynomial of num.  The factors are distinct irreducibles, so this
     # divides out exactly the gcd of den with those polynomials.
@@ -461,7 +470,12 @@ def sym_cxp_coeff(curve, n, ell):
     """t^ell coefficient of prod_{j<n} Z(C, L^j t): symmetric powers of C x P^{n-1}."""
     if n < 1 or ell < 0:
         raise ValueError("need n >= 1 and ell >= 0")
-    g = curve.genus
+    return _sym_cxp_coeff(curve.genus, n, ell)
+
+
+@lru_cache(maxsize=None)
+def _sym_cxp_coeff(g, n, ell):
+    """sym_cxp_coeff, which depends on the curve only through its genus."""
     R = ring(g)
     series = [R.one] + [R.zero] * ell
     for j in range(n):

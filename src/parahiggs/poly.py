@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as igcd
+from operator import add
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +56,7 @@ def p_mul(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
+            m = tuple(map(add, m1, m2))
             s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s

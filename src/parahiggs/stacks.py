@@ -44,16 +44,19 @@ def flag_class(n, r_vec, genus=0):
     return gl_class(n, genus) / (den * R.L_pow(shift))
 
 
-@lru_cache(maxsize=None)
 def bundle_stack_class(n, d, curve: CurveData):
-    """Stack of rank-n degree-d bundles; the value is independent of d."""
+    """Stack of rank-n degree-d bundles; depends only on n and the genus."""
+    return _bundle_stack_class(n, curve.genus)
+
+
+@lru_cache(maxsize=None)
+def _bundle_stack_class(n, g):
     if n < 1:
         raise ValueError("rank must be positive")
-    g = curve.genus
     R = ring(g)
     out = R.L_pow((n * n - 1) * (g - 1)) * R.Pic / (R.L - R.one)
     for i in range(2, n + 1):
-        out = out * zeta_eval(curve, -i)
+        out = out * zeta_eval(CurveData(g), -i)
     return out
 
 

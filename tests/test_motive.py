@@ -129,11 +129,36 @@ def motive_elements(genus):
     return st.composite(lambda draw: build(draw))()
 
 
+def fast_path_pairs(genus):
+    """Operand pairs for the shortcuts of + and *: zero on either side, equal
+    denominators that cancel (L - 1 divides the sum of the numerators, and
+    x + (-x)), L^k against an L-power denominator, polynomial times
+    polynomial, and fractions whose numerators cancel against each other's
+    denominators."""
+    R = ring(genus)
+    x = (R.Pic + 2 * R.L) / (R.L - 1)
+    y = (R.Pic + R.L) * R.L_pow(-2)
+    return [
+        (R.zero, x), (x, R.zero), (R.zero, R.zero),
+        ((R.Pic * R.L + 2) / (R.L - 1), -x), (x, -x),
+        (R.L ** 3, y), (y, R.L),
+        (R.Pic + R.L, R.L - 1),
+        ((R.L + 1) * R.Pic / (R.L * (R.L - 1)),
+         (R.L - 1) * (R.L + 2) / (R.L * (R.L + 1) ** 2)),
+    ]
+
+
+def with_fast_path_inputs(elems, genus):
+    return st.one_of(
+        elems, st.sampled_from([x for pair in fast_path_pairs(genus) for x in pair])
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_ring_laws(data):
     for g in (0, 2):
-        elems = motive_elements(g)
+        elems = with_fast_path_inputs(motive_elements(g), g)
         a = data.draw(elems)
         b = data.draw(elems)
         c = data.draw(elems)
@@ -242,8 +267,18 @@ def shared_factor_elements(genus):
 @given(data=st.data())
 def test_reduced_form_matches_gcd(data):
     for g in (0, 2):
-        elems = shared_factor_elements(g)
+        elems = with_fast_path_inputs(shared_factor_elements(g), g)
         a, b, c = data.draw(elems), data.draw(elems), data.draw(elems)
+        # sum and product against the fully reducing constructor applied to
+        # the cross-multiplied fraction
+        nv = num_vars(g)
+        for x, y in [(a, b), (b, c)] + fast_path_pairs(g):
+            den = poly.u_mul(x.den, y.den)
+            total = poly.p_add(poly.p_mul(x.num, poly.u_to_multivar(y.den, nv)),
+                               poly.p_mul(y.num, poly.u_to_multivar(x.den, nv)))
+            for got, want in ((x + y, MotiveClass(g, total, den)),
+                              (x * y, MotiveClass(g, poly.p_mul(x.num, y.num), den))):
+                assert got == want and str(got) == str(want), (x, y)
         for x in (a, b, c, a + b, a * b - c, (a + b) * c):
             assert x.den[-1] == 1
             # the gcd of den with all L-coefficient polynomials of num is 1

@@ -1,12 +1,15 @@
 """Building-block stack classes against counting oracles and identities."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from parahiggs import motive, stacks
 from parahiggs.errors import InvalidFlagType
+from parahiggs.higgs import HiggsProblem, higgs_computation
 from parahiggs.motive import CurveData, ring, specialize_count, sym_cxp_coeff
-from parahiggs.parabolic import WeightDatum
+from parahiggs.parabolic import WeightDatum, generate_generic_weights
 from parahiggs.stacks import (
     bundle_stack_class,
     flag_class,
@@ -83,6 +86,29 @@ def test_bundle_degree_independent():
     curve = CurveData(2, 0)
     assert bundle_stack_class(2, 0, curve) == bundle_stack_class(2, 1, curve)
     assert bundle_stack_class(3, -1, curve) == bundle_stack_class(3, 5, curve)
+
+
+def test_stack_classes_are_computed_once_per_genus(monkeypatch):
+    """The bundle stack class is one cached object for every degree, and a
+    solve computes each symmetric-power coefficient once per (genus, n, ell)
+    however many Hecke steps ask for it."""
+    curve = CurveData(2, 1)
+    assert bundle_stack_class(2, 0, curve) is bundle_stack_class(2, 7, curve)
+    assert bundle_stack_class(2, 0, curve) is bundle_stack_class(2, 3, CurveData(2, 0))
+
+    asked = Counter()
+    public = stacks.sym_cxp_coeff
+
+    def counting(curve, n, ell):
+        asked[curve.genus, n, ell] += 1
+        return public(curve, n, ell)
+
+    monkeypatch.setattr(stacks, "sym_cxp_coeff", counting)
+    motive._sym_cxp_coeff.cache_clear()
+    datum = WeightDatum.full_flags([generate_generic_weights(3, 3)])
+    higgs_computation(HiggsProblem(curve, 3, 1, datum))
+    assert sum(asked.values()) > len(asked)
+    assert motive._sym_cxp_coeff.cache_info().misses == len(asked)
 
 
 def test_bundle_rank2_genus0():
