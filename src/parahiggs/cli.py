@@ -158,7 +158,7 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     curve = parse_curve(config)
     problem = _req(config, "problem", "config")
     kind = _req(problem, "kind", "problem")
-    outputs = config.get("outputs", {"canonical": True})
+    outputs = config.get("outputs", {})
     if not isinstance(outputs, dict):
         raise ConfigError("outputs must be a JSON object")
     verify = bool(config.get("verify", False))

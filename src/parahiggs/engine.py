@@ -38,10 +38,10 @@ class ChainEngine:
     Everything computed is a pure function of (type, parameter), so the memo
     is idempotent: concurrent or re-ordered insertions of the same key can
     only store the identical canonical value, and results are independent of
-    evaluation schedule.  The tables hold the condition rows, degree boxes,
-    weight splits and sub-types of this problem's weights, and the interned
-    chain types and weight data the recursion builds from them; they live
-    exactly as long as the engine.
+    evaluation schedule.  The tables hold the condition rows, padded part
+    degree boxes, gap profiles and sub-types of this problem's weights, each
+    keyed by (function, args), and the interned chain types and weight data
+    the recursion builds from them; they live exactly as long as the engine.
     """
 
     def __init__(self, curve, trace_walls=False, seed_cache=None):
@@ -112,30 +112,25 @@ class ChainEngine:
         }
 
     def _table(self, fn, *args):
-        """fn(*args) as a tuple, computed once per engine; fn is a pure
-        enumerator of the chains module."""
+        """fn(*args) as a tuple, computed once per engine and keyed by
+        (fn, args).  fn is a module-level function, never a bound method: a
+        key that held the engine would make it reference itself."""
         key = (fn, args)
         if key not in self.tables:
             self.tables[key] = tuple(fn(*args))
         return self.tables[key]
 
     def _splits(self, weights, profiles):
-        """index_weight_splits(weights, profiles) as a table, with every part
-        datum interned."""
-        key = (index_weight_splits, weights, profiles)
-        if key not in self.tables:
-            intern = self.data.setdefault
-            self.tables[key] = tuple(
-                tuple(tuple(intern(d, d) for d in part) for part in split)
-                for split in index_weight_splits(weights, profiles)
-            )
-        return self.tables[key]
+        """index_weight_splits(weights, profiles), every part datum interned."""
+        intern = self.data.setdefault
+        for split in index_weight_splits(weights, profiles):
+            yield tuple(tuple(intern(d, d) for d in part) for part in split)
 
     def subtypes(self, tau):
         """Per proper sub-rank-profile of tau, (profile, size, groups) as a
         table: its (first, rest) weight splits grouped as (W, splits) by the
         first part's weight sum W over tau's Q, W ascending."""
-        key = ("subtypes", tau.ranks, tau.weights)
+        key = (ChainEngine.subtypes, (tau.ranks, tau.weights))
         if key not in self.tables:
             table = []
             for first in proper_subprofiles(tau.ranks):
@@ -411,7 +406,7 @@ class ChainEngine:
             rest = tuple(n - m for n, m in zip(tau.ranks, first))
             block = [i for i, n in enumerate(rest) if n]
             for w_first, w_rest in splits:
-                for degrees in self._part_box(first, w_first, alpha, total):
+                for degrees in self._table(_padded_box, first, w_first, alpha, total):
                     left = tuple(d - e for d, e in zip(tau.degrees, degrees))
                     if any(d for n, d in zip(rest, left) if n == 0):
                         continue
@@ -423,22 +418,6 @@ class ChainEngine:
                         yield (part, remainder)
                     for tail in self.filtration_types(remainder, alpha):
                         yield (part,) + tail
-
-    def _part_box(self, profile, weights, alpha, total):
-        """Degree vectors of an interval-support part in its box at the given
-        total, zero off its support: its support block's box, padded once."""
-        key = ("part_box", profile, weights, alpha, total)
-        if key not in self.tables:
-            block = [i for i, m in enumerate(profile) if m]
-            lo, hi = block[0], block[-1] + 1
-            self.tables[key] = tuple(
-                (0,) * lo + dvec + (0,) * (len(profile) - hi)
-                for dvec in self._table(
-                    enumerate_degree_vectors, profile[lo:hi], total,
-                    alpha.restrict(block), weights[lo:hi],
-                )
-            )
-        return self.tables[key]
 
     def _part_class_near(self, part, ray, t_wall, side):
         """Part class in its own chamber adjacent to the wall, retrying past
@@ -469,6 +448,17 @@ class ChainEngine:
                 "strata": strata_count,
                 "class_hash": hashlib.sha256(str(cls).encode()).hexdigest()[:16],
             })
+
+
+def _padded_box(profile, weights, alpha, total):
+    """Degree vectors of an interval-support part in its box at the given
+    total, zero off its support: its support block's box, padded."""
+    block = [i for i, m in enumerate(profile) if m]
+    lo, hi = block[0], block[-1] + 1
+    for dvec in enumerate_degree_vectors(
+        profile[lo:hi], total, alpha.restrict(block), weights[lo:hi]
+    ):
+        yield (0,) * lo + dvec + (0,) * (len(profile) - hi)
 
 
 def chain_key_str(tau, alpha, curve):

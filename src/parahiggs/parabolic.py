@@ -201,6 +201,8 @@ class ChainType:
         object.__setattr__(self, "weights", tuple(self.weights))
         if not (len(self.ranks) == len(self.degrees) == len(self.weights)):
             raise RankMismatch("ranks, degrees and weights must have equal length")
+        if not self.ranks:
+            raise ValueError("a chain type needs at least one index")
         k = {w.num_points for w in self.weights}
         if len(k) > 1:
             raise RankMismatch("marked-point counts differ across chain indices")

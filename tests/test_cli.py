@@ -156,11 +156,14 @@ def _chain_with(update):
         (["chain", "--q", "-3"], _chain_with({"curve": P1})),
         (["higgs"], _with({"cache_path": ["x"]})),
         (["higgs"], _with({"cache_path": True})),
+        (["chain"], _chain_with({"problem": dict(
+            CHAIN_CFG["problem"], ranks=[], degrees=[], weights=[], alpha=[])})),
     ],
     ids=[
         "float-weights", "scalar-zeta", "top-level-array", "scalar-curve",
         "zero-denominator-weight", "zero-denominator-alpha", "q-one", "q-one-flag",
         "q-zero", "q-negative-flag", "cache-path-list", "cache-path-true",
+        "empty-chain",
     ],
 )
 def test_malformed_config_exit_code(tmp_path, capsys, argv, cfg):

@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -306,8 +307,8 @@ def test_out_of_scope_inputs_fail_fast(genus, points, rank, error):
 
 
 def test_solved_problem_leaves_no_weight_data_alive():
-    """The degree boxes, weight splits and sub-type weight sums of a problem
-    and its interned types and data live in its engine, so no WeightDatum
+    """The degree boxes, gap profiles and sub-types of a problem and its
+    interned types and data live in its engine, so no WeightDatum
     or ChainType with its weights outlives the engine."""
     weights = {Fraction(p, 2_147_483_647) for p in (271_828_182, 1_414_213_562)}
     curve = CurveData(2, 1)
@@ -326,3 +327,39 @@ def test_solved_problem_leaves_no_weight_data_alive():
         and weights & set(obj.all_weights())
     ]
     assert alive == []
+
+
+def test_engine_freed_by_reference_counting():
+    """No table key holds the engine, so dropping the last reference frees
+    it without the cycle collector."""
+    gc.disable()
+    try:
+        engine = ChainEngine(CurveData(2, 1))
+        problem = HiggsProblem(engine.curve, 3, 1, full_datum(3, 1))
+        higgs_computation(problem, engine)
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_second_solve_reuses_engine_tables():
+    """A second solve of the same problem on one engine is all memo hits: it
+    adds no memo, table or intern entry and reaches no base case or wall."""
+    problem = HiggsProblem(CurveData(2, 1), 3, 1, full_datum(3, 1))
+    engine = ChainEngine(problem.curve)
+
+    def snapshot():
+        return (
+            [len(t) for t in (engine.memo, engine.tables, engine.types, engine.data)],
+            engine.stats["chain_class_calls"] - engine.stats["memo_hits"],
+            engine.stats["base_cases"],
+            engine.stats["walls_crossed"],
+        )
+
+    first = higgs_computation(problem, engine).total
+    before = snapshot()
+    second = higgs_computation(problem, engine).total
+    assert snapshot() == before
+    assert second == first and str(second) == str(first)
