@@ -21,6 +21,7 @@ from .errors import (
     RankMismatch,
     UnboundedCandidates,
     UnboundedSearch,
+    UnsupportedParabolicLink,
     WallHit,
 )
 from .motive import (

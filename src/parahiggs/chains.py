@@ -171,9 +171,10 @@ def _condition_rows(ranks, alpha, k):
 
 def _fold(rows, D, Q, weight_nums):
     """Condition rows over the degrees d_i of parabolic degrees d_i + W_i/Q:
-    sum coeffs_i d_i <= b / (D Q), the weight part folded into b."""
+    integer rows sum coeffs_i d_i <= b, the weight part folded into b and b
+    rounded down, which keeps exactly the integer points."""
     return [
-        (coeffs, rhs * Q - D * sum(c * w for c, w in zip(coeffs, weight_nums)))
+        (coeffs, (rhs * Q - D * sum(map(mul, coeffs, weight_nums))) // (D * Q))
         for coeffs, rhs in rows
     ]
 
@@ -190,14 +191,10 @@ def necessary_conditions(tau, alpha, choices=None):
     if any(n == 0 for n in tau.ranks):
         raise ValueError("necessary_conditions expects full-support types")
     alpha = Param.of(alpha)
-    scale = alpha.den * tau.Q
     if choices is None:
         choices = _condition_rows(tau.ranks, alpha, tau.num_points)
     return any(
-        _holds(
-            [(c, b // scale) for c, b in _fold(rows, alpha.den, tau.Q, tau.weight_nums)],
-            tau.degrees,
-        )
+        _holds(_fold(rows, alpha.den, tau.Q, tau.weight_nums), tau.degrees)
         for rows in choices
     )
 
@@ -241,10 +238,10 @@ def _fm_eliminate(constraints, var):
     return out
 
 
-def _fm_var_bounds(constraints, nvars, var, scale):
-    """Integer bounds (lo, hi) for one variable of rows sum c_i d_i <= b /
-    scale after eliminating all others (a side is None when unbounded), or
-    None when the constraints are infeasible."""
+def _fm_var_bounds(constraints, nvars, var):
+    """Integer bounds (lo, hi) for one variable of integer rows sum c_i d_i <=
+    b after eliminating all others (a side is None when unbounded), or None
+    when the constraints are infeasible."""
     cons = constraints
     for v in range(nvars):
         if v == var:
@@ -256,11 +253,9 @@ def _fm_var_bounds(constraints, nvars, var, scale):
     for coeffs, rhs in cons:
         c = coeffs[var]
         if c > 0:
-            bound = rhs // (scale * c)
-            hi = bound if hi is None else min(hi, bound)
+            hi = rhs // c if hi is None else min(hi, rhs // c)
         elif c < 0:
-            bound = -(rhs // (-scale * c))
-            lo = bound if lo is None else max(lo, bound)
+            lo = -(rhs // -c) if lo is None else max(lo, -(rhs // -c))
     return lo, hi
 
 
@@ -268,30 +263,29 @@ def _degree_box(n_vec, alpha, weight_data, pinned, value):
     """Degree vectors passing the existence conditions whose degrees at the
     pinned indices sum to value, as a list in lexicographic order.
 
-    The conditions are folded into integer rows over the degrees.  The last
-    pinned degree is solved from the pin.  The other, free degrees are boxed
-    by the hull of the Fourier-Motzkin projections of the choices of rows
-    (UnboundedSearch when one is unbounded), and the box is filtered exactly
-    by the same rows.
+    The conditions are folded into integer rows over the degrees, and the
+    last pinned degree, solved from the pin, is substituted into each row.
+    The other, free degrees are boxed by the hull of the Fourier-Motzkin
+    projections of the choices of rows (UnboundedSearch when one is
+    unbounded), and the box is filtered exactly by the same rows.
     """
     if any(n <= 0 for n in n_vec):
         raise ValueError("degree enumeration expects positive ranks")
     Q = math.lcm(*(w.den for w in weight_data))
     weight_nums = [w.weight_num * (Q // w.den) for w in weight_data]
-    D = alpha.den
-    scale = D * Q
-    nvars = len(n_vec)
+    solved = pinned[-1]
+    free = [i for i in range(len(n_vec)) if i != solved]
     choices = [
-        _fold(rows, D, Q, weight_nums)
+        [
+            (tuple(c[i] - c[solved] * (i in pinned) for i in free),
+             b - c[solved] * value)
+            for c, b in _fold(rows, alpha.den, Q, weight_nums)
+        ]
         for rows in _condition_rows(n_vec, alpha, weight_data[0].num_points)
     ]
-    pin = tuple(int(i in pinned) for i in range(nvars))
-    pin_rows = [(pin, value * scale), (tuple(-c for c in pin), -value * scale)]
-    solved = pinned[-1]
-    free = [i for i in range(nvars) if i != solved]
     box = None
     for rows in choices:
-        bounds = [_fm_var_bounds(rows + pin_rows, nvars, var, scale) for var in free]
+        bounds = [_fm_var_bounds(rows, len(free), var) for var in range(len(free))]
         if None in bounds:
             continue  # infeasible choice
         if any(b is None for bound in bounds for b in bound):
@@ -306,13 +300,11 @@ def _degree_box(n_vec, alpha, weight_data, pinned, value):
         box = bounds
     if box is None:
         return []
-    filters = [[(c, b // scale) for c, b in rows] for rows in choices]
     out = []
     for head in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
-        last = value - sum(head[i] for i in pinned[:-1])
-        dvec = head[:solved] + (last,) + head[solved:]
-        if any(_holds(rows, dvec) for rows in filters):
-            out.append(dvec)
+        if any(_holds(rows, head) for rows in choices):
+            last = value - sum(head[i] for i in pinned[:-1])
+            out.append(head[:solved] + (last,) + head[solved:])
     return out
 
 

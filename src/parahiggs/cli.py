@@ -109,14 +109,7 @@ def _parse_point_weights(entry):
 def parse_datum(raw, rank, k, bound):
     """Weight data for one bundle: explicit per-point lists or "generate"."""
     if raw == "generate":
-        if k == 0:
-            return WeightDatum.empty(0)
-        flat = generate_generic_weights(rank * k, bound)
-        points = [
-            tuple((w, 1) for w in flat[p * rank : (p + 1) * rank])
-            for p in range(k)
-        ]
-        return WeightDatum(tuple(points))
+        return parse_chain_weights("generate", (rank,), k, bound)[0]
     if not isinstance(raw, list) or len(raw) != k:
         raise ConfigError(f"weights must be 'generate' or a {k}-point list")
     return WeightDatum(tuple(_parse_point_weights(entry) for entry in raw))

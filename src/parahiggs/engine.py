@@ -12,7 +12,7 @@ import hashlib
 import itertools
 from math import gcd
 
-from .errors import DivisionOutsideRing, EngineError, WallHit
+from .errors import DivisionOutsideRing, EngineError, UnsupportedParabolicLink, WallHit
 from .motive import ring
 from .parabolic import ChainType, Param, par_slope, ratio_str
 from .chains import (
@@ -199,21 +199,28 @@ class ChainEngine:
 
     # ------------------------------------------------------------- base case
 
-    def _forced_vanishing(self, upper_datum, lower_datum, n):
-        """Points where a chain map must vanish; exact for rank-one links."""
-        if n == 1:
-            return chi_skyscrapers(upper_datum, lower_datum, strict=False)
-        return 0
-
     def _base_case(self, tau, alpha):
-        """Constant-rank Hecke-product formula minus the filtration strata."""
+        """Constant-rank Hecke-product formula minus the filtration strata.
+
+        A chain map must vanish at the points counted by chi_skyscrapers of
+        its link; that is exact for rank-one links, and a rank 2 or more link
+        with forced vanishing raises UnsupportedParabolicLink.
+        """
         n = tau.ranks[0]
         r = tau.length
         k = tau.num_points
+        forced = [
+            chi_skyscrapers(tau.weights[i], tau.weights[i - 1], strict=False)
+            for i in range(1, r + 1)
+        ]
+        if n >= 2 and any(forced):
+            raise UnsupportedParabolicLink(
+                f"rank-{n} chain link with forced vanishing in type {tau.ranks}, "
+                f"{tau.degrees}"
+            )
         cls = pbundle_stack_class(n, tau.degrees[0], tau.weights[0], self.curve)
         for i in range(1, r + 1):
-            forced = self._forced_vanishing(tau.weights[i], tau.weights[i - 1], n)
-            ell = tau.degrees[i - 1] - tau.degrees[i] + n * k - forced
+            ell = tau.degrees[i - 1] - tau.degrees[i] + n * k - forced[i - 1]
             if ell < 0:
                 return self.R.zero
             cls = phecke_class(cls, ell, n, tau.weights[i], self.curve)

@@ -53,6 +53,13 @@ class UnboundedCandidates(UnboundedSearch):
     exit_code = 18
 
 
+class UnsupportedParabolicLink(EngineError):
+    """A chain link of rank 2 or more whose maps must vanish at some marked
+    point: its local factor in the constant-rank base case is not known."""
+
+    exit_code = 19
+
+
 class NonGenericWeights(EngineError):
     exit_code = 3
 

@@ -4,10 +4,10 @@ A ray alpha_t = alpha + t*delta has non-decreasing integer direction so the
 gap hypothesis never degrades along it.  Walls are parameters where some
 proper sub-type reaches the ambient slope.  The sub-types, by rank profile
 and weight sum, come from one engine table, ChainEngine.subtypes;
-equal_slope_subtypes states the equal-slope pin on their degree totals at
-one parameter, for the on-wall test and the filtration types, and
-wall_positions solves the slope equations for the totals whose crossing t
-lies in the traversal window.
+equal_slope_pins states the equal-slope pin on their degree totals along a
+ray, equal_slope_subtypes reads it at one parameter, for the on-wall test
+and the filtration types, and wall_positions solves it for the totals whose
+crossing t lies in the traversal window.
 """
 
 from __future__ import annotations
@@ -102,65 +102,70 @@ def choose_ray(tau, alpha):
 # wall candidates
 
 
-def equal_slope_subtypes(engine, tau, alpha):
-    """The proper sub-types of tau that can take its slope at alpha.
+def equal_slope_pins(engine, tau, base, delta):
+    """The equal-slope pin of each proper sub-type of tau along base + t delta.
 
-    A sub-type of rank profile p, size s and weight sum W/Q has tau's slope
-    at alpha iff its degree total T solves N T = s mu_num - n_tot (Q a + D W),
-    with mu_num / N tau's slope and a / D the profile's share of alpha.
-    Yields (profile, T, splits) for each weight sum of engine.subtypes(tau)
-    with an integer T, splits being its (sub-type, quotient) weight splits.
+    A sub-type of rank profile p, size s, weight sum W/Q and degree total T
+    has tau's slope at base + t delta iff N T = K + t rate, with N = n_tot Q D
+    and, mu_num / N being tau's slope at base and a, e the profile's shares of
+    base.nums and delta, K = s mu_num - n_tot (Q a + D W) and rate =
+    Q D (s sum_i n_i delta_i - n_tot e).  A profile taking each index whole
+    or not at all carries tau's degrees there, so its T is pinned to their
+    sum, whole; whole is None for any other profile.  Yields (profile, N, K,
+    rate, whole, splits) for each weight sum of engine.subtypes(tau), splits
+    being its (sub-type, quotient) weight splits.
     """
-    alpha = Param.of(alpha)
-    Q, D = tau.Q, alpha.den
+    Q, D = tau.Q, base.den
     n_tot = tau.total_rank
-    mu_num, N = par_slope(tau, alpha)
+    mu_num, N = par_slope(tau, base)
+    mu_rate = sum(map(mul, delta, tau.ranks))
     for profile, size, groups in engine.subtypes(tau):
-        level = size * mu_num - n_tot * Q * sum(map(mul, profile, alpha.nums))
+        level = size * mu_num - n_tot * Q * sum(map(mul, profile, base.nums))
+        rate = Q * D * (size * mu_rate - n_tot * sum(map(mul, profile, delta)))
+        whole = (sum(d for p, d in zip(profile, tau.degrees) if p)
+                 if all(p in (0, n) for p, n in zip(profile, tau.ranks)) else None)
         for W, splits in groups:
-            T, off = divmod(level - n_tot * D * W, N)
-            if not off:
-                yield profile, T, splits
+            yield profile, N, level - n_tot * D * W, rate, whole, splits
+
+
+def equal_slope_subtypes(engine, tau, alpha):
+    """The proper sub-types of tau that can take its slope at alpha: the pins
+    of equal_slope_pins at t = 0 that admit an integer degree total T, as
+    (profile, T, splits)."""
+    alpha = Param.of(alpha)
+    pins = equal_slope_pins(engine, tau, alpha, (0,) * len(alpha))
+    for profile, N, K, _, whole, splits in pins:
+        T, off = divmod(K, N)
+        if not off and whole in (None, T):
+            yield profile, T, splits
 
 
 def wall_positions(engine, tau, ray, lo, hi):
     """All candidate wall parameters in (lo, hi] for the given type.
 
-    Exhaustive over proper sub-rank-profiles, weight subsets and the integer
-    degree totals compatible with a crossing inside the window.  A sub-type
-    of weight sum W/Q and degree total T has the ambient slope at t iff
-    N T = K + t rate, with N = n_tot Q D and K, rate the integers below;
-    multiplied by the sign of rate, the T with t in (lo, hi] form a range.
-    A profile with rate 0 has no wall, unless it has equal slope at the base
-    and so all along the ray: a degenerate family, excluded by genericity.
+    Exhaustive over the pins of equal_slope_pins along the ray: multiplied
+    by the sign of rate, the degree totals T with t in (lo, hi] form a
+    range.  A profile with rate 0 has no wall, unless it has equal slope at
+    the base and so all along the ray: a degenerate family, excluded by
+    genericity.
     """
     lo, hi = frac(lo), frac(hi)
-    base, delta = ray.base, ray.delta
-    Q, D = tau.Q, base.den
-    n_tot = tau.total_rank
-    N = n_tot * Q * D
-    mu_num = par_slope(tau, base)[0]
-    mu_rate = sum(d * n for d, n in zip(delta, tau.ranks))
-    walls = set()
-    parallel = set()
-    for profile, size, groups in engine.subtypes(tau):
-        a0 = sum(p * a for p, a in zip(profile, base.nums))
-        d0 = sum(p * d for p, d in zip(profile, delta))
-        rate = Q * D * (size * mu_rate - n_tot * d0)
+    walls, parallel = set(), set()
+    pins = equal_slope_pins(engine, tau, ray.base, ray.delta)
+    for profile, N, K, rate, whole, _ in pins:
         if rate == 0:
             parallel.add(profile)
             continue
-        K0 = size * mu_num - n_tot * Q * a0
-        s, rate = (-1, -rate) if rate < 0 else (1, rate)
-        for W, _ in groups:
-            # N s T runs over (K + lo rate, K + hi rate], rate now |rate|
-            K = s * (K0 - n_tot * D * W)
-            sT_lo = (K * lo.denominator + lo.numerator * rate) // (N * lo.denominator)
-            sT_hi = (K * hi.denominator + hi.numerator * rate) // (N * hi.denominator)
-            for sT in range(sT_lo + 1, sT_hi + 1):
+        # N s T runs over (s K + lo |rate|, s K + hi |rate|]
+        s = -1 if rate < 0 else 1
+        K, rate = s * K, s * rate
+        sT_lo = (K * lo.denominator + lo.numerator * rate) // (N * lo.denominator)
+        sT_hi = (K * hi.denominator + hi.numerator * rate) // (N * hi.denominator)
+        for sT in range(sT_lo + 1, sT_hi + 1):
+            if whole in (None, s * sT):
                 walls.add(Fraction(N * sT - K, rate))
     if parallel and any(
-        p in parallel for p, _, _ in equal_slope_subtypes(engine, tau, base)
+        p in parallel for p, _, _ in equal_slope_subtypes(engine, tau, ray.base)
     ):
         raise UnboundedCandidates(
             "degenerate wall family: sub-type slope parallel and equal"

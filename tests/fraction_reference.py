@@ -217,6 +217,18 @@ def subtype_weight_sums(tau):
             yield profile, wsum
 
 
+def pinned_total(tau, profile, T):
+    """T is a degree total a sub-type of this profile can have: an integer,
+    and the sum of tau's degrees over the profile's support when the profile
+    takes every index either whole or not at all (the sub-type then carries
+    tau's bundles, and their degrees, at those indices)."""
+    if T.denominator != 1:
+        return False
+    if all(p == n or p == 0 for p, n in zip(profile, tau.ranks)):
+        return T == sum(d for p, d in zip(profile, tau.degrees) if p)
+    return True
+
+
 def wall_positions(tau, ray, lo, hi):
     """Candidate wall parameters in (lo, hi], solved one slope at a time."""
     lo, hi = Fraction(lo), Fraction(hi)
@@ -230,7 +242,7 @@ def wall_positions(tau, ray, lo, hi):
         d_rate = sum(p * d for p, d in zip(profile, ray.delta))
         sub_rate = Fraction(d_rate, size)
         if sub_rate == mu_rate:
-            if (size * mu0 - wsum - a0).denominator == 1:
+            if pinned_total(tau, profile, size * mu0 - wsum - a0):
                 raise UnboundedCandidates("degenerate wall family")
             continue
         t_lo_val = size * (mu0 + lo * mu_rate) - wsum - a0 - lo * d_rate
@@ -239,7 +251,7 @@ def wall_positions(tau, ray, lo, hi):
         for T in range(min(t_lo_val, t_hi_val).__ceil__(),
                        max(t_lo_val, t_hi_val).__floor__() + 1):
             t_star = (mu0 - Fraction(T + wsum + a0, size)) / denom
-            if lo < t_star <= hi:
+            if lo < t_star <= hi and pinned_total(tau, profile, Fraction(T)):
                 walls.add(t_star)
     return sorted(walls)
 
@@ -248,7 +260,9 @@ def is_on_wall(tau, alpha):
     alpha = fracs(alpha)
     mu = slope(tau, alpha)
     return any(
-        (sum(profile) * mu - wsum - sum(p * a for p, a in zip(profile, alpha)))
-        .denominator == 1
+        pinned_total(
+            tau, profile,
+            sum(profile) * mu - wsum - sum(p * a for p, a in zip(profile, alpha)),
+        )
         for profile, wsum in subtype_weight_sums(tau)
     )

@@ -1,9 +1,13 @@
 """Config-driven runs, emission formats, caching, determinism, exit codes."""
 
 import json
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from parahiggs import oracles
 from parahiggs.cli import ConfigError, emit, main, run
 from parahiggs.motive import parse_class
 
@@ -272,13 +276,93 @@ def test_seed_cache_hits_counted(tmp_path):
 def test_trace_walls_diagnostics():
     cfg = {
         "curve": {"genus": 2, "marked_points": 1},
-        "problem": {"kind": "higgs", "rank": 2, "degree": 0, "weights": "generate"},
+        "problem": {"kind": "higgs", "rank": 3, "degree": 0, "weights": "generate"},
     }
     report = run(json.loads(json.dumps(cfg)), trace_walls=True)
     assert "walls" in report["diagnostics"]
     assert report["diagnostics"]["wall_count"] >= 1
     for wall in report["diagnostics"]["walls"]:
         assert set(wall) == {"type", "t", "strata", "class_hash"}
+    assert sum(wall["strata"] for wall in report["diagnostics"]["walls"]) >= 1
+
+
+def test_whole_index_subtypes_pin_their_degrees(tmp_path, capsys):
+    """At alpha = (0, 110/29) the (1,1) chain of degrees (2, 0) has the slope
+    that a sub-type of profile (0, 1) and degree total 2 would have, but the
+    only such sub-chain is the second line bundle, of degree 0: the
+    parameter is on no wall, and the class is the direct classification's."""
+    cfg = {
+        "curve": {"genus": 2, "marked_points": 1},
+        "problem": {
+            "kind": "chain",
+            "ranks": [1, 1],
+            "degrees": [2, 0],
+            "weights": [[["3/29"]], [["9/29"]]],
+            "alpha": ["0", "110/29"],
+        },
+    }
+    path = tmp_path / "chain11.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["chain", "--config", str(path)]) == 0
+    want = oracles.rank11_chain_oracle(
+        2, 1, 2, 0, [Fraction(3, 29)], [Fraction(9, 29)], (0, Fraction(110, 29))
+    )
+    assert f"class: {want}" in capsys.readouterr().out.splitlines()
+    assert str(want) == "(L * Pic + Pic^2) / ((L - 1))"
+
+
+RANK22 = {
+    "curve": {"genus": 2, "marked_points": 1},
+    "problem": {
+        "kind": "chain",
+        "ranks": [2, 2],
+        "degrees": [2, 3],
+        "alpha": ["0", "2"],
+        "weights": [[["5/3121", "25/3121"]], [["125/3121", "625/3121"]]],
+    },
+}
+
+
+def test_rank2_link_with_forced_vanishing_fails_fast(tmp_path, capsys):
+    """Each weight of the upper bundle exceeds each of the lower one, so the
+    rank-2 link must vanish at the point: an unsupported local factor."""
+    path = tmp_path / "rank22.json"
+    path.write_text(json.dumps(RANK22))
+    assert main(["chain", "--config", str(path)]) == 19
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_rank2_link_without_forced_vanishing_computes():
+    cfg = json.loads(json.dumps(RANK22))
+    weights = cfg["problem"]["weights"]
+    cfg["problem"]["weights"] = weights[::-1]
+    report = run(cfg)
+    assert report["class"].endswith(" / ((L - 1))")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    """Each README example: its JSON config through cli.main with the flags
+    of the command that follows it, exit 0 and the class the README quotes."""
+    examples = README.read_text(encoding="utf-8").split("### Example ")[1:]
+    assert len(examples) == 3
+    for section in examples:
+        config = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        command, quoted = re.search(
+            r"`parahiggs ([^`]+)`(?: prints[^`]*`([^`]+)`)?", section
+        ).groups()
+        argv = command.split()
+        argv[argv.index("--config") + 1] = str(tmp_path / "example.json")
+        (tmp_path / "example.json").write_text(config)
+        assert main(argv) == 0, command
+        out = capsys.readouterr().out
+        if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+            assert json.loads(out)["class"]
+        if quoted is not None:
+            assert f"class: {quoted}" in out.splitlines(), command
 
 
 def test_verify_subcommand_passes(capsys):
