@@ -3,11 +3,16 @@
 Elements live in the subring generated by L (the affine-line class), Pic
 (the Jacobian class), and the symmetric-power classes of the curve, with
 denominators restricted to products of (L^a - 1) factors and powers of L.
+Such a denominator is L^b * prod Phi_e^{m_e}, Phi_e the e-th cyclotomic
+polynomial, and is kept factored as the pair (b, ((e, m_e), ...)), e
+ascending and every m_e >= 1, with (0, ()) for 1: sums, products and powers
+combine exponents, and _den_poly alone expands a denominator, for the
+numerator cofactors of + and inverse and for the specializations.
 Fractions are kept in a canonical reduced form so equal ring elements compare
-equal as Python objects: every MotiveClass is in lowest terms with a monic
-denominator, which MotiveClass(genus, num, den) establishes and the
-_reduced=True constructors keep.  The product relies on it: for a/b and c/d in
-lowest terms, gcd(ac, bd) = gcd(a, d) gcd(c, b).
+equal as Python objects: every MotiveClass is in lowest terms, which
+MotiveClass(genus, num, den) establishes and the _reduced=True constructors
+keep.  The product relies on it: for a/b and c/d in lowest terms,
+gcd(ac, bd) = gcd(a, d) gcd(c, b).
 
 Symmetric powers are not independent: the Abel-Jacobi stratification gives
     [C^(d)] = L^{d-g+1} [C^(2g-2-d)] + Pic * [P^{d-g}]   for d >= g,
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add, sub
 from typing import Optional
 
 from .errors import (
@@ -35,6 +41,7 @@ from . import poly
 from .poly import (
     U_ONE,
     bundle_cyclotomic,
+    euler_phi,
     p_add,
     p_const,
     p_is_zero,
@@ -43,15 +50,14 @@ from .poly import (
     p_neg,
     p_pow,
     p_scale,
-    u_deg,
     u_div_exact,
     u_factor_cyclotomic,
-    u_is_one,
-    u_lpower_minus_one,
     u_mul,
     u_to_multivar,
     u_trim,
 )
+
+DEN_ONE = (0, ())
 
 
 def max_atom(genus):
@@ -76,11 +82,12 @@ def var_names(genus):
 
 
 class MotiveClass:
-    """Canonical fraction num/den with num multivariate and den in Z[L]."""
+    """Canonical fraction num/den with num multivariate and den a factored
+    L^b * prod Phi_e^{m_e}."""
 
     __slots__ = ("genus", "num", "den", "_hash")
 
-    def __init__(self, genus, num, den=U_ONE, _reduced=False):
+    def __init__(self, genus, num, den=DEN_ONE, _reduced=False):
         self.genus = genus
         if _reduced:
             self.num = num
@@ -93,7 +100,7 @@ class MotiveClass:
 
     @staticmethod
     def const(genus, c):
-        return MotiveClass(genus, p_const(c, num_vars(genus)), U_ONE, _reduced=True)
+        return MotiveClass(genus, p_const(c, num_vars(genus)), DEN_ONE, _reduced=True)
 
     # -- canonical identity --------------------------------------------------
 
@@ -114,7 +121,7 @@ class MotiveClass:
         return p_is_zero(self.num)
 
     def is_polynomial(self):
-        return u_is_one(self.den)
+        return self.den == DEN_ONE
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -137,12 +144,11 @@ class MotiveClass:
             return other
         if self.den == other.den:
             return MotiveClass(self.genus, p_add(self.num, other.num), self.den)
-        fa, fb = _den_factors(self.den), _den_factors(other.den)
-        ca, cb = _cofactor(fa, fb), _cofactor(fb, fa)
+        den = _den_merge(self.den, other.den, max)
         nv = num_vars(self.genus)
-        num = p_add(_times_univariate(self.num, ca, nv),
-                    _times_univariate(other.num, cb, nv))
-        return MotiveClass(self.genus, num, u_mul(self.den, ca))
+        num = p_add(_times_den(self.num, _den_merge(den, self.den, sub), nv),
+                    _times_den(other.num, _den_merge(den, other.den, sub), nv))
+        return MotiveClass(self.genus, num, den)
 
     __radd__ = __add__
 
@@ -164,7 +170,7 @@ class MotiveClass:
             return NotImplemented
         a, d = _reduce(self.num, other.den)
         c, b = _reduce(other.num, self.den)
-        return MotiveClass(self.genus, p_mul(a, c), u_mul(b, d), _reduced=True)
+        return MotiveClass(self.genus, p_mul(a, c), _den_merge(b, d, add), _reduced=True)
 
     __rmul__ = __mul__
 
@@ -183,8 +189,8 @@ class MotiveClass:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        _, b, factors = _den_factors(self.den)
-        den = _den_poly(n * b, tuple((e, n * m) for e, m in factors))
+        b, factors = self.den
+        den = (n * b, tuple((e, n * m) for e, m in factors) if n else ())
         return MotiveClass(self.genus, p_pow(self.num, n, num_vars(self.genus)), den)
 
     def inverse(self):
@@ -201,10 +207,10 @@ class MotiveClass:
             raise DivisionOutsideRing(
                 "divisor numerator is not a unit times L-powers and (L^a - 1) factors"
             )
-        nv = num_vars(self.genus)
-        sign = fact[0]
-        return MotiveClass(self.genus, p_scale(u_to_multivar(self.den, nv), sign),
-                           tuple(sign * c for c in uni))
+        # self is in lowest terms, so no factor of uni divides self.den
+        sign, b, factors = fact
+        num = p_scale(u_to_multivar(_den_poly(self.den), num_vars(self.genus)), sign)
+        return MotiveClass(self.genus, num, (b, factors), _reduced=True)
 
     # -- inspection ----------------------------------------------------------
 
@@ -218,7 +224,7 @@ class MotiveClass:
             weights.append(g)
         weights.extend(range(1, max_atom(g) + 1))
         top = max(sum(w * e for w, e in zip(weights, m)) for m in self.num)
-        return top - u_deg(self.den)
+        return top - _den_degree(self.den)
 
     # -- text form -----------------------------------------------------------
 
@@ -244,29 +250,27 @@ def _univariate_part(num):
     return u_trim(out)
 
 
-def _den_factors(den):
-    """(sign, b, ((e, m_e), ...)) of a denominator sign * L^b * prod Phi_e^{m_e}."""
-    fact = u_factor_cyclotomic(den)
-    if fact is None:
-        raise DivisionOutsideRing(
-            "denominator is not a unit times L-powers and cyclotomic factors"
-        )
-    return fact
+def _den_merge(a, b, op):
+    """Two factored denominators combined exponent by exponent: op = add
+    gives their product, max their lcm, sub the quotient a / b of a multiple
+    a of b."""
+    if b == DEN_ONE:
+        return a
+    mults = dict(a[1])
+    for e, m in b[1]:
+        mults[e] = op(mults.get(e, 0), m)
+    return op(a[0], b[0]), tuple(sorted((e, m) for e, m in mults.items() if m))
 
 
-def _cofactor(own, other):
-    """lcm/own for two denominator factorizations: per factor, the larger
-    exponent minus own's."""
-    mine = dict(own[2])
-    return _den_poly(
-        max(other[1] - own[1], 0),
-        tuple((e, m - mine.get(e, 0)) for e, m in other[2] if m > mine.get(e, 0)),
-    )
+def _den_degree(den):
+    b, factors = den
+    return b + sum(m * euler_phi(e) for e, m in factors)
 
 
 @lru_cache(maxsize=None)
-def _den_poly(b, factors):
+def _den_poly(den):
     """L^b * prod Phi_e^{m_e} as a univariate tuple."""
+    b, factors = den
     out = (0,) * b + U_ONE
     for e, m in factors:
         for _ in range(m):
@@ -274,27 +278,21 @@ def _den_poly(b, factors):
     return out
 
 
-def _times_univariate(num, u, nvars):
-    if u_is_one(u):
+def _times_den(num, den, nvars):
+    if den == DEN_ONE:
         return num
-    return p_mul(num, u_to_multivar(u, nvars))
+    return p_mul(num, u_to_multivar(_den_poly(den), nvars))
 
 
 def _reduce(num, den):
-    if den == U_ONE:
+    if den == DEN_ONE:
         return num, den
-    den = u_trim(den)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
     if p_is_zero(num):
-        return {}, U_ONE
-    if den[-1] < 0:
-        den = tuple(-c for c in den)
-        num = p_neg(num)
+        return {}, DEN_ONE
     # Cancel L, then each Phi_e, while it divides den and every L-coefficient
     # polynomial of num.  The factors are distinct irreducibles, so this
     # divides out exactly the gcd of den with those polynomials.
-    _, b, factors = _den_factors(den)
+    b, factors = den
     groups = {}
     for m, c in num.items():
         groups.setdefault(m[1:], {})[m[0]] = c
@@ -327,7 +325,7 @@ def _reduce(num, den):
         return num, den
     num = {(i,) + tail: c for tail, coeff in coeffs.items()
            for i, c in enumerate(coeff) if c}
-    return num, _den_poly(b - shift, kept)
+    return num, (b - shift, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -348,30 +346,23 @@ class Ring:
     def from_int(self, c):
         return MotiveClass.const(self.genus, c)
 
+    def _monomial(self, idx, e):
+        """The atom of index idx (L, Pic, C1, ...) to the power e; only L
+        takes e < 0."""
+        m = [0] * self.nvars
+        m[idx] = max(e, 0)
+        return MotiveClass(self.genus, {tuple(m): 1}, (max(-e, 0), ()), _reduced=True)
+
     @property
     def L(self):
-        m = [0] * self.nvars
-        m[0] = 1
-        return MotiveClass(self.genus, {tuple(m): 1}, U_ONE, _reduced=True)
+        return self._monomial(0, 1)
 
     def L_pow(self, k):
-        if k >= 0:
-            m = [0] * self.nvars
-            m[0] = k
-            return MotiveClass(self.genus, {tuple(m): 1}, U_ONE, _reduced=True)
-        den = [0] * (-k + 1)
-        den[-k] = 1
-        return MotiveClass(
-            self.genus, p_const(1, self.nvars), tuple(den), _reduced=True
-        )
+        return self._monomial(0, k)
 
     @property
     def Pic(self):
-        if self.genus == 0:
-            return self.one
-        m = [0] * self.nvars
-        m[1] = 1
-        return MotiveClass(self.genus, {tuple(m): 1}, U_ONE, _reduced=True)
+        return self._monomial(1, 1) if self.genus else self.one
 
     def C(self, i):
         """Symmetric-power class, eagerly rewritten above index g-1.
@@ -386,13 +377,10 @@ class Ring:
             return self.zero
         g = self.genus
         if i <= g - 1:
-            m = [0] * self.nvars
-            m[1 + i] = 1
-            return MotiveClass(self.genus, {tuple(m): 1}, U_ONE, _reduced=True)
+            return self._monomial(1 + i, 1)
         e = i - g + 1
-        proj = MotiveClass(
-            g, u_to_multivar(u_lpower_minus_one(e), self.nvars), U_ONE
-        ) / MotiveClass(g, u_to_multivar(u_lpower_minus_one(1), self.nvars), U_ONE)
+        # [P^{e-1}] = 1 + L + ... + L^{e-1}
+        proj = MotiveClass(g, u_to_multivar((1,) * e, self.nvars), DEN_ONE, _reduced=True)
         return self.L_pow(e) * self.C(2 * g - 2 - i) + self.Pic * proj
 
     def parse(self, text):
@@ -533,30 +521,14 @@ class EPoly:
         return max(i + j for i, j in self.num)
 
     def __str__(self):
-        if not self.num:
-            body = "0"
-        else:
-            parts = []
-            for (i, j), c in sorted(self.num.items(), reverse=True):
-                mono = []
-                if i:
-                    mono.append("u" if i == 1 else f"u^{i}")
-                if j:
-                    mono.append("v" if j == 1 else f"v^{j}")
-                if not mono or abs(c) != 1:
-                    mono.insert(0, str(abs(c)))
-                term = "*".join(mono) if mono else "1"
-                if not parts:
-                    parts.append(term if c > 0 else f"-{term}")
-                else:
-                    parts.append(f"+ {term}" if c > 0 else f"- {term}")
-            body = " ".join(parts)
+        body = _format_uv(self.num)
         if self.den is None:
             return body
-        dparts = " ".join(
-            f"+ {c}*u^{i}*v^{j}" for (i, j), c in sorted(self.den.items(), reverse=True)
-        )
-        return f"({body}) / ({dparts})"
+        return f"({body}) / ({_format_uv(self.den)})"
+
+
+def _format_uv(terms):
+    return _format_terms(sorted(terms.items(), reverse=True), ((0, "u"), (1, "v")), "*")
 
 
 def _realize(x, q, P, nvars):
@@ -631,10 +603,11 @@ def specialize_E(x):
         for j in range(2 * g + 1)
     ]
     num = _realize(x, {(1, 1): 1}, P, 2)
-    if u_is_one(x.den):
+    if x.is_polynomial():
         return EPoly(num)
-    # x.den is a polynomial in uv, so it divides num iff it divides each
-    # diagonal {u^i v^j : i - j = d}, read as a polynomial in uv
+    # the denominator is a polynomial in uv, so it divides num iff it divides
+    # each diagonal {u^i v^j : i - j = d}, read as a polynomial in uv
+    den = _den_poly(x.den)
     diagonals = {}
     for (i, j), c in num.items():
         diagonals.setdefault(i - j, {})[min(i, j)] = c
@@ -643,9 +616,9 @@ def specialize_E(x):
         coeffs = [0] * (max(terms) + 1)
         for k, c in terms.items():
             coeffs[k] = c
-        qd = u_div_exact(tuple(coeffs), x.den)
+        qd = u_div_exact(tuple(coeffs), den)
         if qd is None:
-            return EPoly(num, {(e, e): c for e, c in enumerate(x.den) if c})
+            return EPoly(num, {(e, e): c for e, c in enumerate(den) if c})
         for k, c in enumerate(qd):
             if c:
                 quot[(k + max(d, 0), k + max(-d, 0))] = c
@@ -659,7 +632,7 @@ def specialize_count(x, curve, q):
         raise ValueError("class genus does not match curve")
     P = [p_const(a, 0) for a in curve.zeta_numerator]
     num = _realize(x, p_const(q, 0), P, 0)
-    den = sum(c * q ** e for e, c in enumerate(x.den))
+    den = sum(c * q ** e for e, c in enumerate(_den_poly(x.den)))
     if den == 0:
         raise ZeroDivisionError("denominator vanishes at this q")
     return Fraction(num.get((), 0), den)
@@ -669,36 +642,36 @@ def specialize_count(x, curve, q):
 # canonical text form and parser
 
 
-def _format_poly(num, genus):
-    # exchange format lists L, then symmetric powers, then Pic
-    names = var_names(genus)
-    order = [0] + list(range(2, len(names))) + ([1] if genus >= 1 else [])
-    if p_is_zero(num):
-        return "0"
+def _format_terms(items, fields, sep):
+    """Signed sum of (exponents, coefficient) items, in their order: each term
+    is its coefficient unless +-1, then name^e for each (index, name) of
+    fields with a nonzero exponent e, joined by sep."""
     parts = []
-    for m, c in p_items_sorted(num):
-        factors = []
-        for idx in order:
-            name, e = names[idx], m[idx]
+    for m, c in items:
+        factors = [] if c in (1, -1) else [str(abs(c))]
+        for i, name in fields:
+            e = m[i]
             if e == 1:
                 factors.append(name)
             elif e:
                 factors.append(f"{name}^{e}")
-        if not factors or abs(c) != 1:
-            factors.insert(0, str(abs(c)))
-        term = " * ".join(factors) if factors else "1"
+        term = sep.join(factors) or "1"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
+
+
+def _format_poly(num, genus):
+    # exchange format lists L, then symmetric powers, then Pic
+    names = var_names(genus)
+    order = [0] + list(range(2, len(names))) + ([1] if genus >= 1 else [])
+    return _format_terms(p_items_sorted(num), [(i, names[i]) for i in order], " * ")
 
 
 def _format_den(den):
-    fact = u_factor_cyclotomic(den)
-    if fact is None:  # defensive; reduced denominators always factor
-        return "(" + _format_poly(u_to_multivar(den, 1), 0) + ")"
-    sign, b, factors = fact
+    b, factors = den
     bundles, leftover = bundle_cyclotomic(factors)
     parts = []
     if b == 1:
@@ -713,8 +686,7 @@ def _format_den(den):
         body = _format_poly(u_to_multivar(poly.cyclotomic(e), 1), 0)
         m = leftover[e]
         parts.append(f"({body})" if m == 1 else f"({body})^{m}")
-    out = " * ".join(parts) if parts else "1"
-    return out
+    return " * ".join(parts)
 
 
 def format_class(x):
@@ -791,7 +763,7 @@ class _Parser:
             # the power of a k-term sum has up to comb(k + e - 1, e) terms,
             # and e times the degree of its base
             k = len(node.num)
-            degree = max(u_deg(node.den), max(map(sum, node.num), default=0))
+            degree = max(_den_degree(node.den), max(map(sum, node.num), default=0))
             if (k >= 2 and comb(k + e - 1, e) > PARSE_BOUND) or e * degree > PARSE_BOUND:
                 self.error(f"the power {e} of a {k}-term class of degree {degree} "
                            f"exceeds the bound {PARSE_BOUND} on its terms and degree")

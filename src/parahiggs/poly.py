@@ -2,8 +2,9 @@
 
 Multivariate polynomials are dicts mapping exponent tuples to nonzero int
 coefficients.  Univariate polynomials in L are tuples of ints, ascending
-degree, used for denominators.  Every reduced denominator is a monic product
-L^b * prod Phi_e^{m_e} of L and cyclotomic factors, so it is divided in
+degree.  The motive ring keeps every denominator factored, as
+L^b * prod Phi_e^{m_e} of L and cyclotomic factors; a tuple is its expansion
+or a divisor that u_factor_cyclotomic factors, and numerators are divided in
 integers, one factor at a time.  Everything is exact; no floats.
 """
 
@@ -94,10 +95,6 @@ def u_trim(c):
 
 
 U_ONE = (1,)
-
-
-def u_is_one(u):
-    return u == U_ONE
 
 
 def u_deg(u):

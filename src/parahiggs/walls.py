@@ -145,16 +145,20 @@ def wall_positions(engine, tau, ray, lo, hi):
 
     Exhaustive over the pins of equal_slope_pins along the ray: multiplied
     by the sign of rate, the degree totals T with t in (lo, hi] form a
-    range.  A profile with rate 0 has no wall, unless it has equal slope at
-    the base and so all along the ray: a degenerate family, excluded by
-    genericity.
+    range.  A pin with rate 0 has no wall, unless it admits an integer
+    total at the base, where N and K are those of t = 0 whatever delta is,
+    and so all along the ray: a degenerate family, excluded by genericity.
     """
     lo, hi = frac(lo), frac(hi)
-    walls, parallel = set(), set()
+    walls = set()
     pins = equal_slope_pins(engine, tau, ray.base, ray.delta)
-    for profile, N, K, rate, whole, _ in pins:
+    for _, N, K, rate, whole, _ in pins:
         if rate == 0:
-            parallel.add(profile)
+            T, off = divmod(K, N)
+            if not off and whole in (None, T):
+                raise UnboundedCandidates(
+                    "degenerate wall family: sub-type slope parallel and equal"
+                )
             continue
         # N s T runs over (s K + lo |rate|, s K + hi |rate|]
         s = -1 if rate < 0 else 1
@@ -164,12 +168,6 @@ def wall_positions(engine, tau, ray, lo, hi):
         for sT in range(sT_lo + 1, sT_hi + 1):
             if whole in (None, s * sT):
                 walls.add(Fraction(N * sT - K, rate))
-    if parallel and any(
-        p in parallel for p, _, _ in equal_slope_subtypes(engine, tau, ray.base)
-    ):
-        raise UnboundedCandidates(
-            "degenerate wall family: sub-type slope parallel and equal"
-        )
     return sorted(walls)
 
 

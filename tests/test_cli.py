@@ -179,6 +179,20 @@ def test_malformed_config_exit_code(tmp_path, capsys, argv, cfg):
     assert "Traceback" not in err[0]
 
 
+def test_stack_e_polynomial_denominator_text(tmp_path, capsys):
+    cfg = {
+        "curve": {"genus": 2},
+        "problem": {"kind": "stack-class", "stack": "bundle", "rank": 2},
+        "outputs": {"e_polynomial": True},
+    }
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["stack", "--config", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    (line,) = [s for s in out if s.startswith("e_polynomial: ")]
+    assert line.endswith(") / (u^4*v^4 - 2*u^3*v^3 + 2*u*v - 1)")
+
+
 def test_subcommand_kind_mismatch(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(HIGGS_CFG))

@@ -1,6 +1,7 @@
 """Localization assembly: fixed types, half dimension, moduli classes."""
 
 import gc
+import hashlib
 import itertools
 import random
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 from parahiggs.errors import (
     DeskScaleExceeded,
+    EngineError,
     NonGenericWeights,
     UnboundedSearch,
 )
@@ -363,3 +365,67 @@ def test_second_solve_reuses_engine_tables():
     second = higgs_computation(problem, engine).total
     assert snapshot() == before
     assert second == first and str(second) == str(first)
+
+
+# (rank, genus, points) -> per degree 0..rank-1, the first 16 hex digits of
+# sha256(class | E-polynomial) or the name of the error raised
+SWEEP = {
+    (1, 0, 0): ("3f22d6d875f4e163",),
+    (1, 0, 1): ("3f22d6d875f4e163",),
+    (1, 0, 2): ("3f22d6d875f4e163",),
+    (1, 1, 0): ("444617fc8254442e",),
+    (1, 1, 1): ("444617fc8254442e",),
+    (1, 1, 2): ("444617fc8254442e",),
+    (1, 2, 0): ("395a4bd2ba66aee5",),
+    (1, 2, 1): ("395a4bd2ba66aee5",),
+    (1, 2, 2): ("395a4bd2ba66aee5",),
+    (1, 3, 0): ("56766ed8a46682f3",),
+    (1, 3, 1): ("56766ed8a46682f3",),
+    (1, 3, 2): ("56766ed8a46682f3",),
+    (2, 0, 0): ("WallHit", "0642c4ea7d881e66"),
+    (2, 0, 1): ("0642c4ea7d881e66", "0642c4ea7d881e66"),
+    (2, 0, 2): ("0642c4ea7d881e66", "0642c4ea7d881e66"),
+    (2, 1, 0): ("WallHit", "444617fc8254442e"),
+    (2, 1, 1): ("a563d7c219d0cbcf", "a563d7c219d0cbcf"),
+    (2, 1, 2): ("4cc23284cb8d826f", "4cc23284cb8d826f"),
+    (2, 2, 0): ("WallHit", "4e6c5c301d6c6faa"),
+    (2, 2, 1): ("cd9ebee7a834acd5", "cd9ebee7a834acd5"),
+    (2, 2, 2): ("4ce2f7d1b5a1d371", "4ce2f7d1b5a1d371"),
+    (2, 3, 0): ("WallHit", "3d267763b503a3a2"),
+    (2, 3, 1): ("cc78b55e4989e946", "cc78b55e4989e946"),
+    (2, 3, 2): ("405579b58e2f23ac", "405579b58e2f23ac"),
+    (3, 0, 0): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
+    (3, 0, 1): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
+    (3, 0, 2): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
+    (3, 1, 0): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
+    (3, 1, 1): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
+    (3, 1, 2): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
+    (3, 2, 0): ("WallHit", "fa1bc715a970a47c", "fa1bc715a970a47c"),
+    (3, 2, 1): ("ca8996c7a25fe28a", "ca8996c7a25fe28a", "ca8996c7a25fe28a"),
+    (3, 2, 2): ("0ed721edb329c25f", "0ed721edb329c25f", "0ed721edb329c25f"),
+    (3, 3, 0): ("WallHit", "dab89926efb0d12f", "dab89926efb0d12f"),
+    (3, 3, 1): ("38eb1838384562c4", "38eb1838384562c4", "38eb1838384562c4"),
+}
+
+
+def test_canonical_bytes_sweep():
+    """Every rank <= 3 input of genus <= 3 with at most two points (at rank 3,
+    genus plus points <= 4) and every degree mod the rank, with generated
+    full-flag weights, keeps the class and E-polynomial bytes and the error
+    outcomes recorded here; the moduli classes go through the whole ring."""
+    got = {}
+    for (n, g, k), want in SWEEP.items():
+        datum = full_datum(n, k) if k else WeightDatum.empty(0)
+        outcomes = []
+        for d in range(n):
+            try:
+                x = higgs_computation(HiggsProblem(CurveData(g, k), n, d, datum)).total
+            except EngineError as exc:
+                outcomes.append(type(exc).__name__)
+                continue
+            text = str(x) + "|" + str(specialize_E(x))
+            outcomes.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+        got[n, g, k] = tuple(outcomes)
+    assert got == SWEEP
+    flat = [o for outcomes in SWEEP.values() for o in outcomes]
+    assert (len(flat), flat.count("UnboundedSearch"), flat.count("WallHit")) == (69, 18, 6)

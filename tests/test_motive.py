@@ -1,5 +1,6 @@
 """Ring arithmetic, canonical forms, zeta machinery and specializations."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -28,7 +29,7 @@ from parahiggs.motive import (
     zeta_eval,
 )
 from parahiggs.parabolic import WeightDatum
-from parahiggs.stacks import bundle_stack_class, flag_class
+from parahiggs.stacks import bundle_stack_class, flag_class, gl_class
 
 ZETA_G1 = (1, 0, 2)          # elliptic curve over F_2 with a_1 = 0
 ZETA_G2_Q2 = (1, 0, 0, 0, 4)  # y^2 + y = x^5 over F_2
@@ -273,19 +274,20 @@ def test_reduced_form_matches_gcd(data):
         # the cross-multiplied fraction
         nv = num_vars(g)
         for x, y in [(a, b), (b, c)] + fast_path_pairs(g):
-            den = poly.u_mul(x.den, y.den)
-            total = poly.p_add(poly.p_mul(x.num, poly.u_to_multivar(y.den, nv)),
-                               poly.p_mul(y.num, poly.u_to_multivar(x.den, nv)))
+            xd, yd = motive._den_poly(x.den), motive._den_poly(y.den)
+            den = poly.u_factor_cyclotomic(poly.u_mul(xd, yd))[1:]
+            total = poly.p_add(poly.p_mul(x.num, poly.u_to_multivar(yd, nv)),
+                               poly.p_mul(y.num, poly.u_to_multivar(xd, nv)))
             for got, want in ((x + y, MotiveClass(g, total, den)),
                               (x * y, MotiveClass(g, poly.p_mul(x.num, y.num), den))):
                 assert got == want and str(got) == str(want), (x, y)
         for x in (a, b, c, a + b, a * b - c, (a + b) * c):
-            assert x.den[-1] == 1
+            assert motive._den_poly(x.den)[-1] == 1
             # the gcd of den with all L-coefficient polynomials of num is 1
             coeffs = {}
             for m, v in x.num.items():
                 coeffs.setdefault(m[1:], {})[m[0]] = v
-            common = x.den
+            common = motive._den_poly(x.den)
             for terms in coeffs.values():
                 common = poly.u_gcd(
                     common, tuple(terms.get(i, 0) for i in range(max(terms) + 1))
@@ -569,7 +571,7 @@ def seeded_classes(seed):
             den = (0,) * rng.randint(0, 2) + den
             for _ in range(rng.randint(1, 2)):
                 den = poly.u_mul(den, poly.u_lpower_minus_one(rng.randint(1, 4)))
-        yield MotiveClass(g, num, den)
+        yield MotiveClass(g, num, poly.u_factor_cyclotomic(den)[1:])
 
 
 def moduli_classes():
@@ -628,6 +630,19 @@ def test_parser_accepts_rewritten_atoms():
     R = ring(2)
     assert parse_class("C2", 2) == R.Pic + R.L
     assert parse_class("(Pic) / ((L - 1))", 2) == R.Pic / (R.L - 1)
+
+
+def test_factored_denominator_text():
+    R = ring(0)
+    L, one = R.L, R.one
+    assert str(one / ((L ** 2 - 1) * (L - 1) ** 2)) == "(1) / ((L^2 - 1) * (L - 1)^2)"
+    assert str(one / (L ** 2 + L + 1)) == "(1) / ((L^2 + L + 1))"
+    assert str(R.L_pow(-3) / (L ** 3 - 1) ** 2) == "(1) / (L^3 * (L^3 - 1)^2)"
+    assert str((L ** 6 - 1) / ((L ** 2 - 1) * (L - 1))) == "(L^4 + L^2 + 1) / ((L - 1))"
+    assert str(1 / gl_class(3, 2)) == "(1) / (L^3 * (L^3 - 1) * (L^2 - 1) * (L - 1))"
+    text = str(bundle_stack_class(3, 0, CurveData(2)))
+    assert text.endswith(") / ((L^3 - 1) * (L^2 - 1)^2 * (L - 1)^2)")
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "748fa992e35f3909"
 
 
 @pytest.mark.parametrize("text", [

@@ -168,3 +168,16 @@ def test_wall_hit_raises():
     tau = ChainType((1, 1), (2, 0), (empty, empty))
     with pytest.raises(WallHit):
         eng.chain_class(tau, (Fraction(0), Fraction(2)))
+
+
+def test_cross_ray_moves_an_on_wall_anchor():
+    """A traversal bound on a wall is moved up by 1/2 before the walk starts,
+    and the class at the base is unchanged."""
+    a, b, d1, d2 = gen_types()
+    tau = ChainType((1, 1), (3, 0), (d1, d2))
+    alpha = (Fraction(0), Fraction(2))
+    eng = ChainEngine(CurveData(2, 1))
+    (wall,) = wall_positions(eng, tau, Ray(alpha, (0, 1), Fraction(8)), 0, 8)
+    assert wall == Fraction(23, 29)
+    got = cross_ray(eng, tau, Ray(alpha, (0, 1), wall))
+    assert got == rank11_chain_oracle(2, 1, 3, 0, [a], [b], alpha)
