@@ -306,6 +306,20 @@ def _verify_checks():
             if got != want:
                 ok = False
     checks.append({"name": "rank11-chain-grid", "passed": ok})
+
+    # the two specializations read the ring map through different integers
+    ok = True
+    for gg in (2, 3):
+        total = higgs_computation(
+            HiggsProblem(CurveData(gg, 0), 2, 1, WeightDatum.empty(0))
+        ).total
+        e_poly = specialize_E(total)
+        for a, b in ((2, 3), (3, 5)):
+            split = CurveData(gg, 0, oracles.split_zeta_numerator(gg, a, b))
+            value = sum(c * a ** i * b ** j for (i, j), c in e_poly.num.items())
+            if not e_poly.is_polynomial or value != specialize_count(total, split, a * b):
+                ok = False
+    checks.append({"name": "e-vs-split-count", "passed": ok})
     return checks
 
 

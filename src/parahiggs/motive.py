@@ -20,6 +20,10 @@ so only C1..C_{g-1} are kept as atoms and higher powers are rewritten on
 construction.  Without this quotient, equal ring elements reached along
 different computation paths would not share a normal form.  At genus 0 the
 atom set degenerates to {L} (Pic = 1); at genus 1 it is {L, Pic}.
+
+Both specializations read a class through one ring map on plain integers,
+_realize: the point count at its q, the E-polynomial at one Kronecker-packed
+integer point from which its coefficients are read back.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from operator import add, sub
+from math import comb, prod
+from operator import add, mul, sub
 from typing import Optional
 
 from .errors import (
@@ -531,36 +535,28 @@ def _format_uv(terms):
     return _format_terms(sorted(terms.items(), reverse=True), ((0, "u"), (1, "v")), "*")
 
 
-def _realize(x, q, P, nvars):
+def _realize(x, q, P):
     """Image of x.num under L -> q, Pic -> P(1), C^(i) -> [t^i] P(t)/((1-t)(1-qt)).
 
-    q and the zeta-numerator coefficients P[0..2g] are integer polynomials
-    in nvars variables; so is the result.
+    q, the zeta-numerator coefficients P[0..2g] and the result are integers:
+    specialize_count passes its own, specialize_E their Kronecker packings.
 
     The map is evaluated in Horner form over the variables in the order
-    Pic, C1 .. C_{g-1}, L.  Pic and the C^(i) have the densest images, so
+    Pic, C1 .. C_{g-1}, L.  Pic and the C^(i) have the largest images, so
     they go outermost, where each of their powers multiplies a sum once
-    instead of once per monomial.  L goes innermost because its image q is a
-    single monomial (uv) for the E-polynomial and an integer for the point
-    count, so the many products at that level are cheap.
+    instead of once per monomial.  L goes innermost because its image q is
+    small for the point count and a power of two (the packed uv) for the
+    E-polynomial, so the many products at that level are cheap.
     """
     g = x.genus
-    # partial[m] = 1 + q + ... + q^m, the t^m coefficient of 1/((1-t)(1-qt))
-    partial = [p_const(1, nvars)]
-    q_m = partial[0]
-    for _ in range(max_atom(g)):
-        q_m = p_mul(q_m, q)
-        partial.append(p_add(partial[-1], q_m))
     images = [q]
     if g >= 1:
-        pic = {}
-        for a in P:
-            pic = p_add(pic, a)
-        images.append(pic)
+        images.append(sum(P))
+    # [t^i] P(t)/((1-t)(1-qt)) = q [t^(i-1)] P(t)/((1-t)(1-qt)) + [t^i] P(t)/(1-t)
+    head = sym = P[0]
     for i in range(1, max_atom(g) + 1):
-        sym = {}
-        for j in range(i + 1):
-            sym = p_add(sym, p_mul(P[j], partial[i - j]))
+        head += P[i]
+        sym = sym * q + head
         images.append(sym)
 
     order = list(range(1, len(images))) + [0]
@@ -568,7 +564,7 @@ def _realize(x, q, P, nvars):
 
     def power(idx, e):
         if (idx, e) not in pow_cache:
-            pow_cache[idx, e] = p_pow(images[idx], e, nvars)
+            pow_cache[idx, e] = images[idx] ** e
         return pow_cache[idx, e]
 
     def horner(terms, depth):
@@ -576,33 +572,78 @@ def _realize(x, q, P, nvars):
         # exponents of order[:depth]
         if depth == len(order):
             ((_, c),) = terms
-            return p_const(c, nvars)
+            return c
         idx = order[depth]
         groups = {}
         for m, c in terms:
             groups.setdefault(m[idx], []).append((m, c))
-        out, prev = {}, 0
+        out, prev = 0, 0
         for e in sorted(groups, reverse=True):
-            if out:  # empty before the first group; 0 * image^gap = 0
-                out = p_mul(out, power(idx, prev - e))
-            out = p_add(out, horner(groups[e], depth + 1))
+            if out:  # 0 before the first group; 0 * image^gap = 0
+                out *= power(idx, prev - e)
+            out += horner(groups[e], depth + 1)
             prev = e
         if out and prev:
-            out = p_mul(out, power(idx, prev))
+            out *= power(idx, prev)
         return out
 
-    return horner(list(x.num.items()), 0)
+    # x.num is L^k times a class with no common L factor; q^k multiplies the
+    # finished sum once instead of each innermost group before the larger
+    # images do
+    k = min((m[0] for m in x.num), default=0)
+    return horner([((m[0] - k,) + m[1:], c) for m, c in x.num.items()], 0) * q ** k
+
+
+def _packing(x):
+    """Byte width w and stride S of specialize_E's packing of x.
+
+    A coefficient of E(x) is at most sum |c_m| prod ||img_i||_1^e_i, with
+    ||Pic||_1 = 4^g and ||C^(i)||_1 <= sum_{j<=i} C(2g, j)(i - j + 1), as
+    ||P_j||_1 = C(2g, j); its degree in u and in v is at most sum e_i d_i,
+    with d = 1, g, i for L, Pic, C^(i).
+    """
+    g = x.genus
+    norms, degs = [1], [1]
+    if g >= 1:
+        norms.append(4 ** g)
+        degs.append(g)
+    for i in range(1, max_atom(g) + 1):
+        norms.append(sum(comb(2 * g, j) * (i - j + 1) for j in range(i + 1)))
+        degs.append(i)
+    bound = sum(abs(c) * prod(map(pow, norms, m)) for m, c in x.num.items())
+    degree = max((sum(map(mul, degs, m)) for m in x.num), default=0)
+    # bound < 2^(8w - 1), so every coefficient is a signed 8w-bit digit
+    return bound.bit_length() // 8 + 1, degree + 1
 
 
 def specialize_E(x):
-    """Hodge specialization: L -> uv and zeta numerator (1-ut)^g (1-vt)^g."""
+    """Hodge specialization: L -> uv and zeta numerator (1-ut)^g (1-vt)^g.
+
+    The numerator is evaluated once, at the Kronecker packing
+    u^a v^b -> 2^(B(aS + b)), B = 8w, with (w, S) from _packing, and each
+    coefficient is read back from the bytes of that integer plus 2^(B-1) in
+    every digit, which makes every digit nonnegative.
+    """
     g = x.genus
+    w, S = _packing(x)
+    B = 8 * w
     P = [
-        {(a, j - a): comb(g, a) * comb(g, j - a) * (-1) ** j
-         for a in range(max(0, j - g), min(g, j) + 1)}
+        sum(comb(g, a) * comb(g, j - a) * (-1) ** j << B * (a * S + j - a)
+            for a in range(max(0, j - g), min(g, j) + 1))
         for j in range(2 * g + 1)
     ]
-    num = _realize(x, {(1, 1): 1}, P, 2)
+    packed = _realize(x, 1 << B * (S + 1), P)
+    half = 1 << (B - 1)
+    zero = half.to_bytes(w, "little")
+    raw = (packed + int.from_bytes(zero * S * S, "little")).to_bytes(w * S * S, "little")
+    num = {}
+    for a in range(S):
+        row = raw[a * S * w : (a + 1) * S * w]
+        if row != zero * S:
+            for b in range(S):
+                chunk = row[b * w : b * w + w]
+                if chunk != zero:
+                    num[a, b] = int.from_bytes(chunk, "little") - half
     if x.is_polynomial():
         return EPoly(num)
     # the denominator is a polynomial in uv, so it divides num iff it divides
@@ -630,12 +671,11 @@ def specialize_count(x, curve, q):
     curve.check_functional_equation(q)
     if x.genus != curve.genus:
         raise ValueError("class genus does not match curve")
-    P = [p_const(a, 0) for a in curve.zeta_numerator]
-    num = _realize(x, p_const(q, 0), P, 0)
+    num = _realize(x, q, curve.zeta_numerator)
     den = sum(c * q ** e for e, c in enumerate(_den_poly(x.den)))
     if den == 0:
         raise ZeroDivisionError("denominator vanishes at this q")
-    return Fraction(num.get((), 0), den)
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -139,3 +139,13 @@ def bun2_hn_recursion_oracle(g, d, q, zeta_numerator, truncation=20):
         terms += 1
     tail = qf ** (g - 1 - delta) / (1 - qf ** -2)
     return total - line ** 2 * (head + tail)
+
+
+def split_zeta_numerator(g, a, b):
+    """Coefficients of (1 - at)^g (1 - bt)^g, a zeta numerator that satisfies
+    the functional equation at q = ab: the point count at q = ab with it is
+    the E-polynomial at (u, v) = (a, b)."""
+    P = [1]
+    for root in (a,) * g + (b,) * g:
+        P = [x - root * y for x, y in zip(P + [0], [0] + P)]
+    return tuple(P)

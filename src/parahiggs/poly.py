@@ -5,7 +5,9 @@ coefficients.  Univariate polynomials in L are tuples of ints, ascending
 degree.  The motive ring keeps every denominator factored, as
 L^b * prod Phi_e^{m_e} of L and cyclotomic factors; a tuple is its expansion
 or a divisor that u_factor_cyclotomic factors, and numerators are divided in
-integers, one factor at a time.  Everything is exact; no floats.
+integers, one factor at a time.  The specializations use no multivariate
+helper: they evaluate a class on plain integers (motive._realize).
+Everything is exact; no floats.
 """
 
 from __future__ import annotations

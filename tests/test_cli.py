@@ -383,6 +383,7 @@ def test_verify_subcommand_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "verify flag-vs-gaussian: pass" in out
+    assert "verify e-vs-split-count: pass" in out
 
 
 def test_missing_config_kind():

@@ -2,8 +2,10 @@
 
 import hashlib
 import random
+import sys
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from parahiggs.motive import (
     sym_cxp_coeff,
     zeta_eval,
 )
+from parahiggs.oracles import split_zeta_numerator
 from parahiggs.parabolic import WeightDatum
 from parahiggs.stacks import bundle_stack_class, flag_class, gl_class
 
@@ -47,8 +50,6 @@ def series_coeff_P1_sym(i):
 
 def e_sym_series_coeff(i, g, u, v):
     """t^i coefficient of (1-ut)^g (1-vt)^g / ((1-t)(1-uvt)) at numeric u, v."""
-    from math import comb
-
     total = Fraction(0)
     for a in range(g + 1):
         for b in range(g + 1):
@@ -488,10 +489,7 @@ def test_specializations_are_ring_homomorphisms(data):
 def split_curve(g, a, b):
     """Zeta numerator (1-at)^g (1-bt)^g; it satisfies the functional
     equation at q = ab."""
-    P = [1]
-    for root in (a,) * g + (b,) * g:
-        P = [x - root * y for x, y in zip(P + [0], [0] + P)]
-    return CurveData(g, 0, tuple(P))
+    return CurveData(g, 0, split_zeta_numerator(g, a, b))
 
 
 @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (3, 3), (2, 5)])
@@ -511,8 +509,9 @@ def test_E_polynomial_is_point_count_of_split_curve(g, a, b):
 
 
 def term_by_term_realize(x, q, P, nvars):
-    """Test-only reference for motive._realize: the same ring map, with each
-    monomial of x.num evaluated on its own as a product of cached powers."""
+    """Test-only reference for the ring map of motive._realize on integer
+    poly dicts in nvars variables, with each monomial of x.num evaluated on
+    its own as a product of cached powers."""
     g = x.genus
     partial = [poly.p_const(1, nvars)]
     q_m = partial[0]
@@ -542,6 +541,40 @@ def term_by_term_realize(x, q, P, nvars):
                 term = poly.p_mul(term, pow_cache[idx, e])
         out = poly.p_add(out, term)
     return out
+
+
+def reference_E(x):
+    """specialize_E on (u, v) dicts: the term-by-term map at q = uv and
+    P(t) = (1-ut)^g (1-vt)^g, then the exact division of each diagonal
+    {u^i v^j : i - j = d} by the denominator read as a polynomial in uv."""
+    g = x.genus
+    P = [
+        {(a, j - a): comb(g, a) * comb(g, j - a) * (-1) ** j
+         for a in range(max(0, j - g), min(g, j) + 1)}
+        for j in range(2 * g + 1)
+    ]
+    num = term_by_term_realize(x, {(1, 1): 1}, P, 2)
+    if x.is_polynomial():
+        return motive.EPoly(num)
+    den = motive._den_poly(x.den)
+    quot = {}
+    for d in {i - j for i, j in num}:
+        lo = (max(d, 0), max(-d, 0))
+        top = max(min(m) for m in num if m[0] - m[1] == d)
+        diagonal = [num.get((k + lo[0], k + lo[1]), 0) for k in range(top + 1)]
+        qd = poly.u_div_exact(tuple(diagonal), den)
+        if qd is None:
+            return motive.EPoly(num, {(e, e): c for e, c in enumerate(den) if c})
+        quot.update({(k + lo[0], k + lo[1]): c for k, c in enumerate(qd) if c})
+    return motive.EPoly(quot)
+
+
+def reference_count(x, curve, q):
+    """specialize_count through the term-by-term map on constant dicts."""
+    P = [poly.p_const(a, 0) for a in curve.zeta_numerator]
+    num = term_by_term_realize(x, poly.p_const(q, 0), P, 0)
+    den = sum(c * q ** e for e, c in enumerate(motive._den_poly(x.den)))
+    return Fraction(num.get((), 0), den)
 
 
 def seeded_classes(seed):
@@ -574,6 +607,31 @@ def seeded_classes(seed):
         yield MotiveClass(g, num, poly.u_factor_cyclotomic(den)[1:])
 
 
+def packing_edge_classes(seed):
+    """Classes at the edges of specialize_E's Kronecker packing, each at
+    genus 0 (L only), 1 and 3: the zero class; c * L^3 for c = +-127, which
+    fills an 8-bit digit, and c = +-128, which needs a wider one; Pic, whose
+    E-polynomial (1 - u)^g (1 - v)^g has a negative digit right below a
+    positive one (a borrow); and seeded classes whose coefficients reach
+    2^64 and more of both signs, half of them over (L - 1)^2 or L (L^2 - 1).
+    """
+    rng = random.Random(seed)
+    for g in (0, 1, 3):
+        R = ring(g)
+        yield R.zero
+        for c in (127, -127, 128, -128):
+            yield c * R.L ** 3
+        yield R.Pic
+        yield -R.Pic ** 2
+        for i in range(4):
+            num = {}
+            for _ in range(rng.randint(2, 8)):
+                m = [rng.randint(0, 4)] + [rng.randint(0, 2) for _ in range(num_vars(g) - 1)]
+                num[tuple(m)] = rng.choice([-1, 1]) * rng.randint(2 ** 64, 2 ** 70)
+            den = [motive.DEN_ONE, (0, ((1, 2),)), motive.DEN_ONE, (1, ((1, 1), (2, 1)))][i]
+            yield MotiveClass(g, num, den)
+
+
 def moduli_classes():
     """The (g,0,2) moduli classes at degree 1 for g = 0..10."""
     for g in range(11):
@@ -582,33 +640,69 @@ def moduli_classes():
         yield higgs_computation(problem).total
 
 
-def assert_realize_matches_reference(classes, monkeypatch):
-    specialized = []
+def assert_specializations_match_reference(classes):
+    epolys = []
     for x in classes:
         curve = split_curve(x.genus, 2, 3)
-        specialized.append((x, curve, specialize_E(x), specialize_count(x, curve, 6)))
-    with monkeypatch.context() as m:
-        m.setattr(motive, "_realize", term_by_term_realize)
-        for x, curve, e, count in specialized:
-            want = specialize_E(x)
-            assert e == want, x
-            assert str(e) == str(want)
-            assert count == specialize_count(x, curve, 6), x
-    return [e for _, _, e, _ in specialized]
+        e, want = specialize_E(x), reference_E(x)
+        assert e == want, x
+        assert str(e) == str(want)
+        assert specialize_count(x, curve, 6) == reference_count(x, curve, 6), x
+        epolys.append(e)
+    return epolys
 
 
-def test_horner_realize_matches_term_by_term_on_seeded_classes(monkeypatch):
+def test_horner_realize_matches_term_by_term_on_seeded_classes():
     classes = list(seeded_classes(10))
     assert {x.genus for x in classes} == set(range(6))
     assert all(10 <= len(x.num) <= 40 or x.genus == 0 for x in classes)
-    epolys = assert_realize_matches_reference(classes, monkeypatch)
+    epolys = assert_specializations_match_reference(classes)
     # polynomial classes and flagged rational E-polynomials both occur
     assert any(x.is_polynomial() for x in classes)
     assert any(not e.is_polynomial for e in epolys)
 
 
-def test_horner_realize_matches_term_by_term_on_moduli_classes(monkeypatch):
-    assert_realize_matches_reference(moduli_classes(), monkeypatch)
+def test_horner_realize_matches_term_by_term_at_the_packing_edges():
+    classes = list(packing_edge_classes(10))
+    epolys = assert_specializations_match_reference(classes)
+    coeffs = [c for e in epolys for c in e.num.values()]
+    # every edge is reached: a zero E-polynomial, a one-byte digit that is
+    # full and one that overflows, coefficients of 2^64 and more of both
+    # signs, and a negative digit right below a positive one
+    assert any(not e.num for e in epolys)
+    assert motive._packing(ring(0).L ** 3 * 127) == (1, 4)
+    assert motive._packing(ring(0).L ** 3 * 128) == (2, 4)
+    assert max(coeffs) >= 2 ** 64 and min(coeffs) <= -(2 ** 64)
+    assert any(c < 0 and e.num.get((i, j + 1), 0) > 0
+               for e in epolys for (i, j), c in e.num.items())
+    assert any(not e.is_polynomial for e in epolys)
+
+
+def test_horner_realize_matches_term_by_term_on_moduli_classes():
+    assert_specializations_match_reference(moduli_classes())
+
+
+def test_widest_benchmark_packing_is_pinned():
+    """(10,0,2) at degree 1 is the widest packing the benchmark reaches:
+    48-bit digits at stride 75, so the packed integer has 5,625 digits, far
+    above the 640 decimal digits allowed here.  Its E-polynomial string is
+    the one recorded before the packing, and no packed integer goes through
+    a decimal string."""
+    x = list(moduli_classes())[10]
+    assert motive._packing(x) == (6, 75)
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:  # Python 3.10 has no limit on int <-> str conversion
+        text = str(specialize_E(x))
+    else:
+        old = limit()
+        sys.set_int_max_str_digits(640)
+        try:
+            text = str(specialize_E(x))
+        finally:
+            sys.set_int_max_str_digits(old)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3ec8dff7937c47e1312b8bd164b46332425301f425ea49210c6c3005cd365115"
+    )
 
 
 # ---------------------------------------------------------------------------

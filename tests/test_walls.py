@@ -146,6 +146,44 @@ def test_conservation_across_wall():
     assert below == above + plus - minus
 
 
+def test_part_class_near_retries_halfway_after_a_wall_hit(monkeypatch):
+    """A WallHit at one part's first evaluation point near a wall makes
+    ChainEngine._part_class_near evaluate that part again halfway between the
+    wall and that point, and the crossed class is the unforced run's."""
+    a, b, d1, d2 = gen_types()
+    curve = CurveData(2, 1)
+    tau = ChainType((1, 1), (3, 0), (d1, d2))
+    ray = Ray((Fraction(0), Fraction(2)), (0, 1), Fraction(8))
+    t_wall = Fraction(3) + a - b - 2
+    unforced = ChainEngine(curve)
+    want = unforced.strata_at_wall(tau, ray, t_wall)
+    assert want[1] >= 1
+
+    eng = ChainEngine(curve)
+    chain_class = eng.chain_class
+    calls = []
+
+    def forced(part, alpha):
+        calls.append((part, alpha))
+        if len(calls) == 1:
+            raise WallHit("forced at the first evaluation point")
+        return chain_class(part, alpha)
+
+    monkeypatch.setattr(eng, "chain_class", forced)
+    (plus, minus), count = eng.strata_at_wall(tau, ray, t_wall)
+    assert ((plus, minus), count) == want
+    # the first call is the first part's first evaluation point; the retry
+    # evaluates the same part at (t_wall + t_eval)/2 on the same side
+    (part, first), (again, second) = calls[:2]
+    t_eval = Fraction(first.nums[1], first.den) - 2
+    assert first == ray.at(t_eval) and t_eval != t_wall
+    assert again == part
+    assert second == ray.at((t_wall + t_eval) / 2)
+    above = unforced.chain_class(tau, ray.at(t_wall + Fraction(1, 97)))
+    below = unforced.chain_class(tau, ray.at(t_wall - Fraction(1, 97)))
+    assert above + plus - minus == below
+
+
 def test_ray_independence():
     """Two admissible directions give the same class at the base parameter."""
     a, b, d1, d2 = gen_types()
