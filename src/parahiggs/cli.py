@@ -331,15 +331,15 @@ def _load_cache(path):
     seed = {}
     skipped = 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        with open(path, "rb") as fh:
+            for raw in fh:
                 try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     record = json.loads(line)
                     key, cls = record["key"], record["class"]
-                except (json.JSONDecodeError, KeyError, TypeError):
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                     skipped += 1
                     continue
                 if isinstance(key, str) and isinstance(cls, str):

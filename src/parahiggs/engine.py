@@ -66,13 +66,6 @@ class ChainEngine:
 
     # ------------------------------------------------------------------ memo
 
-    @staticmethod
-    def _normalize_alpha(tau, alpha):
-        alpha = Param.of(alpha)
-        if len(alpha) != len(tau.ranks):
-            raise ValueError("stability parameter length mismatch")
-        return alpha.shifted()
-
     def chain_class(self, tau, alpha):
         """Class of the stack of semistable chains of type tau at alpha.
 
@@ -80,7 +73,10 @@ class ChainEngine:
         types the recursion visits carry subsets of them.  A seed-cache class
         that does not parse is counted as skipped and computed instead.
         """
-        alpha = self._normalize_alpha(tau, alpha)
+        alpha = Param.of(alpha)
+        if len(alpha) != len(tau.ranks):
+            raise ValueError("stability parameter length mismatch")
+        alpha = alpha.shifted()
         key = (tau, alpha)
         self.stats["chain_class_calls"] += 1
         if key in self.memo:
@@ -249,25 +245,20 @@ class ChainEngine:
                     self._table(enumerate_gap_profiles, prof, alpha, weight_parts[j])
                     for j, prof in enumerate(profiles)
                 ]
+                # every gap profile starts at 0, so the part shifts sum to d_0
                 for combo in itertools.product(*profile_lists):
-                    rho_vals = {
-                        tau.degrees[i] - sum(prof[i] for prof in combo)
-                        for i in range(r + 1)
-                    }
-                    if len(rho_vals) != 1:
-                        continue
-                    rho = rho_vals.pop()
-                    total = total + self._resum(
-                        tau, alpha, comp, weight_parts, combo, rho
-                    )
+                    if all(sum(prof[i] for prof in combo) == d - tau.degrees[0]
+                           for i, d in enumerate(tau.degrees)):
+                        total = total + self._resum(
+                            tau, alpha, comp, weight_parts, combo)
         return total
 
-    def _resum(self, tau, alpha, comp, weight_parts, base_profiles, rho):
+    def _resum(self, tau, alpha, comp, weight_parts, base_profiles):
         """Sum one filtration shape's strata over the lattice points of its cone.
 
         Part j, shifted by c_j, has slope ((r+1) c_j + s_j + W_j/Q) / m_j up to
         a common constant, W_j being its weight sum over tau's Q.  The strata
-        are the integer c with sum rho whose slopes strictly decrease: an open
+        are the integer c with sum d_0 whose slopes strictly decrease: an open
         simplicial cone with its apex where all slopes are equal.  Ray l moves
         only the l-th slope gap, and each entry is a multiple of its part's
         rank, so the part classes are periodic along it while the extension
@@ -282,6 +273,7 @@ class ChainEngine:
         R = self.R
         Q = tau.Q
         M = sum(comp)
+        d0 = tau.degrees[0]
         s = [sum(prof) for prof in base_profiles]
         W = [
             sum(d.weight_num * (Q // d.den) for d in weight_parts[j])
@@ -289,7 +281,7 @@ class ChainEngine:
         ]
         # the apex, where all slopes are equal, over the denominator E
         E = r1 * M * Q
-        level = Q * (r1 * rho + sum(s)) + sum(W)
+        level = Q * (r1 * d0 + sum(s)) + sum(W)
         apex = [level * m - (Q * s[j] + W[j]) * M for j, m in enumerate(comp)]
         rays, widths = [], []
         for l in range(h - 1):
@@ -328,7 +320,7 @@ class ChainEngine:
         ray_sum = [sum(col) for col in zip(*rays)]
         total = R.zero
         for head in itertools.product(*box):
-            c = list(head) + [rho - sum(head)]
+            c = list(head) + [d0 - sum(head)]
             if not all(
                 0 < slope_num(l, c) * comp[l + 1] - slope_num(l + 1, c) * comp[l]
                 <= widths[l] * Q * comp[l] * comp[l + 1]

@@ -59,20 +59,13 @@ def enumerate_fixed_types(problem):
     d = problem.degree
     g = problem.curve.genus
     out = []
-    for r in range(n):
+    for comp in sorted(compositions(n), key=len):
+        r = len(comp) - 1
         alpha = chain_stability(r, g)
-        for comp in compositions(n):
-            if len(comp) != r + 1:
-                continue
-            shift = (2 * g - 2) * sum(
-                comp[i] * (r - i) for i in range(r + 1)
-            )
-            chain_total = d + shift
-            for split in enumerate_weight_splits(problem.datum, comp):
-                for dvec in enumerate_degree_vectors(
-                    comp, chain_total, alpha, split
-                ):
-                    out.append(ChainType(comp, dvec, split))
+        shift = (2 * g - 2) * sum(comp[i] * (r - i) for i in range(r + 1))
+        for split in enumerate_weight_splits(problem.datum, comp):
+            for dvec in enumerate_degree_vectors(comp, d + shift, alpha, split):
+                out.append(ChainType(comp, dvec, split))
     return out
 
 

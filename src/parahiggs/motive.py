@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 from operator import add, mul, sub
 from typing import Optional
 
@@ -48,7 +48,6 @@ from .poly import (
     euler_phi,
     p_add,
     p_const,
-    p_is_zero,
     p_items_sorted,
     p_mul,
     p_neg,
@@ -122,7 +121,7 @@ class MotiveClass:
         return self.genus == other.genus and self.num == other.num and self.den == other.den
 
     def is_zero(self):
-        return p_is_zero(self.num)
+        return not self.num
 
     def is_polynomial(self):
         return self.den == DEN_ONE
@@ -222,13 +221,7 @@ class MotiveClass:
         """Weighted top degree: L counts 1, Pic counts g, C^(i) counts i."""
         if self.is_zero():
             return None
-        g = self.genus
-        weights = [1]
-        if g >= 1:
-            weights.append(g)
-        weights.extend(range(1, max_atom(g) + 1))
-        top = max(sum(w * e for w, e in zip(weights, m)) for m in self.num)
-        return top - _den_degree(self.den)
+        return _top_degree(self) - _den_degree(self.den)
 
     # -- text form -----------------------------------------------------------
 
@@ -241,7 +234,7 @@ class MotiveClass:
 
 def _univariate_part(num):
     """Return num as a univariate L-tuple when no other atom occurs, else None."""
-    if p_is_zero(num):
+    if not num:
         return ()
     deg = 0
     for m in num:
@@ -264,6 +257,13 @@ def _den_merge(a, b, op):
     for e, m in b[1]:
         mults[e] = op(mults.get(e, 0), m)
     return op(a[0], b[0]), tuple(sorted((e, m) for e, m in mults.items() if m))
+
+
+def _top_degree(x):
+    """Largest weighted degree of a monomial of x.num, 0 for zero: L counts
+    1, Pic counts g, C^(i) counts i (at genus 0 the monomials are L alone)."""
+    weights = [1, x.genus] + list(range(1, max_atom(x.genus) + 1))
+    return max((sum(map(mul, weights, m)) for m in x.num), default=0)
 
 
 def _den_degree(den):
@@ -291,7 +291,7 @@ def _times_den(num, den, nvars):
 def _reduce(num, den):
     if den == DEN_ONE:
         return num, den
-    if p_is_zero(num):
+    if not num:
         return {}, DEN_ONE
     # Cancel L, then each Phi_e, while it divides den and every L-coefficient
     # polynomial of num.  The factors are distinct irreducibles, so this
@@ -597,23 +597,15 @@ def _realize(x, q, P):
 def _packing(x):
     """Byte width w and stride S of specialize_E's packing of x.
 
-    A coefficient of E(x) is at most sum |c_m| prod ||img_i||_1^e_i, with
-    ||Pic||_1 = 4^g and ||C^(i)||_1 <= sum_{j<=i} C(2g, j)(i - j + 1), as
-    ||P_j||_1 = C(2g, j); its degree in u and in v is at most sum e_i d_i,
-    with d = 1, g, i for L, Pic, C^(i).
+    A coefficient of E(x) is at most sum |c_m| prod ||img_i||_1^e_i, which is
+    _realize of x with |c_m| for c_m at q = 1 and P_j = ||P_j||_1 = C(2g, j);
+    its degree in u and in v is at most x's weighted top degree.
     """
     g = x.genus
-    norms, degs = [1], [1]
-    if g >= 1:
-        norms.append(4 ** g)
-        degs.append(g)
-    for i in range(1, max_atom(g) + 1):
-        norms.append(sum(comb(2 * g, j) * (i - j + 1) for j in range(i + 1)))
-        degs.append(i)
-    bound = sum(abs(c) * prod(map(pow, norms, m)) for m, c in x.num.items())
-    degree = max((sum(map(mul, degs, m)) for m in x.num), default=0)
+    plus = MotiveClass(g, {m: abs(c) for m, c in x.num.items()}, _reduced=True)
+    bound = _realize(plus, 1, [comb(2 * g, j) for j in range(2 * g + 1)])
     # bound < 2^(8w - 1), so every coefficient is a signed 8w-bit digit
-    return bound.bit_length() // 8 + 1, degree + 1
+    return bound.bit_length() // 8 + 1, _top_degree(x) + 1
 
 
 def specialize_E(x):
@@ -737,17 +729,22 @@ def format_class(x):
 
 
 PARSE_BOUND = 1000
+PARSE_DEPTH = 100
 
 
 class _Parser:
     """Exponents and C indices above PARSE_BOUND raise ValueError, and so does
     a power whose expansion could have more than PARSE_BOUND terms or a degree
     above PARSE_BOUND, so a corrupt cache record fails fast instead of
-    expanding a huge power."""
+    expanding a huge power.  So do factors nested more than PARSE_DEPTH deep
+    in parentheses and leading minus signs, each level of which costs up to
+    four stack frames, so that deep nesting never reaches the interpreter's
+    recursion limit."""
 
     def __init__(self, text, genus):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.R = ring(genus)
 
     def error(self, msg):
@@ -788,10 +785,14 @@ class _Parser:
                 return node
 
     def factor(self):
-        ch = self.peek()
-        if ch == "-":
+        self.depth += 1
+        if self.depth > PARSE_DEPTH:
+            self.error(f"factors nested deeper than {PARSE_DEPTH}")
+        if self.peek() == "-":
             self.pos += 1
-            return -self.factor()
+            node = -self.factor()
+            self.depth -= 1
+            return node
         node = self.atom()
         if self.peek() == "^":
             self.pos += 1
@@ -808,6 +809,7 @@ class _Parser:
                 self.error(f"the power {e} of a {k}-term class of degree {degree} "
                            f"exceeds the bound {PARSE_BOUND} on its terms and degree")
             node = node ** (sign * e)
+        self.depth -= 1
         return node
 
     def integer(self, bound=None):

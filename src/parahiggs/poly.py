@@ -28,10 +28,6 @@ def p_const(c, nvars):
     return {(0,) * nvars: c}
 
 
-def p_is_zero(p):
-    return not p
-
-
 def p_add(a, b):
     out = dict(a)
     for m, c in b.items():

@@ -64,10 +64,7 @@ def pbundle_stack_class(n, d, datum, curve: CurveData):
     """Parabolic bundle stack: bundle stack times one flag variety per point."""
     if datum.points and datum.rank != n:
         raise InvalidFlagType("weight datum rank does not match n")
-    out = bundle_stack_class(n, d, curve)
-    for p in range(datum.num_points):
-        out = out * flag_class(n, datum.flag_type(p), curve.genus)
-    return out
+    return _times_flags(bundle_stack_class(n, d, curve), n, datum, curve.genus)
 
 
 def phecke_class(base, ell, n, target_flag, curve: CurveData):
@@ -75,6 +72,11 @@ def phecke_class(base, ell, n, target_flag, curve: CurveData):
     if ell < 0:
         raise ValueError("modification length must be nonnegative")
     out = base * sym_cxp_coeff(curve, n, ell)
-    for p in range(target_flag.num_points):
-        out = out * flag_class(n, target_flag.flag_type(p), curve.genus)
+    return _times_flags(out, n, target_flag, curve.genus)
+
+
+def _times_flags(out, n, datum, genus):
+    """out times the rank-n flag variety of datum's flag type at each point."""
+    for p in range(datum.num_points):
+        out = out * flag_class(n, datum.flag_type(p), genus)
     return out

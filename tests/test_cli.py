@@ -273,6 +273,54 @@ def test_corrupt_cache_records_skipped(tmp_path, capsys):
     assert "warning: skipped 5 corrupt cache records" in capsys.readouterr().err
 
 
+def _warm_cli_run(tmp_path, corrupt):
+    """A cold run writes the cache, corrupt(cache) damages it, and a warm
+    cli.main run reads it; returns the cold and warm reports."""
+    cache = tmp_path / "memo.jsonl"
+    cfg = {
+        "curve": {"genus": 2, "marked_points": 1},
+        "problem": {"kind": "higgs", "rank": 2, "degree": 1, "weights": "generate"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    cold = run(json.loads(json.dumps(cfg)), cache_path=str(cache))
+    corrupt(cache)
+    out = tmp_path / "warm.json"
+    argv = ["higgs", "--config", str(path), "--cache", str(cache),
+            "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    return cold, json.loads(out.read_text())
+
+
+def test_cache_line_that_is_not_utf8_is_one_skipped_record(tmp_path):
+    def corrupt(cache):
+        with cache.open("ab") as fh:
+            fh.write(b"\xff\xfe garbage\n")
+
+    cold, warm = _warm_cli_run(tmp_path, corrupt)
+    assert warm["class"] == cold["class"]
+    assert warm["diagnostics"]["cache_records_skipped"] == 1
+    assert warm["diagnostics"]["seed_cache_hits"] >= 1
+
+
+def test_deeply_nested_cache_class_is_one_skipped_record(tmp_path):
+    """A class nested past the parser's depth bound is a corrupt record that
+    is computed instead, not a RecursionError."""
+    def corrupt(cache):
+        records = [json.loads(line) for line in cache.read_text().splitlines()]
+        (bundle,) = [r["key"] for r in records if "#n=2#" in r["key"]]
+        chain = next(r["key"] for r in records
+                     if "#n=1,1#" in r["key"] and r["key"].endswith("#a=0,2"))
+        with cache.open("a", encoding="utf-8") as fh:
+            for key, text in ((bundle, "(" * 300 + "L" + ")" * 300),
+                              (chain, "-" * 3000 + "L")):
+                fh.write(json.dumps({"key": key, "class": text}) + "\n")
+
+    cold, warm = _warm_cli_run(tmp_path, corrupt)
+    assert warm["class"] == cold["class"]
+    assert warm["diagnostics"]["cache_records_skipped"] == 2
+
+
 def test_seed_cache_hits_counted(tmp_path):
     cache = tmp_path / "memo.jsonl"
     cfg = {

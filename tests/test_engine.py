@@ -338,7 +338,7 @@ def test_rank3_filtration_sum_matches_windowed_series():
             numeric = Fraction(0)
             for weight_parts in index_weight_splits(tau.weights, profiles):
                 closed = closed + eng._resum(
-                    tau, alpha, comp, weight_parts, tuple((0,) for _ in comp), rho
+                    tau, alpha, comp, weight_parts, tuple((0,) for _ in comp)
                 )
                 wsums = [weight_sum(wp[0]) for wp in weight_parts]
                 h = len(comp)

@@ -276,20 +276,35 @@ def drawn_datum(rng, n, k):
             return WeightDatum.full_flags(points)
 
 
-@pytest.mark.parametrize("genus, points", [(1, 3), (2, 2)])
-def test_rank2_class_independent_of_point_order_and_weights(genus, points):
+# the (2,2,3) class's sha256, which perfbench/probe.py also pins
+DIGEST_223 = "f19aa38785f96506287b43c9f9ae2bd960516bcabae7a1f7b7a140f25e9763df"
+
+
+@pytest.mark.parametrize("genus, points, rank, degrees, draws, digest", [
+    (1, 3, 2, (0, 1), 1, None),
+    (2, 2, 2, (0, 1), 1, None),
+    (2, 1, 3, range(-1, 4), 2, None),
+    (2, 2, 3, (1,), 0, DIGEST_223),
+], ids=["1-3-2", "2-2-2", "2-1-3", "2-2-3"])
+def test_moduli_class_independent_of_point_order_degree_and_weights(
+    genus, points, rank, degrees, draws, digest
+):
     """The moduli class does not depend on the order of the marked points, on
-    the degree, or on the generic weights."""
+    the degree, or on the generic weight chamber: generated weights in every
+    point order, and weights drawn at random."""
     curve = CurveData(genus, points)
-    base = full_datum(2, points)
+    base = full_datum(rank, points)
     data = [WeightDatum(order) for order in itertools.permutations(base.points)]
-    data.append(drawn_datum(random.Random(7), 2, points))
+    rng = random.Random(7)
+    data += [drawn_datum(rng, rank, points) for _ in range(draws)]
     classes = {
-        str(higgs_moduli_class(HiggsProblem(curve, 2, d, datum)))
+        str(higgs_moduli_class(HiggsProblem(curve, rank, d, datum)))
         for datum in data
-        for d in (0, 1)
+        for d in degrees
     }
     assert len(classes) == 1
+    if digest is not None:
+        assert hashlib.sha256(classes.pop().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -756,6 +756,27 @@ def test_parser_accepts_exponents_at_the_bound():
     assert parse_class("L^-1000", 2) == R.L_pow(-1000)
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "L" + ")" * 300, "-" * 3000 + "L", "(" * 100 + "L" + ")" * 100,
+    "-" * 100 + "L", "(-" * 60 + "L" + ")" * 60,
+], ids=["parens-300", "minus-3000", "parens-100", "minus-100", "both-60"])
+def test_parser_rejects_deep_nesting(text):
+    """Nesting in parentheses and leading minus signs is bounded well below
+    the recursion limit, so deep text is a ValueError, not a RecursionError."""
+    with pytest.raises(ValueError, match="nested deeper than 100"):
+        parse_class(text, 2)
+
+
+def test_parser_accepts_nesting_at_the_bound():
+    R = ring(2)
+    assert parse_class("(" * 99 + "L" + ")" * 99, 2) == R.L
+    assert parse_class("-" * 99 + "L", 2) == -R.L
+    assert parse_class("-" * 98 + "L", 2) == R.L
+    # the bound is on the depth, not on the nesting summed over the text
+    text = "(" * 99 + "L" + ")" * 99 + " * " + "-" * 99 + "Pic"
+    assert parse_class(text, 2) == -R.L * R.Pic
+
+
 def test_dimension_weighting():
     R = ring(2)
     assert (R.L_pow(2) * R.Pic).dimension() == 4
