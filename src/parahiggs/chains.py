@@ -8,6 +8,7 @@ the weight comparisons at the marked points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from operator import mul
@@ -95,36 +96,36 @@ def ext_exponent(parts, g, k):
 # existence conditions for semistable chains of a given type
 
 
-def _condition_rows(ranks, alpha, k):
+@functools.lru_cache(maxsize=None)
+def _condition_rows(ranks, increasing):
     """The existence conditions for semistable chains of the given ranks.
 
-    Returns one tuple of integer rows (coeffs, rhs), read sum coeffs_i x_i <=
-    rhs / alpha.den over the parabolic degrees x_i, per choice of gap
-    condition; a type passes iff every row of some choice holds.  Low-index
-    truncations are sub-chains for every parameter.  Rank dips and rises are
-    used only for strictly increasing parameters (their derivation needs it);
-    there the equal-rank gap is the printed one.  Otherwise the map to the
-    lower index at an equal-rank site may vanish, making the high-index
-    truncation a sub-chain, so each site takes either the printed gap or that
-    suffix truncation.
+    Returns one tuple of rows (coeffs, form) per choice of gap condition; a
+    type passes iff every row of some choice holds.  A row reads sum coeffs_i
+    x_i <= form . y over the parabolic degrees x_i, form being an integer
+    linear form over y = (alpha_0, ..., alpha_r, k); _fold evaluates it.
+    Low-index truncations are sub-chains for every parameter.  Rank dips and
+    rises are used only for strictly increasing parameters (their derivation
+    needs it); there the equal-rank gap is the printed one.  Otherwise the
+    map to the lower index at an equal-rank site may vanish, making the
+    high-index truncation a sub-chain, so each site takes either the printed
+    gap or that suffix truncation.
     """
     r = len(ranks) - 1
     n = ranks
     n_tot = sum(n)
-    a, D = alpha.nums, alpha.den
-    A = [n[i] * a[i] for i in range(r + 1)]
-    A_tot = sum(A)
 
     def slope_row(c, const, m):
-        """(sum_i c_i x_i + const/D)/m <= (sum_i x_i + A_tot/D)/n_tot, times
-        m n_tot."""
+        """(sum_i c_i x_i + const . y)/m <= (sum_i x_i + sum_i n_i alpha_i)
+        /n_tot, times m n_tot; const is a dict over the indices of y."""
         coeffs = tuple(c.get(i, 0) * n_tot - m for i in range(r + 1))
-        return coeffs, m * A_tot - n_tot * const
+        form = tuple(m * v - n_tot * const.get(i, 0) for i, v in enumerate(n + (0,)))
+        return coeffs, form
 
     def truncation(indices):
         return slope_row(
             {i: 1 for i in indices},
-            sum(A[i] for i in indices),
+            {i: n[i] for i in indices},
             sum(n[i] for i in indices),
         )
 
@@ -132,11 +133,11 @@ def _condition_rows(ranks, alpha, k):
         """x_j - x_{j-1} <= n_j k."""
         coeffs = [0] * (r + 1)
         coeffs[j], coeffs[j - 1] = 1, -1
-        return tuple(coeffs), n[j] * k * D
+        return tuple(coeffs), (0,) * (r + 1) + (n[j],)
 
     prefixes = tuple(truncation(range(j + 1)) for j in range(r))
     sites = [j for j in range(1, r + 1) if n[j] == n[j - 1]]
-    if not all(x < y for x, y in zip(a, a[1:])):
+    if not increasing:
         return tuple(
             prefixes + picks
             for picks in itertools.product(
@@ -152,9 +153,8 @@ def _condition_rows(ranks, alpha, k):
                 outside = [i for i in range(r + 1) if not kk <= i <= j]
                 c = {i: 1 for i in outside}
                 c[j] = width
-                const = sum(A[i] for i in outside) + n[j] * (
-                    sum(a[kk : j + 1]) - width * (width - 1) // 2 * k * D
-                )
+                const = {i: n[j] if kk <= i <= j else n[i] for i in range(r + 1)}
+                const[r + 1] = -n[j] * (width * (width - 1) // 2)
                 m = sum(n[i] for i in outside) + width * n[j]
                 rows.append(slope_row(c, const, m))
             # rank rise: the dual replacement, a quotient-side condition
@@ -162,21 +162,26 @@ def _condition_rows(ranks, alpha, k):
                 span = range(kk + 1, j + 1)
                 c = {i: 1 for i in span}
                 c[kk] = -len(span)
-                const = sum(
-                    a[i] * (n[i] - n[kk]) - n[kk] * (i - kk) * k * D for i in span
-                )
+                const = {i: n[i] - n[kk] for i in span}
+                const[r + 1] = -n[kk] * sum(i - kk for i in span)
                 rows.append(slope_row(c, const, sum(n[i] - n[kk] for i in span)))
     return (tuple(rows),)
 
 
-def _fold(rows, D, Q, weight_nums):
-    """Condition rows over the degrees d_i of parabolic degrees d_i + W_i/Q:
-    integer rows sum coeffs_i d_i <= b, the weight part folded into b and b
-    rounded down, which keeps exactly the integer points."""
-    return [
-        (coeffs, (rhs * Q - D * sum(map(mul, coeffs, weight_nums))) // (D * Q))
-        for coeffs, rhs in rows
-    ]
+def _fold(ranks, alpha, k, Q, weight_nums):
+    """The choices of _condition_rows at alpha with k points, as integer rows
+    sum coeffs_i d_i <= b over the degrees of parabolic degrees d_i + W_i/Q:
+    b is the form at y = (a_0, ..., a_r, k D) less the weight part, rounded
+    down once, which keeps exactly the integer points.  The only place the
+    parameter, the points and the weights enter a row."""
+    a, D = alpha.nums, alpha.den
+    y = a + (k * D,)
+    for rows in _condition_rows(ranks, all(x < z for x, z in zip(a, a[1:]))):
+        yield [
+            (c, (sum(map(mul, form, y)) * Q - D * sum(map(mul, c, weight_nums)))
+             // (D * Q))
+            for c, form in rows
+        ]
 
 
 def _holds(rows, d):
@@ -184,18 +189,15 @@ def _holds(rows, d):
     return all(sum(map(mul, coeffs, d)) <= b for coeffs, b in rows)
 
 
-def necessary_conditions(tau, alpha, choices=None):
+def necessary_conditions(tau, alpha):
     """Existence test for semistable chains of type tau at the given parameter:
-    some choice of _condition_rows holds at tau's parabolic degrees.  A caller
-    that tables the rows passes them as choices."""
+    some choice of the folded condition rows holds at tau's degrees."""
     if any(n == 0 for n in tau.ranks):
         raise ValueError("necessary_conditions expects full-support types")
-    alpha = Param.of(alpha)
-    if choices is None:
-        choices = _condition_rows(tau.ranks, alpha, tau.num_points)
     return any(
-        _holds(_fold(rows, alpha.den, tau.Q, tau.weight_nums), tau.degrees)
-        for rows in choices
+        _holds(rows, tau.degrees)
+        for rows in _fold(tau.ranks, Param.of(alpha), tau.num_points, tau.Q,
+                          tau.weight_nums)
     )
 
 
@@ -279,9 +281,9 @@ def _degree_box(n_vec, alpha, weight_data, pinned, value):
         [
             (tuple(c[i] - c[solved] * (i in pinned) for i in free),
              b - c[solved] * value)
-            for c, b in _fold(rows, alpha.den, Q, weight_nums)
+            for c, b in rows
         ]
-        for rows in _condition_rows(n_vec, alpha, weight_data[0].num_points)
+        for rows in _fold(n_vec, alpha, weight_data[0].num_points, Q, weight_nums)
     ]
     box = None
     for rows in choices:

@@ -24,7 +24,7 @@ from .parabolic import (
 )
 from .chains import compositions
 from .engine import ChainEngine
-from .higgs import HiggsProblem, higgs_computation
+from .higgs import HiggsProblem, higgs_computation, require_desk_scale
 from .stacks import bundle_stack_class, flag_class, gl_class, pbundle_stack_class
 from . import oracles
 
@@ -46,6 +46,14 @@ def _int(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _flag(mapping, key):
+    """A boolean entry: JSON true or false, false when the key is absent."""
+    value = mapping.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _rational(value, what):
@@ -154,7 +162,8 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     outputs = config.get("outputs", {})
     if not isinstance(outputs, dict):
         raise ConfigError("outputs must be a JSON object")
-    verify = bool(config.get("verify", False))
+    verify = _flag(config, "verify")
+    e_poly = _flag(outputs, "e_polynomial")
     if not isinstance(config.get("cache_path", ""), str):
         raise ConfigError(f"cache_path must be a string, got {config['cache_path']!r}")
     cache_path = cache_path or config.get("cache_path")
@@ -180,6 +189,7 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     if kind == "higgs":
         rank = _int(_req(problem, "rank", "problem"), "rank")
         degree = _int(_req(problem, "degree", "problem"), "degree")
+        require_desk_scale(rank)
         datum = parse_datum(
             _req(problem, "weights", "problem"), rank, curve.num_marked, rank
         )
@@ -230,7 +240,7 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     report["class"] = str(cls)
     report["stack_class"] = stack_class
     specs = {}
-    if outputs.get("e_polynomial"):
+    if e_poly:
         specs["e_polynomial"] = str(specialize_E(cls))
     if q is not None:
         specs["point_count"] = {"q": q, "value": str(specialize_count(cls, curve, q))}

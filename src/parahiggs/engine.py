@@ -16,7 +16,6 @@ from .errors import DivisionOutsideRing, EngineError, UnsupportedParabolicLink, 
 from .motive import ring
 from .parabolic import ChainType, Param, par_slope, ratio_str
 from .chains import (
-    _condition_rows,
     _has_interval_support,
     chi_skyscrapers,
     compositions,
@@ -38,10 +37,10 @@ class ChainEngine:
     Everything computed is a pure function of (type, parameter), so the memo
     is idempotent: concurrent or re-ordered insertions of the same key can
     only store the identical canonical value, and results are independent of
-    evaluation schedule.  The tables hold the condition rows, padded part
-    degree boxes, gap profiles and sub-types of this problem's weights, each
-    keyed by (function, args), and the interned chain types and weight data
-    the recursion builds from them; they live exactly as long as the engine.
+    evaluation schedule.  The tables hold the padded part degree boxes, gap
+    profiles and sub-types of this problem's weights, each keyed by
+    (function, args), and the interned chain types and weight data the
+    recursion builds from them; they live exactly as long as the engine.
     """
 
     def __init__(self, curve, trace_walls=False, seed_cache=None):
@@ -139,11 +138,6 @@ class ChainEngine:
             self.tables[key] = tuple(table)
         return self.tables[key]
 
-    def _exists(self, tau, alpha):
-        """necessary_conditions(tau, alpha), its condition rows tabled."""
-        return necessary_conditions(tau, alpha, self._table(
-            _condition_rows, tau.ranks, alpha, tau.num_points))
-
     def _type(self, ranks, degrees, weights):
         """The interned ChainType of these ranks, degrees and weights."""
         key = (ranks, degrees, weights)
@@ -166,7 +160,7 @@ class ChainEngine:
             return self.R.one
         if any(n == 0 for n in tau.ranks):
             return self._zero_padded(tau, alpha)
-        if not self._exists(tau, alpha):
+        if not necessary_conditions(tau, alpha):
             return self.R.zero
         if len(set(tau.ranks)) == 1 and wallmod.hecke_shortfall(tau, alpha) < 0:
             # a bundle has no stability parameter to perturb: on a wall the
@@ -411,7 +405,7 @@ class ChainEngine:
                         continue
                     part = self._type(first, degrees, w_first)
                     remainder = self._type(rest, left, w_rest)
-                    if _has_interval_support(rest) and self._exists(
+                    if _has_interval_support(rest) and necessary_conditions(
                         self._restrict(remainder, block), alpha.restrict(block)
                     ):
                         yield (part, remainder)

@@ -76,11 +76,17 @@ class HiggsComputation:
     summands: list  # (ChainType, MotiveClass) pairs
 
 
-def higgs_computation(problem, engine=None):
-    if problem.rank >= 4:
+def require_desk_scale(rank):
+    """DeskScaleExceeded for Higgs moduli of rank 4 or more; callers check
+    it before any weights are generated or types enumerated."""
+    if rank >= 4:
         raise DeskScaleExceeded(
-            f"Higgs moduli of rank {problem.rank} are out of scope (rank <= 3)"
+            f"Higgs moduli of rank {rank} are out of scope (rank <= 3)"
         )
+
+
+def higgs_computation(problem, engine=None):
+    require_desk_scale(problem.rank)
     g = problem.curve.genus
     engine = engine or ChainEngine(problem.curve)
     certify_generic(problem.datum.all_weights(), problem.rank)

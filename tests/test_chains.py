@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_reference import fracs, pardegs, slope, weight_sum
+from parahiggs import chains
 from parahiggs.engine import ChainEngine
 from parahiggs.errors import UnboundedSearch
+from parahiggs.higgs import HiggsProblem, higgs_computation
 from parahiggs.motive import CurveData
 from parahiggs.parabolic import (
     ChainType,
@@ -247,6 +249,24 @@ def test_conditions_hold():
     e = WeightDatum.trivial_flags(1, 1)
     tau = ChainType((1, 1), (0, 0), (e, e))
     assert necessary_conditions(tau, alpha_f(0, 2)) is True
+
+
+def test_condition_rows_built_once_per_rank_profile(monkeypatch):
+    """One solve of (2,1,3) at d = 1 asks for the existence rows at many
+    parameters and builds them once per rank profile and ordering."""
+    asked = Counter()
+    build = chains._condition_rows
+
+    def counting(ranks, increasing):
+        asked[ranks, increasing] += 1
+        return build(ranks, increasing)
+
+    monkeypatch.setattr(chains, "_condition_rows", counting)
+    build.cache_clear()
+    datum = WeightDatum.full_flags([generate_generic_weights(3, 3)])
+    higgs_computation(HiggsProblem(CurveData(2, 1), 3, 1, datum))
+    assert sum(asked.values()) > len(asked)
+    assert build.cache_info().misses == len(asked)
 
 
 def random_condition_input(rng):

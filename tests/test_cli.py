@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from parahiggs import oracles
+from parahiggs import cli, oracles
 from parahiggs.cli import ConfigError, emit, main, run
 from parahiggs.motive import parse_class
 
@@ -162,12 +162,14 @@ def _chain_with(update):
         (["higgs"], _with({"cache_path": True})),
         (["chain"], _chain_with({"problem": dict(
             CHAIN_CFG["problem"], ranks=[], degrees=[], weights=[], alpha=[])})),
+        (["higgs"], _with({"verify": "false"})),
+        (["higgs"], _with({"outputs": {"e_polynomial": "no"}})),
     ],
     ids=[
         "float-weights", "scalar-zeta", "top-level-array", "scalar-curve",
         "zero-denominator-weight", "zero-denominator-alpha", "q-one", "q-one-flag",
         "q-zero", "q-negative-flag", "cache-path-list", "cache-path-true",
-        "empty-chain",
+        "empty-chain", "verify-string", "e-polynomial-string",
     ],
 )
 def test_malformed_config_exit_code(tmp_path, capsys, argv, cfg):
@@ -177,6 +179,23 @@ def test_malformed_config_exit_code(tmp_path, capsys, argv, cfg):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in err[0]
+
+
+def test_higgs_rank_gate_precedes_weight_generation(tmp_path, monkeypatch):
+    """Rank 14 exits 21 before the weights are generated: the prime search
+    behind generate_generic_weights at that rank runs for well over 30 s."""
+
+    def refuse(*args):
+        raise AssertionError("weights generated before the rank gate")
+
+    monkeypatch.setattr(cli, "generate_generic_weights", refuse)
+    cfg = {
+        "curve": {"genus": 2, "marked_points": 1},
+        "problem": {"kind": "higgs", "rank": 14, "degree": 0, "weights": "generate"},
+    }
+    path = tmp_path / "rank14.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["higgs", "--config", str(path)]) == 21
 
 
 def test_stack_e_polynomial_denominator_text(tmp_path, capsys):

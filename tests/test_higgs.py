@@ -144,6 +144,75 @@ def test_rank2_moduli_properties():
     assert specialize_E(results[0]) == specialize_E(results[1])
 
 
+def extension_zeta_numerator(P, m):
+    """The zeta numerator over F_{q^m} of a curve whose zeta numerator over
+    F_q is P: its reciprocal roots raised to the m-th power, through the
+    integer Newton identities s_j = -j c_j - sum_{i<j} c_{j-i} s_i between
+    the coefficients c_j and the power sums s_j of the reciprocal roots."""
+    deg = len(P) - 1
+    c = list(P) + [0] * (deg * m)
+    s = [0]
+    for j in range(1, deg * m + 1):
+        s.append(-j * c[j] - sum(c[j - i] * s[i] for i in range(1, j)))
+    power_sums = [s[m * i] for i in range(deg + 1)]
+    out = [1]
+    for j in range(1, deg + 1):
+        total = sum(out[j - i] * power_sums[i] for i in range(1, j + 1))
+        coeff, rem = divmod(-total, j)
+        assert rem == 0
+        out.append(coeff)
+    return tuple(out)
+
+
+# GF(2^m) as F_2[x] modulo x, x^2 + x + 1, x^3 + x + 1, x^4 + x + 1
+GF2_MODULI = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011}
+
+
+def gf2_mul(a, b, m):
+    """Product in GF(2^m), elements as bit masks of polynomials over F_2."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m & 1:
+            a ^= GF2_MODULI[m]
+    return out
+
+
+def count_y2_plus_y_eq_x5(m):
+    """#C(GF(2^m)) for the genus-2 curve y^2 + y = x^5: the affine
+    solutions and the one point at infinity."""
+    affine = 0
+    for x in range(2 ** m):
+        x2 = gf2_mul(x, x, m)
+        x5 = gf2_mul(x, gf2_mul(x2, x2, m), m)
+        affine += sum(gf2_mul(y, y, m) ^ y == x5 for y in range(2 ** m))
+    return affine + 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_extension_zeta_numerator_counts_the_curve(m):
+    P = extension_zeta_numerator(ZETA, m)
+    assert count_y2_plus_y_eq_x5(m) == 2 ** m + 1 + P[1]
+
+
+@pytest.mark.parametrize(
+    "points, rank, datum",
+    [(1, 3, WeightDatum.full_flags([generate_generic_weights(3, 3)])),
+     (0, 2, WeightDatum.empty(0))],
+    ids=["2,1,3", "2,0,2"],
+)
+def test_moduli_point_counts_over_f2m_are_positive_integers(points, rank, datum):
+    """The genus-2 moduli class specialized to y^2 + y = x^5 over F_{2^m}."""
+    cls = higgs_moduli_class(HiggsProblem(CurveData(2, points), rank, 1, datum))
+    for m in range(1, 5):
+        curve = CurveData(2, points, extension_zeta_numerator(ZETA, m))
+        count = specialize_count(cls, curve, 2 ** m)
+        assert count.denominator == 1 and count > 0, (m, count)
+
+
 def test_poincare_sign_substitution_nonnegative():
     curve = CurveData(2, 1)
     datum = full_datum(2, 1)

@@ -76,7 +76,7 @@ def test_degree_vectors_match_fraction_reference():
     seen = set()
     for _ in range(150):
         ranks = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
-        k = rng.randint(1, 3)
+        k = rng.randint(0, 3)
         weights = mixed_weights(rng, ranks, k)
         alpha = random_alpha(rng, len(ranks))
         total = rng.randint(-4, 4)
@@ -109,7 +109,7 @@ def test_necessary_conditions_match_fraction_reference():
     verdicts = set()
     for _ in range(1500):
         ranks = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
-        k = rng.randint(1, 3)
+        k = rng.randint(0, 3)
         tau = ChainType(
             ranks,
             tuple(rng.randint(-6, 6) for _ in ranks),
