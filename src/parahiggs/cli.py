@@ -167,9 +167,9 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     if not isinstance(config.get("cache_path", ""), str):
         raise ConfigError(f"cache_path must be a string, got {config['cache_path']!r}")
     cache_path = cache_path or config.get("cache_path")
-    pc = {"q": q_override} if q_override is not None else outputs.get("point_count")
     q = None
-    if pc:
+    if q_override is not None or "point_count" in outputs:
+        pc = {"q": q_override} if q_override is not None else outputs["point_count"]
         q = _int(_req(pc, "q", "point_count"), "q")
         if q < 2:
             raise ConfigError(f"point_count q must be at least 2, got {q}")

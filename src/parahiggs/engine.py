@@ -39,8 +39,9 @@ class ChainEngine:
     only store the identical canonical value, and results are independent of
     evaluation schedule.  The tables hold the padded part degree boxes, gap
     profiles and sub-types of this problem's weights, each keyed by
-    (function, args), and the interned chain types and weight data the
-    recursion builds from them; they live exactly as long as the engine.
+    (function, args), the interned chain types and weight data the recursion
+    builds from them, and the seed-cache classes parsed so far, keyed by their
+    text; they live exactly as long as the engine.
     """
 
     def __init__(self, curve, trace_walls=False, seed_cache=None):
@@ -53,6 +54,7 @@ class ChainEngine:
         self.data = {}
         self.seed_cache = dict(seed_cache or {})
         self.seeded = set()
+        self.parsed = {}
         self.wall_trace = []
         self.stats = {
             "chain_class_calls": 0,
@@ -70,7 +72,9 @@ class ChainEngine:
 
         The caller certifies the weights (parabolic.certify_generic); the
         types the recursion visits carry subsets of them.  A seed-cache class
-        that does not parse is counted as skipped and computed instead.
+        that does not parse is counted as skipped and computed instead; one
+        that parses is kept by its text, so each distinct text is parsed
+        once per engine.
         """
         alpha = Param.of(alpha)
         if len(alpha) != len(tau.ranks):
@@ -83,11 +87,13 @@ class ChainEngine:
             return self.memo[key]
         key_str = chain_key_str(tau, alpha, self.curve) if self.seed_cache else None
         if key_str in self.seed_cache:
+            text = self.seed_cache[key_str]
             try:
-                val = self.R.parse(self.seed_cache[key_str])
+                val = self.parsed[text] if text in self.parsed else self.R.parse(text)
             except (ValueError, ZeroDivisionError, DivisionOutsideRing):
                 self.stats["cache_records_skipped"] += 1
             else:
+                self.parsed[text] = val
                 self.stats["seed_cache_hits"] += 1
                 self.seeded.add(key)
                 self.memo[key] = val

@@ -739,7 +739,14 @@ class _Parser:
     expanding a huge power.  So do factors nested more than PARSE_DEPTH deep
     in parentheses and leading minus signs, each level of which costs up to
     four stack frames, so that deep nesting never reaches the interpreter's
-    recursion limit."""
+    recursion limit.
+
+    A bare atom (an integer, L, Pic or C_i with 1 <= i <= g - 1, to a power
+    that only L takes negative) is read as a triple (coefficient, index,
+    exponent), index None for an integer.  A run of them joined by * in one
+    product accumulates into one coefficient and one exponent vector, and
+    the terms of a sum are added up into one numerator per denominator;
+    every other factor goes through MotiveClass arithmetic."""
 
     def __init__(self, text, genus):
         self.text = text
@@ -759,30 +766,57 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expr(self):
-        node = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                node = node + self.term()
-            elif ch == "-":
-                self.pos += 1
-                node = node - self.term()
-            else:
-                return node
+        terms = [(1, self.term())]
+        while self.peek() in ("+", "-"):
+            sign = 1 if self.text[self.pos] == "+" else -1
+            self.pos += 1
+            terms.append((sign, self.term()))
+        if len(terms) == 1:
+            return terms[0][1]
+        sums = {}
+        for sign, node in terms:
+            acc = sums.setdefault(node.den, {})
+            for m, c in node.num.items():
+                acc[m] = acc.get(m, 0) + sign * c
+        return sum((MotiveClass(self.R.genus, {m: c for m, c in num.items() if c}, den)
+                    for den, num in sums.items()), self.R.zero)
 
     def term(self):
-        node = self.factor()
+        c, exps, node = 1, [0] * self.R.nvars, None
+        op = "*"
         while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                node = node * self.factor()
-            elif ch == "/":
-                self.pos += 1
-                node = node / self.factor()
+            f = self.factor()
+            if op == "*" and type(f) is tuple:
+                c *= f[0]
+                if f[1] is not None:
+                    exps[f[1]] += f[2]
             else:
-                return node
+                f = self.monomial(*f) if type(f) is tuple else f
+                if op == "/":
+                    f = f.inverse()
+                node = f if node is None else node * f
+            op = self.peek()
+            if op not in ("*", "/"):
+                break
+            self.pos += 1
+        if node is None:
+            return self.monomial(c, None, 0, exps)
+        if c != 1 or any(exps):
+            return node * self.monomial(c, None, 0, exps)
+        return node
+
+    def monomial(self, c, idx, e, exps=None):
+        """c times the exponent vector exps (zero by default) with e added
+        at index idx, as a class in lowest terms: a negative L exponent
+        moves to the denominator."""
+        if not c:
+            return self.R.zero
+        exps = exps or [0] * self.R.nvars
+        if idx is not None:
+            exps[idx] += e
+        b = max(-exps[0], 0)
+        exps[0] += b
+        return MotiveClass(self.R.genus, {tuple(exps): c}, (b, ()), _reduced=True)
 
     def factor(self):
         self.depth += 1
@@ -790,7 +824,8 @@ class _Parser:
             self.error(f"factors nested deeper than {PARSE_DEPTH}")
         if self.peek() == "-":
             self.pos += 1
-            node = -self.factor()
+            node = self.factor()
+            node = (-node[0],) + node[1:] if type(node) is tuple else -node
             self.depth -= 1
             return node
         node = self.atom()
@@ -801,6 +836,12 @@ class _Parser:
                 sign = -1
                 self.pos += 1
             e = self.integer(PARSE_BOUND)
+            if type(node) is tuple:
+                c, idx, _ = node
+                if sign > 0 or idx == 0 or not e:
+                    self.depth -= 1
+                    return c ** e, idx, sign * e
+                node = self.monomial(*node)
             # the power of a k-term sum has up to comb(k + e - 1, e) terms,
             # and e times the degree of its base
             k = len(node.num)
@@ -825,6 +866,7 @@ class _Parser:
         return n
 
     def atom(self):
+        """A MotiveClass, or a bare atom as (coefficient, index, exponent)."""
         ch = self.peek()
         if ch == "(":
             self.pos += 1
@@ -834,16 +876,17 @@ class _Parser:
             self.pos += 1
             return node
         if ch.isdigit():
-            return self.R.from_int(self.integer())
+            return self.integer(), None, 0
         if self.text.startswith("Pic", self.pos):
             self.pos += 3
-            return self.R.Pic
+            return (1, 1, 1) if self.R.genus else (1, None, 0)
         if ch == "C":
             self.pos += 1
-            return self.R.C(self.integer(PARSE_BOUND))
+            i = self.integer(PARSE_BOUND)
+            return (1, 1 + i, 1) if 1 <= i < self.R.genus else self.R.C(i)
         if ch == "L":
             self.pos += 1
-            return self.R.L
+            return 1, 0, 1
         self.error(f"unexpected character {ch!r}")
 
 

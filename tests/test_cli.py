@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from parahiggs import cli, oracles
+from parahiggs import cli, engine, motive, oracles
 from parahiggs.cli import ConfigError, emit, main, run
 from parahiggs.motive import parse_class
 
@@ -164,12 +164,16 @@ def _chain_with(update):
             CHAIN_CFG["problem"], ranks=[], degrees=[], weights=[], alpha=[])})),
         (["higgs"], _with({"verify": "false"})),
         (["higgs"], _with({"outputs": {"e_polynomial": "no"}})),
+        *((["chain"], _chain_with({"curve": P1, "outputs": {"point_count": pc}}))
+          for pc in (0, [], "", False, None, {})),
     ],
     ids=[
         "float-weights", "scalar-zeta", "top-level-array", "scalar-curve",
         "zero-denominator-weight", "zero-denominator-alpha", "q-one", "q-one-flag",
         "q-zero", "q-negative-flag", "cache-path-list", "cache-path-true",
         "empty-chain", "verify-string", "e-polynomial-string",
+        "point-count-zero", "point-count-list", "point-count-string",
+        "point-count-false", "point-count-null", "point-count-empty",
     ],
 )
 def test_malformed_config_exit_code(tmp_path, capsys, argv, cfg):
@@ -179,6 +183,13 @@ def test_malformed_config_exit_code(tmp_path, capsys, argv, cfg):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in err[0]
+    # only an absent point_count means none; any present value is checked
+    if isinstance(cfg, dict) and "point_count" in cfg.get("outputs", {}):
+        pc = cfg["outputs"]["point_count"]
+        if not isinstance(pc, dict):
+            assert err[0] == "error: point_count must be a JSON object"
+        elif not pc:
+            assert err[0] == "error: missing 'q' in point_count"
 
 
 def test_higgs_rank_gate_precedes_weight_generation(tmp_path, monkeypatch):
@@ -292,13 +303,13 @@ def test_corrupt_cache_records_skipped(tmp_path, capsys):
     assert "warning: skipped 5 corrupt cache records" in capsys.readouterr().err
 
 
-def _warm_cli_run(tmp_path, corrupt):
+def _warm_cli_run(tmp_path, corrupt, rank=2):
     """A cold run writes the cache, corrupt(cache) damages it, and a warm
     cli.main run reads it; returns the cold and warm reports."""
     cache = tmp_path / "memo.jsonl"
     cfg = {
         "curve": {"genus": 2, "marked_points": 1},
-        "problem": {"kind": "higgs", "rank": 2, "degree": 1, "weights": "generate"},
+        "problem": {"kind": "higgs", "rank": rank, "degree": 1, "weights": "generate"},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -338,6 +349,46 @@ def test_deeply_nested_cache_class_is_one_skipped_record(tmp_path):
     cold, warm = _warm_cli_run(tmp_path, corrupt)
     assert warm["class"] == cold["class"]
     assert warm["diagnostics"]["cache_records_skipped"] == 2
+
+
+def test_warm_run_parses_each_distinct_text_once(tmp_path, monkeypatch):
+    """The engine parses each distinct seed-cache text once and counts every
+    hit; a corrupt text is parsed and skipped at each of its hits."""
+    parse, key_str = motive.parse_class, engine.chain_key_str
+    seed, parsed, looked_up = {}, [], []
+
+    def record(cache):
+        for line in cache.read_text().splitlines():
+            seed[json.loads(line)["key"]] = json.loads(line)["class"]
+        parsed.clear()
+        monkeypatch.setattr(motive, "parse_class",
+                            lambda text, genus: parsed.append(text) or parse(text, genus))
+        monkeypatch.setattr(engine, "chain_key_str",
+                            lambda *args: looked_up.append(key_str(*args)) or looked_up[-1])
+
+    (tmp_path / "clean").mkdir()
+    cold, warm = _warm_cli_run(tmp_path / "clean", record, rank=3)
+    hits = [key for key in looked_up if key in seed]
+    texts = {seed[key] for key in hits}
+    assert warm["class"] == cold["class"]
+    assert warm["diagnostics"]["seed_cache_hits"] == len(hits) > len(texts)
+    assert sorted(parsed) == sorted(texts)
+
+    bad = "(L +"
+
+    def corrupt(cache):
+        record(cache)
+        with cache.open("a", encoding="utf-8") as fh:
+            for key in hits[:2]:
+                fh.write(json.dumps({"key": key, "class": bad}) + "\n")
+
+    (tmp_path / "corrupt").mkdir()
+    cold, warm = _warm_cli_run(tmp_path / "corrupt", corrupt, rank=3)
+    assert warm["class"] == cold["class"]
+    assert warm["diagnostics"]["cache_records_skipped"] == 2
+    assert parsed.count(bad) == 2
+    others = [text for text in parsed if text != bad]
+    assert len(others) == len(set(others)) > 0
 
 
 def test_seed_cache_hits_counted(tmp_path):

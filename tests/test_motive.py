@@ -10,6 +10,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import parser_reference
+
 from parahiggs import motive, poly
 from parahiggs.errors import (
     DivisionOutsideRing,
@@ -775,6 +777,73 @@ def test_parser_accepts_nesting_at_the_bound():
     # the bound is on the depth, not on the nesting summed over the text
     text = "(" * 99 + "L" + ")" * 99 + " * " + "-" * 99 + "Pic"
     assert parse_class(text, 2) == -R.L * R.Pic
+
+
+def _random_expression(rng, g, depth=0):
+    """A random text over the parser's grammar at genus g: integers (0
+    included), L, Pic, C0 to C(g+2), powers (negative ones too), nested
+    parentheses, chained * and /, and divisions by (L^a - 1) and by
+    non-units."""
+    def factor():
+        kind = rng.random()
+        if kind < 0.15 and depth < 3:
+            text = f"({_random_expression(rng, g, depth + 1)})"
+        elif kind < 0.25:
+            text = f"(L^{rng.randint(1, 4)} - 1)"
+        elif kind < 0.35:
+            text = str(rng.randint(0, 5))
+        else:
+            text = rng.choice(["L", "L", "Pic", f"C{rng.randint(0, g + 2)}"])
+        if rng.random() < 0.35:
+            # a negative power of anything but L or (L^a - 1) mostly fails
+            unit = text == "L" or text.startswith("(L^")
+            e = rng.randint(0, 4)
+            text += f"^{-e if rng.random() < (0.4 if unit else 0.05) else e}"
+        return ("-" if rng.random() < 0.1 else "") + text
+
+    def divisor():
+        if rng.random() < 0.3:
+            return factor()  # most often a non-unit
+        return rng.choice(["L", f"L^{rng.randint(-2, 3)}", f"(L^{rng.randint(1, 4)} - 1)",
+                           f"(L - 1)^{rng.randint(1, 2)}", "-1"])
+
+    def term():
+        text = factor()
+        for _ in range(rng.randint(0, 3)):
+            text += " * " + factor() if rng.random() < 0.7 else " / " + divisor()
+        return text
+
+    text = term()
+    for _ in range(rng.randint(0, 3 - depth)):
+        text += rng.choice([" + ", " - "]) + term()
+    return text
+
+
+def _parse_outcome(parse, text, g):
+    """The class text, or the class of the exception raised."""
+    try:
+        return str(parse(text, g))
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_parser_matches_reference(g):
+    """Monomial reading gives the class the one-operation-at-a-time parser
+    gives, and fails with the same exception class where that one fails."""
+    rng = random.Random(f"parser/{g}")
+    texts = [_random_expression(rng, g) for _ in range(400)] + [
+        "C1 / C4 / C2", "L^4 * L^-1", "L^-2 * L^2 * Pic", "-L^-2 * -3",
+        "Pic^-1", "C1^-1", "0^-1", "2^-1", "1^-1", "0^0", "L^-0", "L / 0",
+        "L / Pic", "3 * L / (L^2 - 1) * (L + 1)", "(L - 1)^-2 * L^3 - L",
+    ]
+    failures = 0
+    for text in texts:
+        want = _parse_outcome(parser_reference.parse_class, text, g)
+        assert _parse_outcome(parse_class, text, g) == want, text
+        failures += not isinstance(want, str)
+    # the sample exercises both outcomes
+    assert 0 < failures < len(texts) // 2
 
 
 def test_dimension_weighting():
