@@ -732,11 +732,16 @@ PARSE_BOUND = 1000
 PARSE_DEPTH = 100
 
 
+def _parse_degree(x):
+    """The larger of the total degrees of x's numerator and denominator."""
+    return max(_den_degree(x.den), max(map(sum, x.num), default=0))
+
+
 class _Parser:
-    """Exponents and C indices above PARSE_BOUND raise ValueError, and so does
-    a power whose expansion could have more than PARSE_BOUND terms or a degree
-    above PARSE_BOUND, so a corrupt cache record fails fast instead of
-    expanding a huge power.  So do factors nested more than PARSE_DEPTH deep
+    """Exponents and C indices above PARSE_BOUND raise ValueError, and so do
+    a power whose expansion could have more than PARSE_BOUND terms and a
+    power or product whose _parse_degree could exceed PARSE_BOUND, so a
+    corrupt record fails fast.  So do factors nested more than PARSE_DEPTH deep
     in parentheses and leading minus signs, each level of which costs up to
     four stack frames, so that deep nesting never reaches the interpreter's
     recursion limit.
@@ -794,7 +799,7 @@ class _Parser:
                 f = self.monomial(*f) if type(f) is tuple else f
                 if op == "/":
                     f = f.inverse()
-                node = f if node is None else node * f
+                node = f if node is None else self.product(node, f)
             op = self.peek()
             if op not in ("*", "/"):
                 break
@@ -802,8 +807,14 @@ class _Parser:
         if node is None:
             return self.monomial(c, None, 0, exps)
         if c != 1 or any(exps):
-            return node * self.monomial(c, None, 0, exps)
+            return self.product(node, self.monomial(c, None, 0, exps))
         return node
+
+    def product(self, a, b):
+        degree = _parse_degree(a) + _parse_degree(b)
+        if degree > PARSE_BOUND:
+            self.error(f"a product of degree {degree} exceeds the bound {PARSE_BOUND}")
+        return a * b
 
     def monomial(self, c, idx, e, exps=None):
         """c times the exponent vector exps (zero by default) with e added
@@ -845,7 +856,7 @@ class _Parser:
             # the power of a k-term sum has up to comb(k + e - 1, e) terms,
             # and e times the degree of its base
             k = len(node.num)
-            degree = max(_den_degree(node.den), max(map(sum, node.num), default=0))
+            degree = _parse_degree(node)
             if (k >= 2 and comb(k + e - 1, e) > PARSE_BOUND) or e * degree > PARSE_BOUND:
                 self.error(f"the power {e} of a {k}-term class of degree {degree} "
                            f"exceeds the bound {PARSE_BOUND} on its terms and degree")

@@ -350,25 +350,16 @@ def generate_generic_weights(total_weight_count, N):
     return [Fraction(p, Q) for p in powers]
 
 
-def _point_splits(point, part_ranks):
-    """Distribute one point's weight list (all multiplicities 1) into parts."""
-    weights = [w for w, m in point]
-    idx = list(range(len(weights)))
-
-    def rec(remaining, parts_left):
-        if not parts_left:
-            yield ()
-            return
-        size = parts_left[0]
-        for chosen in itertools.combinations(remaining, size):
-            rest = [i for i in remaining if i not in chosen]
-            for tail in rec(rest, parts_left[1:]):
-                yield (tuple(sorted(chosen)),) + tail
-
-    for assignment in rec(idx, list(part_ranks)):
-        yield tuple(
-            tuple((weights[i], 1) for i in chosen) for chosen in assignment
-        )
+def _point_splits(entries, part_ranks):
+    """Distribute one point's (w, 1) entries into parts of the given ranks,
+    each part's entries in the order given."""
+    if not part_ranks:
+        yield ()
+        return
+    for chosen in itertools.combinations(entries, part_ranks[0]):
+        rest = tuple(x for x in entries if x not in chosen)
+        for tail in _point_splits(rest, part_ranks[1:]):
+            yield (chosen,) + tail
 
 
 def enumerate_weight_splits(datum, part_ranks):

@@ -224,8 +224,10 @@ def u_factor_cyclotomic(u):
     """Factor u as sign * L^b * prod Phi_e^{m_e}; None if not of that shape.
 
     Returns (sign, b, ((e, m_e), ...)) with e ascending; the result is cached
-    and immutable.  Cyclotomic indices can exceed the degree (deg Phi_e =
-    phi(e)), so the search runs while phi(e) fits the remaining degree.
+    and immutable.  Every product of Phi_e is monic and +-palindromic (Phi_1
+    antipalindromic, the others palindromic), so any other u is None at once.
+    Cyclotomic indices can exceed the degree (deg Phi_e = phi(e)), so the
+    search runs while phi(e) fits the remaining degree.
     """
     u = u_trim(u)
     if not u:
@@ -235,6 +237,8 @@ def u_factor_cyclotomic(u):
     sign = 1 if u[-1] > 0 else -1
     if sign < 0:
         u = tuple(-c for c in u)
+    if u[-1] != 1 or u[::-1] not in (u, tuple(-c for c in u)):
+        return None
     factors = {}
     d0 = u_deg(u)
     limit = 2 * d0 * d0 + 2

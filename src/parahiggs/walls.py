@@ -7,7 +7,7 @@ and weight sum, come from one engine table, ChainEngine.subtypes;
 equal_slope_pins states the equal-slope pin on their degree totals along a
 ray, equal_slope_subtypes reads it at one parameter, for the on-wall test
 and the filtration types, and wall_positions solves it for the totals whose
-crossing t lies in the traversal window.
+crossing t lies in a window, for the walk and for chamber_point.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Tuple
 
-from .errors import EngineError, UnboundedCandidates, WallHit
+from .errors import UnboundedCandidates, WallHit
 from .parabolic import Param, frac, par_slope
 
 
@@ -182,6 +182,17 @@ def require_off_wall(engine, tau, alpha):
         raise WallHit(f"stability parameter {alpha} lies on a wall for type {tau}")
 
 
+def chamber_point(engine, tau, ray, t, side):
+    """The ray parameter halfway from t to tau's nearest wall on the given
+    side (+1 above, -1 below), or to t + side when no wall is nearer: a point
+    of the chamber next to t on that side."""
+    t = frac(t)
+    walls = [w for w in wall_positions(engine, tau, ray, *sorted((t, t + side)))
+             if w != t]
+    edge = (walls[0] if side > 0 else walls[-1]) if walls else t + side
+    return (t + edge) / 2
+
+
 # ---------------------------------------------------------------------------
 # crossing walk
 
@@ -191,20 +202,16 @@ def cross_ray(engine, tau, ray):
 
     Within chambers the class is constant; at each wall the semistable locus
     at the wall equals the one just above plus the equal-slope filtration
-    strata, and dropping below removes the other side's strata.  Each wall's
-    filtration types are enumerated once, by one strata_at_wall call that
-    sorts them into the two sides.
+    strata, and dropping below removes the other side's strata.  The walk
+    starts at t_max, or in the chamber above it when t_max is a wall.  Each
+    wall's filtration types are enumerated once, by one strata_at_wall call
+    that sorts them into the two sides.
     """
     require_off_wall(engine, tau, ray.base)
+    walls = wall_positions(engine, tau, ray, Fraction(0), ray.t_max)
     anchor = ray.t_max
-    for _ in range(64):
-        walls = wall_positions(engine, tau, ray, Fraction(0), anchor)
-        if not walls or walls[-1] < anchor:
-            break
-        anchor = anchor + Fraction(1, 2)
-    else:
-        raise EngineError("could not find an off-wall anchor on the ray")
-
+    if walls and walls[-1] == anchor:
+        anchor = chamber_point(engine, tau, ray, anchor, +1)
     cls = engine.chain_class(tau, ray.at(anchor))
     for t_c in reversed(walls):
         (plus, minus), count = engine.strata_at_wall(tau, ray, t_c)

@@ -1,6 +1,8 @@
 """Engine dispatch: memo purity, stratification bookkeeping, support blocks."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,7 +15,12 @@ from parahiggs.parabolic import (
 )
 from parahiggs.engine import ChainEngine, chain_key_str
 from parahiggs.stacks import pbundle_stack_class
-from parahiggs.chains import ext_exponent, slopes_decrease
+from parahiggs.chains import (
+    compositions,
+    ext_exponent,
+    index_weight_splits,
+    slopes_decrease,
+)
 
 from fraction_reference import weight_sum
 from test_chains import product_filtration_types
@@ -366,3 +373,39 @@ def test_rank3_filtration_sum_matches_windowed_series():
                     numeric += term
             got = specialize_count(closed, curve, 2)
             assert abs(got - numeric) < Fraction(1, 2 ** 12), (tau, comp)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ext_exponent_moves_by_one_rate_along_each_cone_ray(seed):
+    """The premise of computing each HN-cone ray's rate once per shape: the
+    extension exponent of the shifted parts changes by the same amount along
+    a ray wherever the shift starts."""
+    rnd = random.Random(seed)
+    g, k = rnd.randint(0, 3), rnd.randint(0, 2)
+    n, r1 = rnd.randint(2, 4), rnd.randint(1, 3)
+    comp = rnd.choice([c for c in compositions(n) if len(c) >= 2])
+    ws = iter(generate_generic_weights(max(n * k * r1, 1), 2))
+    weights = tuple(
+        WeightDatum.full_flags([[next(ws) for _ in range(n)] for _ in range(k)])
+        for _ in range(r1)
+    )
+    profiles = tuple((m,) * r1 for m in comp)
+    weight_parts = rnd.choice(list(index_weight_splits(weights, profiles)))
+    base = [[rnd.randint(-3, 3) for _ in range(r1)] for _ in comp]
+
+    def chi_of(c):
+        parts = [
+            ChainType(prof, tuple(b + cj for b in base_j), wp)
+            for prof, base_j, wp, cj in zip(profiles, base, weight_parts, c)
+        ]
+        return ext_exponent(parts, g, k)
+
+    for l in range(len(comp) - 1):
+        below, above = sum(comp[: l + 1]), sum(comp[l + 1 :])
+        e = gcd(below, above)
+        ray = [m * above // e if j <= l else -m * below // e
+               for j, m in enumerate(comp)]
+        rate = chi_of(ray) - chi_of([0] * len(comp))
+        for _ in range(4):
+            c = [rnd.randint(-5, 5) for _ in comp]
+            assert chi_of([x + v for x, v in zip(c, ray)]) - chi_of(c) == rate

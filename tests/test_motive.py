@@ -758,6 +758,39 @@ def test_parser_accepts_exponents_at_the_bound():
     assert parse_class("L^-1000", 2) == R.L_pow(-1000)
 
 
+@pytest.mark.parametrize("text", ["1 / (L^999 + 2)", "1 / (L^200 + 2)"])
+def test_parser_rejects_non_palindromic_divisors_fast(text):
+    """Once L^b and the sign are removed, a divisor that is not monic and
+    +-palindromic is no product of cyclotomic polynomials, and is rejected
+    without searching for one."""
+    start = time.perf_counter()
+    with pytest.raises(DivisionOutsideRing):
+        parse_class(text, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cyclotomic_factoring_keeps_palindromic_products():
+    assert poly.u_factor_cyclotomic((0, -1, 0, 1)) == (1, 1, ((1, 1), (2, 1)))
+    assert poly.u_factor_cyclotomic((-1, 0, 0, -1)) == (-1, 0, ((2, 1), (6, 1)))
+    assert poly.u_factor_cyclotomic((2, 0, 1)) is None
+    assert poly.u_factor_cyclotomic((1, 0, 2)) is None
+    assert poly.u_factor_cyclotomic((1, 3, 1)) is None
+
+
+def test_parser_rejects_products_above_the_bound_fast():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="product of degree 1998 exceeds the bound"):
+        parse_class("(L - 1)^999 * (L - 1)^999", 2)
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(ValueError, match="product of degree 1001 exceeds the bound"):
+        parse_class("L^1000 * (L - 1)", 2)
+
+
+def test_parser_accepts_products_at_the_bound():
+    R = ring(2)
+    assert parse_class("(L - 1)^600 * L^400", 2) == (R.L - 1) ** 600 * R.L_pow(400)
+
+
 @pytest.mark.parametrize("text", [
     "(" * 300 + "L" + ")" * 300, "-" * 3000 + "L", "(" * 100 + "L" + ")" * 100,
     "-" * 100 + "L", "(-" * 60 + "L" + ")" * 60,

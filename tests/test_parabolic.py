@@ -235,6 +235,31 @@ def test_split_multinomial_count():
     assert len(enumerate_weight_splits(d, (1, 1, 1))) == factorial(3)
 
 
+
+def reference_splits(d, part_ranks):
+    """Per point, the permutations of its entries cut into blocks of the part
+    ranks, kept when each block increases; lexicographic in the permutation
+    order, then a product over the points."""
+    cuts = list(itertools.accumulate(part_ranks, initial=0))
+    per_point = []
+    for point in d.points:
+        cut = [tuple(perm[a:b] for a, b in zip(cuts, cuts[1:]))
+               for perm in itertools.permutations(point)]
+        per_point.append([blocks for blocks in cut
+                          if all(list(b) == sorted(b) for b in blocks)])
+    return [
+        tuple(WeightDatum(tuple(split[j] for split in combo))
+              for j in range(len(part_ranks)))
+        for combo in itertools.product(*per_point)
+    ]
+
+
+@pytest.mark.parametrize("part_ranks", [(1, 2), (2, 1), (1, 1, 1), (0, 3)])
+def test_splits_match_an_itertools_reference_in_order(part_ranks):
+    ws = generate_generic_weights(6, 2)
+    d = datum([(w, 1) for w in ws[:3]], [(w, 1) for w in ws[3:]])
+    assert enumerate_weight_splits(d, part_ranks) == reference_splits(d, part_ranks)
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_split_invariants(data):

@@ -1,5 +1,6 @@
 """Ray selection, wall location and crossing-walk consistency."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,14 @@ from parahiggs.errors import WallHit
 from parahiggs.motive import CurveData
 from parahiggs.parabolic import ChainType, WeightDatum, generate_generic_weights
 from parahiggs.chains import necessary_conditions
-from parahiggs.walls import Ray, choose_ray, cross_ray, is_on_wall, wall_positions
+from parahiggs.walls import (
+    Ray,
+    chamber_point,
+    choose_ray,
+    cross_ray,
+    is_on_wall,
+    wall_positions,
+)
 from parahiggs.engine import ChainEngine
 from parahiggs.oracles import rank11_chain_oracle
 
@@ -209,8 +217,8 @@ def test_wall_hit_raises():
 
 
 def test_cross_ray_moves_an_on_wall_anchor():
-    """A traversal bound on a wall is moved up by 1/2 before the walk starts,
-    and the class at the base is unchanged."""
+    """A traversal bound on a wall is moved into the chamber above it before
+    the walk starts, and the class at the base is unchanged."""
     a, b, d1, d2 = gen_types()
     tau = ChainType((1, 1), (3, 0), (d1, d2))
     alpha = (Fraction(0), Fraction(2))
@@ -219,3 +227,24 @@ def test_cross_ray_moves_an_on_wall_anchor():
     assert wall == Fraction(23, 29)
     got = cross_ray(eng, tau, Ray(alpha, (0, 1), wall))
     assert got == rank11_chain_oracle(2, 1, 3, 0, [a], [b], alpha)
+
+
+@pytest.mark.parametrize("ranks", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("seed", range(4))
+def test_chamber_point_leaves_no_wall_before_it(ranks, seed):
+    """From a wall or a point between walls, chamber_point lands within 1/2
+    on the asked side, with no wall of tau strictly between or at it."""
+    rnd = random.Random(seed)
+    ws = iter(generate_generic_weights(sum(ranks), 2))
+    data = tuple(WeightDatum.full_flags([[next(ws) for _ in range(n)]]) for n in ranks)
+    tau = ChainType(ranks, (rnd.randint(-3, 3), rnd.randint(-3, 3)), data)
+    ray = Ray((0, rnd.randint(1, 3)), rnd.choice([(0, 1), (0, 2), (-1, 0)]), 8)
+    eng = ChainEngine(CurveData(2, 1))
+    walls = wall_positions(eng, tau, ray, -2, 10)
+    starts = walls + [Fraction(rnd.randint(0, 80), 10) for _ in range(4)]
+    for t in starts:
+        for side in (+1, -1):
+            p = chamber_point(eng, tau, ray, t, side)
+            assert 0 < side * (p - t) <= Fraction(1, 2)
+            assert not any(min(t, p) < w < max(t, p) or w == p for w in walls)
+            assert not is_on_wall(eng, tau, ray.at(p))
