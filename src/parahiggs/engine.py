@@ -38,10 +38,11 @@ class ChainEngine:
     is idempotent: concurrent or re-ordered insertions of the same key can
     only store the identical canonical value, and results are independent of
     evaluation schedule.  The tables hold the padded part degree boxes, gap
-    profiles and sub-types of this problem's weights, each keyed by
-    (function, args), the interned chain types and weight data the recursion
-    builds from them, and the seed-cache classes parsed so far, keyed by their
-    text; they live exactly as long as the engine.
+    profiles and sub-types of this problem's weights and the Hecke products
+    of its base cases, each keyed by (function, args), the interned chain
+    types and weight data the recursion builds from them, and the seed-cache
+    classes parsed so far, keyed by their text; they live exactly as long as
+    the engine.
     """
 
     def __init__(self, curve, trace_walls=False, seed_cache=None):
@@ -214,12 +215,22 @@ class ChainEngine:
                 f"rank-{n} chain link with forced vanishing in type {tau.ranks}, "
                 f"{tau.degrees}"
             )
-        cls = pbundle_stack_class(n, tau.degrees[0], tau.weights[0], self.curve)
-        for i in range(1, r + 1):
-            ell = tau.degrees[i - 1] - tau.degrees[i] + n * k - forced[i - 1]
-            if ell < 0:
-                return self.R.zero
-            cls = phecke_class(cls, ell, n, tau.weights[i], self.curve)
+        ells = tuple(
+            tau.degrees[i - 1] - tau.degrees[i] + n * k - forced[i - 1]
+            for i in range(1, r + 1)
+        )
+        if any(ell < 0 for ell in ells):
+            return self.R.zero
+        # the Hecke product is the same for every d_0 and every weight with
+        # these flag types, so the engine builds it once per link profile
+        flags = tuple(tuple(map(datum.flag_type, range(k))) for datum in tau.weights)
+        key = (ChainEngine._base_case, (n, ells, flags))
+        cls = self.tables.get(key)
+        if cls is None:
+            cls = pbundle_stack_class(n, tau.degrees[0], tau.weights[0], self.curve)
+            for ell, datum in zip(ells, tau.weights[1:]):
+                cls = phecke_class(cls, ell, n, datum, self.curve)
+            self.tables[key] = cls
         if n >= 2:
             cls = cls - self._filtration_sum(tau, alpha)
         return cls
@@ -336,10 +347,12 @@ class ChainEngine:
                 continue
             if any(rate >= 0 for rate in rates):
                 raise EngineError("divergent filtration series")
-            term = R.L_pow(chi_of(c)) * cls
+            total = total + R.L_pow(chi_of(c)) * cls
+        # every head has the same rays, so their series divide the sum once;
+        # a zero sum may have met no divergence check
+        if not total.is_zero():
             for rate in rates:
-                term = term / (R.one - R.L_pow(rate))
-            total = total + term
+                total = total / (R.one - R.L_pow(rate))
         return total
 
     # ----------------------------------------------------------- wall strata

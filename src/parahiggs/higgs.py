@@ -94,10 +94,11 @@ def higgs_computation(problem, engine=None):
     N = half_dimension(problem.rank, problem.datum, g)
     total = R.zero
     summands = []
+    L_minus_one = R.L - R.one
     for tau in enumerate_fixed_types(problem):
         alpha = chain_stability(tau.length, g)
         cls = engine.chain_class(tau, alpha)
-        contr = (R.L - R.one) * cls
+        contr = L_minus_one * cls
         summands.append((tau, contr))
         total = total + contr
     result = R.L_pow(N) * total

@@ -295,12 +295,27 @@ def _reduce(num, den):
         return {}, DEN_ONE
     # Cancel L, then each Phi_e, while it divides den and every L-coefficient
     # polynomial of num.  The factors are distinct irreducibles, so this
-    # divides out exactly the gcd of den with those polynomials.
+    # divides out exactly the gcd of den with those polynomials.  Phi_1 and
+    # Phi_2 divide an integer polynomial exactly when it vanishes at L = 1 and
+    # L = -1, so they are tested by evaluation, first in one pass over num.
     b, factors = den
+    shift = b
+    at_roots = {}  # per tail, its polynomial at L = 1 and at L = -1
+    for m, c in num.items():
+        if m[0] < shift:
+            shift = m[0]
+        v = at_roots.get(m[1:])
+        if v is None:
+            v = at_roots[m[1:]] = [0, 0]
+        v[0] += c
+        v[1] += -c if m[0] & 1 else c
+    if not shift and all(
+        e <= 2 and any(v[e - 1] for v in at_roots.values()) for e, _ in factors
+    ):
+        return num, den
     groups = {}
     for m, c in num.items():
         groups.setdefault(m[1:], {})[m[0]] = c
-    shift = min(b, min(min(terms) for terms in groups.values()))
     coeffs = {}
     for tail, terms in groups.items():
         coeff = [0] * (max(terms) + 1 - shift)
@@ -311,17 +326,18 @@ def _reduce(num, den):
     for e, mult in factors:
         phi = poly.cyclotomic(e)
         while mult:
+            if e <= 2 and any(_at_root(coeff, e) for coeff in coeffs.values()):
+                break
             quots = {}
             for tail, coeff in coeffs.items():
                 q = u_div_exact(coeff, phi)
                 if q is None:
                     break
                 quots[tail] = q
-            else:
-                coeffs = quots
-                mult -= 1
-                continue
-            break
+            if len(quots) < len(coeffs):
+                break
+            coeffs = quots
+            mult -= 1
         if mult:
             kept.append((e, mult))
     kept = tuple(kept)
@@ -330,6 +346,12 @@ def _reduce(num, den):
     num = {(i,) + tail: c for tail, coeff in coeffs.items()
            for i, c in enumerate(coeff) if c}
     return num, (b - shift, kept)
+
+
+def _at_root(coeff, e):
+    """coeff at L = 1 for e = 1, at L = -1 for e = 2: zero exactly when Phi_e
+    divides it."""
+    return sum(coeff) if e == 1 else sum(coeff[::2]) - sum(coeff[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +766,11 @@ class _Parser:
     corrupt record fails fast.  So do factors nested more than PARSE_DEPTH deep
     in parentheses and leading minus signs, each level of which costs up to
     four stack frames, so that deep nesting never reaches the interpreter's
-    recursion limit.
+    recursion limit.  Every power and product is also charged its
+    _parse_degree against one budget of PARSE_BOUND per parse, and raises
+    when the budget is already spent or when its degree does not fit in what
+    was left when its term began: a sum of large powers fails before it
+    expands the second.
 
     A bare atom (an integer, L, Pic or C_i with 1 <= i <= g - 1, to a power
     that only L takes negative) is read as a triple (coefficient, index,
@@ -757,6 +783,8 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.spent = 0  # the budget charged so far
+        self.floor = 0  # the part of it charged before the current term
         self.R = ring(genus)
 
     def error(self, msg):
@@ -787,6 +815,7 @@ class _Parser:
                     for den, num in sums.items()), self.R.zero)
 
     def term(self):
+        floor, self.floor = self.floor, self.spent
         c, exps, node = 1, [0] * self.R.nvars, None
         op = "*"
         while True:
@@ -805,16 +834,25 @@ class _Parser:
                 break
             self.pos += 1
         if node is None:
-            return self.monomial(c, None, 0, exps)
-        if c != 1 or any(exps):
-            return self.product(node, self.monomial(c, None, 0, exps))
+            node = self.monomial(c, None, 0, exps)
+        elif c != 1 or any(exps):
+            node = self.product(node, self.monomial(c, None, 0, exps))
+        self.floor = floor
         return node
 
     def product(self, a, b):
         degree = _parse_degree(a) + _parse_degree(b)
         if degree > PARSE_BOUND:
             self.error(f"a product of degree {degree} exceeds the bound {PARSE_BOUND}")
+        self.charge(degree)
         return a * b
+
+    def charge(self, degree):
+        """Charge an expansion of this degree to the parse's budget."""
+        if self.spent > PARSE_BOUND or self.floor + degree > PARSE_BOUND:
+            self.error(f"expansions of total degree {self.spent + degree} exceed "
+                       f"the bound {PARSE_BOUND}")
+        self.spent += degree
 
     def monomial(self, c, idx, e, exps=None):
         """c times the exponent vector exps (zero by default) with e added
@@ -860,6 +898,7 @@ class _Parser:
             if (k >= 2 and comb(k + e - 1, e) > PARSE_BOUND) or e * degree > PARSE_BOUND:
                 self.error(f"the power {e} of a {k}-term class of degree {degree} "
                            f"exceeds the bound {PARSE_BOUND} on its terms and degree")
+            self.charge(e * degree)
             node = node ** (sign * e)
         self.depth -= 1
         return node

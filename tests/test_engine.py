@@ -6,7 +6,9 @@ from math import gcd
 
 import pytest
 
-from parahiggs.errors import WallHit
+from parahiggs import engine as engine_module
+from parahiggs.errors import EngineError, WallHit
+from parahiggs.higgs import HiggsProblem, higgs_computation
 from parahiggs.motive import CurveData, ring, specialize_count
 from parahiggs.parabolic import (
     ChainType,
@@ -409,3 +411,57 @@ def test_ext_exponent_moves_by_one_rate_along_each_cone_ray(seed):
         for _ in range(4):
             c = [rnd.randint(-5, 5) for _ in comp]
             assert chi_of([x + v for x, v in zip(c, ray)]) - chi_of(c) == rate
+
+
+class _ForgetfulTables(dict):
+    """Engine tables that never keep a base case's Hecke product."""
+
+    def __setitem__(self, key, value):
+        if key[0] is not ChainEngine._base_case:
+            super().__setitem__(key, value)
+
+
+def test_hecke_products_are_built_once_per_link_profile(monkeypatch):
+    """A solve builds one Hecke product per (n, ells, flag types) and reuses
+    it at every base case with that profile, whatever d_0 and the weights;
+    the class is the one a build at every base case gives."""
+    built = []
+    public = engine_module.pbundle_stack_class
+
+    def counting(n, d, datum, curve):
+        built.append(n)
+        return public(n, d, datum, curve)
+
+    monkeypatch.setattr(engine_module, "pbundle_stack_class", counting)
+    curve = CurveData(2, 1)
+    problem = HiggsProblem(curve, 3, 1, WeightDatum.full_flags([generate_generic_weights(3, 3)]))
+    eng = ChainEngine(curve)
+    cls = higgs_computation(problem, eng).total
+    keys = [args for fn, args in eng.tables if fn is ChainEngine._base_case]
+    # keyed by ints alone: no weight, no engine
+    for n, ells, flags in keys:
+        assert all(type(x) is int for x in (n, *ells, *(m for f in flags for p in f for m in p)))
+    assert len(built) == len(keys) < eng.stats["base_cases"]
+
+    built.clear()
+    every = ChainEngine(curve)
+    every.tables = _ForgetfulTables()
+    again = higgs_computation(problem, every).total
+    assert again == cls and str(again) == str(cls)
+    assert len(keys) < len(built) <= every.stats["base_cases"]
+
+
+def test_resum_raises_on_a_divergent_series(monkeypatch):
+    """A ray rate at or above zero makes the filtration series diverge: the
+    resummation raises once a nonzero stratum is met."""
+    curve = CurveData(2, 1)
+    datum = WeightDatum.full_flags([generate_generic_weights(2, 2)])
+    tau = ChainType((2,), (1,), (datum,))
+    alpha = (Fraction(0),)
+    eng = ChainEngine(curve)
+    (weight_parts, *_) = index_weight_splits(tau.weights, [(1,), (1,)])
+    args = (tau, alpha, (1, 1), weight_parts, ((0,), (0,)))
+    assert not eng._resum(*args).is_zero()
+    monkeypatch.setattr(engine_module, "ext_exponent", lambda parts, g, k: 0)
+    with pytest.raises(EngineError, match="divergent filtration series"):
+        ChainEngine(curve)._resum(*args)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parser_reference
+import reduce_reference
 
 from parahiggs import motive, poly
 from parahiggs.errors import (
@@ -299,6 +300,68 @@ def test_reduced_form_matches_gcd(data):
         left, right = (a + b) + c, c + (b + a)
         assert left == right
         assert str(left) == str(right)
+
+
+def _seeded_reduction(rng):
+    """A numerator and factored denominator for _reduce at genus 2.
+
+    One to four tails (monomials in Pic and C1) carry random L-polynomials,
+    some shifted by a power of L; the denominator is L^b Phi_1^i Phi_2^j
+    Phi_3^k Phi_4^l Phi_6^m.  The tails are multiplied by L - 1, L + 1,
+    both or neither, each tail or all but one, so that Phi_1 and Phi_2
+    often divide every tail, some tails only, or none.
+    """
+    tails = rng.sample([(a, c) for a in range(3) for c in range(3)], rng.randint(1, 4))
+    factor = rng.choice([(), ((-1, 1),), ((1, 1),), ((-1, 1), (1, 1)), ((-1, 1), (-1, 1))])
+    skipped = rng.choice([None] + tails) if factor else None
+    num = {}
+    for tail in tails:
+        coeff = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+        coeff = (0,) * rng.randint(0, 2) + tuple(coeff) + (rng.choice([-2, -1, 1, 2]),)
+        for f in factor if tail != skipped else ():
+            coeff = poly.u_mul(coeff, f)
+        num.update({(i,) + tail: c for i, c in enumerate(coeff) if c})
+    mults = [(1, rng.randint(0, 2)), (2, rng.randint(0, 2)), (3, rng.randint(0, 1)),
+             (4, rng.randint(0, 1)), (6, rng.randint(0, 1))]
+    return num, (rng.randint(0, 2), tuple((e, m) for e, m in mults if m))
+
+
+def test_reduce_matches_long_division_reference(monkeypatch):
+    """_reduce tests Phi_1 and Phi_2 by evaluation at L = 1 and L = -1 and
+    returns at once when nothing can cancel; it gives the reduction that
+    long division by every factor gives, never tries a division by L - 1 or
+    L + 1 that fails, and reaches each of its outcomes on the sample."""
+    divisions = []
+    exact = motive.u_div_exact
+
+    def recording(a, b):
+        q = exact(a, b)
+        divisions.append((b, q is not None))
+        return q
+
+    monkeypatch.setattr(motive, "u_div_exact", recording)
+    rng = random.Random("reduce")
+    # (L - 1)(L + 2) Pic + (L + 2) C1 over L - 1: only the Pic tail vanishes
+    # at L = 1, so nothing cancels
+    mixed = ({(2, 1, 0): 1, (1, 1, 0): 1, (0, 1, 0): -2, (1, 0, 1): 1, (0, 0, 1): 2},
+             (0, ((1, 1),)))
+    assert motive._reduce(*mixed) == mixed
+    reached = set()
+    for num, den in [mixed] + [_seeded_reduction(rng) for _ in range(600)]:
+        divisions.clear()
+        got = motive._reduce(num, den)
+        want = reduce_reference._reduce(num, den)
+        assert got == want, (num, den)
+        assert all(ok for b, ok in divisions if len(b) == 2), (num, den)
+        before, after = dict(den[1]), dict(got[1][1])
+        if got[0] is num and got[1] is den and not divisions:
+            reached.add("early return")
+        for e in (1, 2):
+            if after.get(e, 0) < before.get(e, 0):
+                reached.add(f"Phi_{e} cancel")
+        if got[1][0] < den[0]:
+            reached.add("L-shift")
+    assert reached == {"early return", "Phi_1 cancel", "Phi_2 cancel", "L-shift"}
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +847,21 @@ def test_parser_rejects_products_above_the_bound_fast():
     assert time.perf_counter() - start < 2.0
     with pytest.raises(ValueError, match="product of degree 1001 exceeds the bound"):
         parse_class("L^1000 * (L - 1)", 2)
+
+
+def test_parser_bounds_the_expansions_of_a_sum():
+    """A sum of large powers is charged against one budget per parse: eight
+    addends of degree 999 fail before the second is expanded."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="expansions of total degree 1998 exceed the bound"):
+        parse_class(" + ".join(["(L - 1)^999"] * 8), 2)
+    assert time.perf_counter() - start < 1.5
+    # within one term too, once the budget is spent
+    text = " * ".join(["(L - 1)^400 / (L - 1)^400"] * 4)
+    with pytest.raises(ValueError, match="exceed the bound 1000"):
+        parse_class(text, 2)
+    R = ring(2)
+    assert parse_class("(L - 1)^500 + (L + 1)^500", 2) == (R.L - 1) ** 500 + (R.L + 1) ** 500
 
 
 def test_parser_accepts_products_at_the_bound():
