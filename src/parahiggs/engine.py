@@ -37,12 +37,12 @@ class ChainEngine:
     Everything computed is a pure function of (type, parameter), so the memo
     is idempotent: concurrent or re-ordered insertions of the same key can
     only store the identical canonical value, and results are independent of
-    evaluation schedule.  The tables hold the padded part degree boxes, gap
-    profiles and sub-types of this problem's weights and the Hecke products
-    of its base cases, each keyed by (function, args), the interned chain
-    types and weight data the recursion builds from them, and the seed-cache
-    classes parsed so far, keyed by their text; they live exactly as long as
-    the engine.
+    evaluation schedule.  One table, keyed by (function, args), holds the
+    chain types the recursion builds, the padded part degree boxes, gap
+    profiles and sub-types of this problem's weights, the seed-cache classes
+    parsed so far and the Hecke products of its base cases.  No key holds
+    the engine, so the table lives exactly as long as the engine and
+    dropping the last reference frees both.
     """
 
     def __init__(self, curve, trace_walls=False, seed_cache=None):
@@ -51,11 +51,8 @@ class ChainEngine:
         self.trace_walls = trace_walls
         self.memo = {}
         self.tables = {}
-        self.types = {}
-        self.data = {}
         self.seed_cache = dict(seed_cache or {})
         self.seeded = set()
-        self.parsed = {}
         self.wall_trace = []
         self.stats = {
             "chain_class_calls": 0,
@@ -72,10 +69,10 @@ class ChainEngine:
         """Class of the stack of semistable chains of type tau at alpha.
 
         The caller certifies the weights (parabolic.certify_generic); the
-        types the recursion visits carry subsets of them.  A seed-cache class
-        that does not parse is counted as skipped and computed instead; one
-        that parses is kept by its text, so each distinct text is parsed
-        once per engine.
+        types the recursion visits carry subsets of them.  A seed-cache text
+        that parses is kept in the table, so each distinct text is parsed
+        once per engine; one that does not is stored nowhere, so it is parsed,
+        counted as skipped and computed instead at each of its hits.
         """
         alpha = Param.of(alpha)
         if len(alpha) != len(tau.ranks):
@@ -88,13 +85,11 @@ class ChainEngine:
             return self.memo[key]
         key_str = chain_key_str(tau, alpha, self.curve) if self.seed_cache else None
         if key_str in self.seed_cache:
-            text = self.seed_cache[key_str]
             try:
-                val = self.parsed[text] if text in self.parsed else self.R.parse(text)
+                val = self._table(self.R.parse, self.seed_cache[key_str])
             except (ValueError, ZeroDivisionError, DivisionOutsideRing):
                 self.stats["cache_records_skipped"] += 1
             else:
-                self.parsed[text] = val
                 self.stats["seed_cache_hits"] += 1
                 self.seeded.add(key)
                 self.memo[key] = val
@@ -114,47 +109,23 @@ class ChainEngine:
         }
 
     def _table(self, fn, *args):
-        """fn(*args) as a tuple, computed once per engine and keyed by
-        (fn, args).  fn is a module-level function, never a bound method: a
-        key that held the engine would make it reference itself."""
+        """fn(*args) as fn returns it, computed once per engine and keyed by
+        (fn, args); a call that raises stores nothing.  No key holds the
+        engine: fn is a module-level function or class, or self.R.parse,
+        bound to the module-level ring.  A key that held the engine would
+        make it reference itself."""
         key = (fn, args)
         if key not in self.tables:
-            self.tables[key] = tuple(fn(*args))
+            self.tables[key] = fn(*args)
         return self.tables[key]
-
-    def _splits(self, weights, profiles):
-        """index_weight_splits(weights, profiles), every part datum interned."""
-        intern = self.data.setdefault
-        for split in index_weight_splits(weights, profiles):
-            yield tuple(tuple(intern(d, d) for d in part) for part in split)
 
     def subtypes(self, tau):
-        """Per proper sub-rank-profile of tau, (profile, size, groups) as a
-        table: its (first, rest) weight splits grouped as (W, splits) by the
-        first part's weight sum W over tau's Q, W ascending."""
-        key = (ChainEngine.subtypes, (tau.ranks, tau.weights))
-        if key not in self.tables:
-            table = []
-            for first in proper_subprofiles(tau.ranks):
-                rest = tuple(n - m for n, m in zip(tau.ranks, first))
-                groups = {}
-                for split in self._splits(tau.weights, (first, rest)):
-                    W = sum(d.weight_num * (tau.Q // d.den) for d in split[0])
-                    groups.setdefault(W, []).append(split)
-                table.append((first, sum(first), tuple(sorted(groups.items()))))
-            self.tables[key] = tuple(table)
-        return self.tables[key]
-
-    def _type(self, ranks, degrees, weights):
-        """The interned ChainType of these ranks, degrees and weights."""
-        key = (ranks, degrees, weights)
-        tau = self.types.get(key)
-        if tau is None:
-            tau = self.types[key] = ChainType(ranks, degrees, weights)
-        return tau
+        """The table of _subtypes for tau's ranks and weights."""
+        return self._table(_subtypes, tau.ranks, tau.weights, tau.Q)
 
     def _restrict(self, tau, indices):
-        return self._type(
+        return self._table(
+            ChainType,
             tuple(tau.ranks[i] for i in indices),
             tuple(tau.degrees[i] for i in indices),
             tuple(tau.weights[i] for i in indices),
@@ -251,7 +222,7 @@ class ChainEngine:
             if len(comp) < 2:
                 continue
             profiles = tuple((m,) * (r + 1) for m in comp)
-            for weight_parts in self._splits(tau.weights, profiles):
+            for weight_parts in index_weight_splits(tau.weights, profiles):
                 profile_lists = [
                     self._table(enumerate_gap_profiles, prof, alpha, weight_parts[j])
                     for j, prof in enumerate(profiles)
@@ -310,7 +281,7 @@ class ChainEngine:
 
         def part_type(j, c):
             degrees = tuple(b + c for b in base_profiles[j])
-            return self._type((comp[j],) * r1, degrees, weight_parts[j])
+            return self._table(ChainType, (comp[j],) * r1, degrees, weight_parts[j])
 
         def chi_of(c):
             return ext_exponent(
@@ -413,8 +384,8 @@ class ChainEngine:
                     left = tuple(d - e for d, e in zip(tau.degrees, degrees))
                     if any(d for n, d in zip(rest, left) if n == 0):
                         continue
-                    part = self._type(first, degrees, w_first)
-                    remainder = self._type(rest, left, w_rest)
+                    part = self._table(ChainType, first, degrees, w_first)
+                    remainder = self._table(ChainType, rest, left, w_rest)
                     if _has_interval_support(rest) and necessary_conditions(
                         self._restrict(remainder, block), alpha.restrict(block)
                     ):
@@ -447,15 +418,32 @@ class ChainEngine:
             })
 
 
+def _subtypes(ranks, weights, Q):
+    """Per proper sub-rank-profile, (profile, size, groups): its (first,
+    rest) weight splits grouped as (W, splits) by the first part's weight
+    sum W over Q, W ascending."""
+    table = []
+    for first in proper_subprofiles(ranks):
+        rest = tuple(n - m for n, m in zip(ranks, first))
+        groups = {}
+        for split in index_weight_splits(weights, (first, rest)):
+            W = sum(d.weight_num * (Q // d.den) for d in split[0])
+            groups.setdefault(W, []).append(split)
+        table.append((first, sum(first), tuple(sorted(groups.items()))))
+    return tuple(table)
+
+
 def _padded_box(profile, weights, alpha, total):
     """Degree vectors of an interval-support part in its box at the given
     total, zero off its support: its support block's box, padded."""
     block = [i for i, m in enumerate(profile) if m]
     lo, hi = block[0], block[-1] + 1
-    for dvec in enumerate_degree_vectors(
-        profile[lo:hi], total, alpha.restrict(block), weights[lo:hi]
-    ):
-        yield (0,) * lo + dvec + (0,) * (len(profile) - hi)
+    return tuple(
+        (0,) * lo + dvec + (0,) * (len(profile) - hi)
+        for dvec in enumerate_degree_vectors(
+            profile[lo:hi], total, alpha.restrict(block), weights[lo:hi]
+        )
+    )
 
 
 def chain_key_str(tau, alpha, curve):

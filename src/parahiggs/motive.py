@@ -528,14 +528,6 @@ class EPoly:
             and self.den == other.den
         )
 
-    def __hash__(self):
-        return hash(
-            (
-                tuple(sorted(self.num.items())),
-                None if self.den is None else tuple(sorted(self.den.items())),
-            )
-        )
-
     def u_degree(self):
         if not self.num:
             return None

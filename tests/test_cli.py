@@ -10,6 +10,8 @@ import pytest
 from parahiggs import cli, engine, motive, oracles
 from parahiggs.cli import ConfigError, emit, main, run
 from parahiggs.motive import parse_class
+from parahiggs.parabolic import WeightDatum
+from parahiggs.stacks import pbundle_stack_class
 
 
 HIGGS_CFG = {
@@ -240,6 +242,28 @@ def test_stack_subcommand(tmp_path):
     assert main(["stack", "--config", str(path), "--format", "json", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["class"] == "L^3 + 2 * L^2 + 2 * L + 1"
+
+
+def test_stack_class_gl():
+    report = run({
+        "curve": {"genus": 2, "marked_points": 0},
+        "problem": {"kind": "stack-class", "stack": "gl", "rank": 3},
+    })
+    assert report["class"] == "L^9 - L^8 - L^7 + L^5 + L^4 - L^3"
+    assert report["stack_class"] is False
+
+
+def test_stack_class_pbundle():
+    curve = motive.CurveData(2, 1)
+    report = run({
+        "curve": {"genus": curve.genus, "marked_points": curve.num_marked},
+        "problem": {"kind": "stack-class", "stack": "pbundle", "rank": 2,
+                    "weights": [["1/7", "3/7"]]},
+    })
+    datum = WeightDatum.full_flags([[Fraction(1, 7), Fraction(3, 7)]])
+    assert report["class"] == str(pbundle_stack_class(2, 0, datum, curve))
+    assert report["stack_class"] is True
+    assert report["config"]["problem"]["weights"] == [[["1/7", 1], ["3/7", 1]]]
 
 
 def test_cache_round_trip(tmp_path):

@@ -393,9 +393,9 @@ def test_out_of_scope_inputs_fail_fast(genus, points, rank, error):
 
 
 def test_solved_problem_leaves_no_weight_data_alive():
-    """The degree boxes, gap profiles and sub-types of a problem and its
-    interned types and data live in its engine, so no WeightDatum
-    or ChainType with its weights outlives the engine."""
+    """The chain types, degree boxes, gap profiles and sub-types of a
+    problem live in its engine's table, so no WeightDatum or ChainType with
+    its weights outlives the engine."""
     weights = {Fraction(p, 2_147_483_647) for p in (271_828_182, 1_414_213_562)}
     curve = CurveData(2, 1)
 
@@ -403,7 +403,7 @@ def test_solved_problem_leaves_no_weight_data_alive():
         datum = WeightDatum.full_flags([sorted(weights)])
         engine = ChainEngine(curve)
         cls = higgs_moduli_class(HiggsProblem(curve, 2, 1, datum), engine)
-        assert engine.tables and engine.types and not cls.is_zero()
+        assert engine.tables and not cls.is_zero()
 
     solve()
     gc.collect()
@@ -417,14 +417,24 @@ def test_solved_problem_leaves_no_weight_data_alive():
 
 def test_engine_freed_by_reference_counting():
     """No table key holds the engine, so dropping the last reference frees
-    it without the cycle collector."""
+    it without the cycle collector: after a cold solve, and after a warm
+    solve whose keys hold the ring's parser for the seed-cache texts."""
+    problem = HiggsProblem(CurveData(2, 1), 3, 1, full_datum(3, 1))
     gc.disable()
     try:
-        engine = ChainEngine(CurveData(2, 1))
-        problem = HiggsProblem(engine.curve, 3, 1, full_datum(3, 1))
-        higgs_computation(problem, engine)
-        ref = weakref.ref(engine)
-        del engine
+        cold = ChainEngine(problem.curve)
+        first = higgs_moduli_class(problem, cold)
+        cache = cold.new_cache_entries
+        ref = weakref.ref(cold)
+        del cold
+        assert ref() is None
+
+        warm = ChainEngine(problem.curve, seed_cache=cache)
+        assert higgs_moduli_class(problem, warm) == first
+        assert warm.stats["seed_cache_hits"] > 0
+        assert any(fn == warm.R.parse for fn, _ in warm.tables)
+        ref = weakref.ref(warm)
+        del warm
         assert ref() is None
     finally:
         gc.enable()
@@ -432,13 +442,13 @@ def test_engine_freed_by_reference_counting():
 
 def test_second_solve_reuses_engine_tables():
     """A second solve of the same problem on one engine is all memo hits: it
-    adds no memo, table or intern entry and reaches no base case or wall."""
+    adds no memo or table entry and reaches no base case or wall."""
     problem = HiggsProblem(CurveData(2, 1), 3, 1, full_datum(3, 1))
     engine = ChainEngine(problem.curve)
 
     def snapshot():
         return (
-            [len(t) for t in (engine.memo, engine.tables, engine.types, engine.data)],
+            [len(engine.memo), len(engine.tables)],
             engine.stats["chain_class_calls"] - engine.stats["memo_hits"],
             engine.stats["base_cases"],
             engine.stats["walls_crossed"],

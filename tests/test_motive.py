@@ -506,6 +506,17 @@ def test_specialize_E_rational_flag():
     assert not e.is_polynomial
 
 
+def test_specialize_E_divides_a_denominator_out():
+    """A class outside the polynomial subring whose E-polynomial is one:
+    L - 1 divides the image of its numerator, so the quotient is built."""
+    R = ring(2)
+    x = (4 * R.Pic - (R.one + R.L + R.C(1)) ** 2) / (R.L - 1) + R.L
+    assert not x.is_polynomial()
+    assert str(x) == "(-2 * L * C1 - 3 * L + 4 * Pic - C1^2 - 2 * C1 - 1) / ((L - 1))"
+    assert str(specialize_E(x)) == "u*v"
+    assert specialize_count(x, CurveData(2, 0, split_zeta_numerator(2, 2, 3)), 6) == 6
+
+
 def test_specialize_count_examples():
     curve = CurveData(1, 0, ZETA_G1)
     R = ring(1)
