@@ -47,7 +47,6 @@ from .poly import (
     bundle_cyclotomic,
     euler_phi,
     p_add,
-    p_const,
     p_items_sorted,
     p_mul,
     p_neg,
@@ -88,7 +87,7 @@ class MotiveClass:
     """Canonical fraction num/den with num multivariate and den a factored
     L^b * prod Phi_e^{m_e}."""
 
-    __slots__ = ("genus", "num", "den", "_hash")
+    __slots__ = ("genus", "num", "den")
 
     def __init__(self, genus, num, den=DEN_ONE, _reduced=False):
         self.genus = genus
@@ -97,23 +96,8 @@ class MotiveClass:
             self.den = den
         else:
             self.num, self.den = _reduce(num, den)
-        self._hash = None
-
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def const(genus, c):
-        return MotiveClass(genus, p_const(c, num_vars(genus)), DEN_ONE, _reduced=True)
 
     # -- canonical identity --------------------------------------------------
-
-    def key(self):
-        return (self.genus, tuple(p_items_sorted(self.num)), self.den)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
 
     def __eq__(self, other):
         if not isinstance(other, MotiveClass):
@@ -134,7 +118,7 @@ class MotiveClass:
                 raise ValueError("mixed-genus arithmetic")
             return other
         if isinstance(other, int):
-            return MotiveClass.const(self.genus, other)
+            return ring(self.genus).monomial(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -366,29 +350,30 @@ class Ring:
             raise ValueError("genus must be nonnegative")
         self.genus = genus
         self.nvars = num_vars(genus)
-        self.zero = MotiveClass.const(genus, 0)
-        self.one = MotiveClass.const(genus, 1)
+        self.zero = self.monomial(0)
+        self.one = self.monomial(1)
 
-    def from_int(self, c):
-        return MotiveClass.const(self.genus, c)
-
-    def _monomial(self, idx, e):
-        """The atom of index idx (L, Pic, C1, ...) to the power e; only L
-        takes e < 0."""
-        m = [0] * self.nvars
-        m[idx] = max(e, 0)
-        return MotiveClass(self.genus, {tuple(m): 1}, (max(-e, 0), ()), _reduced=True)
+    def monomial(self, c, exps=()):
+        """c times the atoms L, Pic, C1, ... to the exponents exps (missing
+        ones 0), in lowest terms: a negative L exponent moves to the
+        denominator, and c = 0 gives the zero class."""
+        if not c:
+            return MotiveClass(self.genus, {}, DEN_ONE, _reduced=True)
+        m = list(exps) + [0] * (self.nvars - len(exps))
+        b = max(-m[0], 0)
+        m[0] += b
+        return MotiveClass(self.genus, {tuple(m): c}, (b, ()), _reduced=True)
 
     @property
     def L(self):
-        return self._monomial(0, 1)
+        return self.monomial(1, (1,))
 
     def L_pow(self, k):
-        return self._monomial(0, k)
+        return self.monomial(1, (k,))
 
     @property
     def Pic(self):
-        return self._monomial(1, 1) if self.genus else self.one
+        return self.monomial(1, (0, 1)) if self.genus else self.one
 
     def C(self, i):
         """Symmetric-power class, eagerly rewritten above index g-1.
@@ -403,7 +388,7 @@ class Ring:
             return self.zero
         g = self.genus
         if i <= g - 1:
-            return self._monomial(1 + i, 1)
+            return self.monomial(1, (0,) * (1 + i) + (1,))
         e = i - g + 1
         # [P^{e-1}] = 1 + L + ... + L^{e-1}
         proj = MotiveClass(g, u_to_multivar((1,) * e, self.nvars), DEN_ONE, _reduced=True)
@@ -532,11 +517,6 @@ class EPoly:
         if not self.num:
             return None
         return max(i for i, _ in self.num)
-
-    def total_degree(self):
-        if not self.num:
-            return None
-        return max(i + j for i, j in self.num)
 
     def __str__(self):
         body = _format_uv(self.num)
@@ -817,7 +797,8 @@ class _Parser:
                 if f[1] is not None:
                     exps[f[1]] += f[2]
             else:
-                f = self.monomial(*f) if type(f) is tuple else f
+                if type(f) is tuple:
+                    f = self.R.monomial(f[0], () if f[1] is None else (0,) * f[1] + (f[2],))
                 if op == "/":
                     f = f.inverse()
                 node = f if node is None else self.product(node, f)
@@ -826,9 +807,9 @@ class _Parser:
                 break
             self.pos += 1
         if node is None:
-            node = self.monomial(c, None, 0, exps)
+            node = self.R.monomial(c, exps)
         elif c != 1 or any(exps):
-            node = self.product(node, self.monomial(c, None, 0, exps))
+            node = self.product(node, self.R.monomial(c, exps))
         self.floor = floor
         return node
 
@@ -845,19 +826,6 @@ class _Parser:
             self.error(f"expansions of total degree {self.spent + degree} exceed "
                        f"the bound {PARSE_BOUND}")
         self.spent += degree
-
-    def monomial(self, c, idx, e, exps=None):
-        """c times the exponent vector exps (zero by default) with e added
-        at index idx, as a class in lowest terms: a negative L exponent
-        moves to the denominator."""
-        if not c:
-            return self.R.zero
-        exps = exps or [0] * self.R.nvars
-        if idx is not None:
-            exps[idx] += e
-        b = max(-exps[0], 0)
-        exps[0] += b
-        return MotiveClass(self.R.genus, {tuple(exps): c}, (b, ()), _reduced=True)
 
     def factor(self):
         self.depth += 1
@@ -878,11 +846,11 @@ class _Parser:
                 self.pos += 1
             e = self.integer(PARSE_BOUND)
             if type(node) is tuple:
-                c, idx, _ = node
+                c, idx, e1 = node
                 if sign > 0 or idx == 0 or not e:
                     self.depth -= 1
                     return c ** e, idx, sign * e
-                node = self.monomial(*node)
+                node = self.R.monomial(c, () if idx is None else (0,) * idx + (e1,))
             # the power of a k-term sum has up to comb(k + e - 1, e) terms,
             # and e times the degree of its base
             k = len(node.num)

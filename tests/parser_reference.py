@@ -113,7 +113,7 @@ class _Parser:
             self.pos += 1
             return node
         if ch.isdigit():
-            return self.R.from_int(self.integer())
+            return self.R.monomial(self.integer())
         if self.text.startswith("Pic", self.pos):
             self.pos += 3
             return self.R.Pic

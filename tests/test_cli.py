@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from parahiggs import cli, engine, motive, oracles
+from parahiggs import (
+    HiggsProblem, cli, engine, generate_generic_weights, higgs_moduli_class, motive,
+    oracles, specialize_E,
+)
 from parahiggs.cli import ConfigError, emit, main, run
 from parahiggs.motive import parse_class
 from parahiggs.parabolic import WeightDatum
@@ -266,6 +269,37 @@ def test_stack_class_pbundle():
     assert report["config"]["problem"]["weights"] == [[["1/7", 1], ["3/7", 1]]]
 
 
+def _pbundle_rank3(weights):
+    return {
+        "curve": {"genus": 2, "marked_points": 1},
+        "problem": {"kind": "stack-class", "stack": "pbundle", "rank": 3,
+                    "weights": weights},
+    }
+
+
+def test_weight_multiplicity_pairs():
+    report = run(_pbundle_rank3([[["1/5", 2], ["3/5", 1]]]))
+    datum = WeightDatum((((Fraction(1, 5), 2), (Fraction(3, 5), 1)),))
+    assert report["class"] == str(pbundle_stack_class(3, 0, datum, motive.CurveData(2, 1)))
+    assert report["stack_class"] is True
+    assert report["config"]["problem"]["weights"] == [[["1/5", 2], ["3/5", 1]]]
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([[["1/5"]]], "error: expected [weight, multiplicity], got ['1/5']"),
+        ([[["1/5", 0], ["3/5", 3]]], "multiplicities must be positive"),
+    ],
+    ids=["short-pair", "zero-multiplicity"],
+)
+def test_malformed_weight_pairs_exit_code(tmp_path, capsys, weights, message):
+    path = tmp_path / "pbundle.json"
+    path.write_text(json.dumps(_pbundle_rank3(weights)))
+    assert main(["stack", "--config", str(path)]) == 5
+    assert message in capsys.readouterr().err
+
+
 def test_cache_round_trip(tmp_path):
     cache = tmp_path / "memo.jsonl"
     cfg = {
@@ -521,11 +555,41 @@ def test_readme_examples_run(tmp_path, capsys):
             assert f"class: {quoted}" in out.splitlines(), command
 
 
+def test_readme_python_quick_start(capsys):
+    """The README's one python block runs and prints the moduli class and its
+    E-polynomial, as recomputed here on the same inputs."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(block, {})
+    out = capsys.readouterr().out.splitlines()
+    curve = motive.CurveData(genus=2, num_marked=1)
+    datum = WeightDatum.full_flags([generate_generic_weights(2, 2)])
+    cls = higgs_moduli_class(HiggsProblem(curve, rank=2, degree=1, datum=datum))
+    assert out[:2] == [str(cls), str(specialize_E(cls))]
+
+
 def test_verify_subcommand_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "verify flag-vs-gaussian: pass" in out
     assert "verify e-vs-split-count: pass" in out
+
+
+def test_verify_with_config(tmp_path, capsys):
+    path = tmp_path / "gl.json"
+    path.write_text(json.dumps({
+        "curve": {"genus": 0},
+        "problem": {"kind": "stack-class", "stack": "gl", "rank": 2},
+    }))
+    assert main(["verify", "--config", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "class: L^4 - L^3 - L^2 + L" in out
+    assert len([s for s in out if s.startswith("verify ") and s.endswith(": pass")]) == 4
+
+
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(oracles, "gaussian_flag_count", lambda *args: 0)
+    assert main(["verify"]) == 6
+    assert "verify flag-vs-gaussian: FAIL" in capsys.readouterr().out.splitlines()
 
 
 def test_missing_config_kind():

@@ -98,10 +98,30 @@ def test_ring_ops_dispatch():
     R = ring(1)
     a, b = R.L + 1, R.L - 1
     assert a + b == 2 * R.L
-    assert a - b == R.from_int(2)
+    assert a - b == R.monomial(2)
     assert a * b == R.L ** 2 - 1
     assert (a * b) / b == a
     assert b ** 2 == R.L ** 2 - 2 * R.L + 1
+
+
+def test_int_operands_on_both_sides():
+    R = ring(2)
+    assert 2 - R.L == -(R.L - 2)
+    assert str(2 - R.L) == "-L + 2"
+    assert str(R.L - 2) == "L - 2"
+    assert str(2 + R.Pic) == "Pic + 2"
+    assert str(3 * R.C(1)) == "3 * C1"
+    with pytest.raises(TypeError):
+        hash(R.L)
+
+
+def test_monomial_builder():
+    R = ring(2)
+    assert R.monomial(0, (4, 1)) == R.zero and R.monomial(0).is_zero()
+    assert R.monomial(1) == R.one
+    assert R.monomial(-3, (2,)) == -3 * R.L ** 2
+    assert R.monomial(5, (-2, 1, 3)) == 5 * R.Pic * R.C(1) ** 3 / R.L ** 2
+    assert str(R.monomial(5, (-2, 1))) == "(5 * Pic) / (L^2)"
 
 
 def test_division_outside_ring():
@@ -120,7 +140,7 @@ def motive_elements(genus):
     def build(draw):
         total = R.zero
         for _ in range(draw(st.integers(0, 3))):
-            term = R.from_int(draw(scalars))
+            term = R.monomial(draw(scalars))
             for _ in range(draw(st.integers(0, 2))):
                 term = term * draw(st.sampled_from(atoms))
             total = total + term
@@ -254,7 +274,7 @@ def shared_factor_elements(genus):
     def build(draw):
         total = R.zero
         for _ in range(draw(st.integers(0, 3))):
-            term = R.from_int(draw(st.integers(-3, 3)))
+            term = R.monomial(draw(st.integers(-3, 3)))
             for _ in range(draw(st.integers(0, 2))):
                 term = term * draw(st.sampled_from(atoms))
             total = total + term
