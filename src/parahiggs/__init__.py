@@ -46,6 +46,7 @@ from .parabolic import (
     genericity_check,
     par_slope,
     pardeg,
+    require_full_flags,
 )
 from .stacks import (
     bundle_stack_class,

@@ -21,6 +21,7 @@ from .parabolic import (
     certify_generic,
     frac,
     generate_generic_weights,
+    require_full_flags,
 )
 from .chains import compositions
 from .engine import ChainEngine
@@ -210,6 +211,7 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
             _datum_json(d) for d in weights
         ]
         tau = ChainType(ranks, degrees, weights)
+        require_full_flags(tau.weights)
         certify_generic(tau.all_weights(), tau.total_rank)
         cls = engine.chain_class(tau, alpha)
         stack_class = True

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 from .errors import DeskScaleExceeded, NonIntegerDimension, NonPolynomialResult
 from .motive import CurveData, ring
-from .parabolic import ChainType, WeightDatum, certify_generic, enumerate_weight_splits
+from .parabolic import (
+    ChainType,
+    WeightDatum,
+    certify_generic,
+    enumerate_weight_splits,
+    require_full_flags,
+)
 from .chains import compositions, enumerate_degree_vectors
 from .engine import ChainEngine
 
@@ -89,6 +95,7 @@ def higgs_computation(problem, engine=None):
     require_desk_scale(problem.rank)
     g = problem.curve.genus
     engine = engine or ChainEngine(problem.curve)
+    require_full_flags((problem.datum,))
     certify_generic(problem.datum.all_weights(), problem.rank)
     R = ring(g)
     N = half_dimension(problem.rank, problem.datum, g)

@@ -439,18 +439,24 @@ class CurveData:
 
 
 def _zeta_numerator_classes(curve):
-    """Coefficients a_j of P(t) = (1-t)(1-Lt) Z(C,t) as ring elements."""
+    """Coefficients a_j of P(t) = (1-t)(1-Lt) Z(C,t) as ring elements.
+
+    Only a_0 .. a_g are expanded from the symmetric powers; the rest follow
+    from the functional equation a_{2g-j} = L^{g-j} a_j of the motivic zeta
+    function."""
     g = curve.genus
     R = ring(g)
-    coeffs = []
-    for j in range(0, 2 * g + 1):
-        a = R.C(j) - (R.one + R.L) * R.C(j - 1) + R.L * R.C(j - 2)
-        coeffs.append(a)
-    return coeffs
+    coeffs = [R.C(j) - (R.one + R.L) * R.C(j - 1) + R.L * R.C(j - 2)
+              for j in range(g + 1)]
+    return coeffs + [R.L_pow(j - g) * coeffs[2 * g - j] for j in range(g + 1, 2 * g + 1)]
 
 
 def zeta_eval(curve, arg_exponent):
-    """Closed form of Z(C, L^e); convergent only for e <= -2."""
+    """Closed form of Z(C, L^e); convergent only for e <= -2.
+
+    The numerator P(L^e) = sum_j a_j L^{je} is L^{2ge} times the polynomial
+    sum_j a_j L^{(j-2g)e}, whose L exponents are all nonnegative for e < 0,
+    so it is one sum of polynomials and one power of L."""
     if arg_exponent >= -1:
         raise NonConvergentEvaluation(
             "Z(C, L^e) is evaluated only for e <= -2 in the completed ring"
@@ -458,9 +464,11 @@ def zeta_eval(curve, arg_exponent):
     g = curve.genus
     R = ring(g)
     e = arg_exponent
-    p_val = R.zero
+    num = {}
     for j, a in enumerate(_zeta_numerator_classes(curve)):
-        p_val = p_val + a * R.L_pow(j * e)
+        shift = (j - 2 * g) * e
+        num = p_add(num, {(m[0] + shift,) + m[1:]: c for m, c in a.num.items()})
+    p_val = MotiveClass(g, num, (-2 * g * e, ()))
     den = (R.one - R.L_pow(e)) * (R.one - R.L_pow(e + 1))
     return p_val / den
 
@@ -474,10 +482,14 @@ def sym_cxp_coeff(curve, n, ell):
 
 @lru_cache(maxsize=None)
 def _sym_cxp_coeff(g, n, ell):
-    """sym_cxp_coeff, which depends on the curve only through its genus."""
+    """sym_cxp_coeff, which depends on the curve only through its genus.
+
+    The series starts as the first factor Z(C, t) = sum_i C^(i) t^i, each
+    middle factor Z(C, L^j t) is convolved in up to t^ell, and of the last
+    one only the t^ell coefficient of the product is formed."""
     R = ring(g)
-    series = [R.one] + [R.zero] * ell
-    for j in range(n):
+    series = [R.C(i) for i in range(ell + 1)]
+    for j in range(1, n - 1):
         factor = [R.C(i) * R.L_pow(j * i) for i in range(ell + 1)]
         new = [R.zero] * (ell + 1)
         for a in range(ell + 1):
@@ -486,7 +498,13 @@ def _sym_cxp_coeff(g, n, ell):
             for b in range(ell + 1 - a):
                 new[a + b] = new[a + b] + series[a] * factor[b]
         series = new
-    return series[ell]
+    if n == 1:
+        return series[ell]
+    out = R.zero
+    for a in range(ell + 1):
+        if not series[a].is_zero():
+            out = out + series[a] * (R.C(ell - a) * R.L_pow((n - 1) * (ell - a)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +558,20 @@ def _realize(x, q, P):
     they go outermost, where each of their powers multiplies a sum once
     instead of once per monomial.  L goes innermost because its image q is
     small for the point count and a power of two (the packed uv) for the
-    E-polynomial, so the many products at that level are cheap.
+    E-polynomial, so the many products at that level are cheap.  Every
+    power of q, in the C^(i) images, the Horner walk and the final q^k,
+    goes through times_q, which shifts when q is a power of two (the packed
+    uv, a count at q = 2^k, q = 1 for _packing) and multiplies otherwise.
     """
+    if q > 0 and not q & (q - 1):
+        shift = q.bit_length() - 1
+
+        def times_q(v, e):
+            return v << shift * e
+    else:
+        def times_q(v, e):
+            return v * q ** e
+
     g = x.genus
     images = [q]
     if g >= 1:
@@ -550,16 +580,19 @@ def _realize(x, q, P):
     head = sym = P[0]
     for i in range(1, max_atom(g) + 1):
         head += P[i]
-        sym = sym * q + head
+        sym = times_q(sym, 1) + head
         images.append(sym)
 
     order = list(range(1, len(images))) + [0]
     pow_cache = {}
 
-    def power(idx, e):
+    def times(idx, v, e):
+        # v times images[idx]^e
+        if not idx:
+            return times_q(v, e)
         if (idx, e) not in pow_cache:
             pow_cache[idx, e] = images[idx] ** e
-        return pow_cache[idx, e]
+        return v * pow_cache[idx, e]
 
     def horner(terms, depth):
         # terms: the (monomial, coefficient) pairs that agree on the
@@ -574,18 +607,18 @@ def _realize(x, q, P):
         out, prev = 0, 0
         for e in sorted(groups, reverse=True):
             if out:  # 0 before the first group; 0 * image^gap = 0
-                out *= power(idx, prev - e)
+                out = times(idx, out, prev - e)
             out += horner(groups[e], depth + 1)
             prev = e
         if out and prev:
-            out *= power(idx, prev)
+            out = times(idx, out, prev)
         return out
 
     # x.num is L^k times a class with no common L factor; q^k multiplies the
     # finished sum once instead of each innermost group before the larger
     # images do
     k = min((m[0] for m in x.num), default=0)
-    return horner([((m[0] - k,) + m[1:], c) for m, c in x.num.items()], 0) * q ** k
+    return times_q(horner([((m[0] - k,) + m[1:], c) for m, c in x.num.items()], 0), k)
 
 
 def _packing(x):

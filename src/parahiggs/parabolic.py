@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import BudgetExceeded, NonGenericWeights, RankMismatch
+from .errors import BudgetExceeded, InvalidFlagType, NonGenericWeights, RankMismatch
 
 
 def frac(x):
@@ -320,6 +320,21 @@ def certify_generic(all_weights, N):
         )
 
 
+def require_full_flags(data):
+    """Raise InvalidFlagType at the first point of the weight data whose flag
+    type is not full (some multiplicity above one), the only flag type the
+    solver handles; called where weights enter, before certify_generic,
+    which would otherwise reject a repeated weight as non-generic."""
+    for datum in data:
+        for p in range(datum.num_points):
+            flag = datum.flag_type(p)
+            if any(m != 1 for m in flag):
+                raise InvalidFlagType(
+                    f"point {p} has flag type {flag}; only full flags "
+                    f"(every multiplicity 1) are supported"
+                )
+
+
 def _nonzero_sums(residues, N, Q):
     """Residues mod Q of c_i*a_i summed, over nonzero vectors with |c_i| <= N."""
     reached = set()
@@ -366,7 +381,9 @@ def enumerate_weight_splits(datum, part_ranks):
     """All ways to distribute the weights at each point into the given part ranks.
 
     Requires multiplicity-one data; returns a fresh list whose entries are
-    tuples of WeightDatum, one per part, in the order of part_ranks.
+    tuples of WeightDatum, one per part, in the order of part_ranks.  Each
+    distinct part is built once per call, and a part that takes every
+    weight is datum itself.
     """
     part_ranks = tuple(int(r) for r in part_ranks)
     if datum.points and sum(part_ranks) != datum.rank:
@@ -377,9 +394,16 @@ def enumerate_weight_splits(datum, part_ranks):
         if any(m != 1 for _, m in point):
             raise RankMismatch("weight splitting requires multiplicity-one data")
     per_point = [list(_point_splits(point, part_ranks)) for point in datum.points]
+    built = {datum.points: datum}
+
+    def part(points):
+        if points not in built:
+            built[points] = WeightDatum(points)
+        return built[points]
+
     return [
         tuple(
-            WeightDatum(tuple(point_split[j] for point_split in combo))
+            part(tuple(point_split[j] for point_split in combo))
             for j in range(len(part_ranks))
         )
         for combo in itertools.product(*per_point)

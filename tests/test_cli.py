@@ -134,6 +134,25 @@ def test_non_generic_chain_weights_rejected(tmp_path):
     assert main(["chain", "--config", str(path)]) == 3
 
 
+@pytest.mark.parametrize("kind, ranks, weights", [
+    ("higgs", None, [[["1/5", 2], "2/5"]]),
+    ("chain", [2, 1], [[[["1/5", 2]]], [["2/5"]]]),
+], ids=["higgs", "chain"])
+def test_non_full_flag_exit_code(tmp_path, capsys, kind, ranks, weights):
+    """A weight of multiplicity two at a point exits 16 (InvalidFlagType)
+    naming the point and its flag type, before the genericity check would
+    exit 3 on the repeated weight."""
+    problem = {"kind": kind, "degree": 0, "rank": 3, "weights": weights}
+    if ranks:
+        problem = {"kind": kind, "ranks": ranks, "degrees": [0, 0],
+                   "weights": weights, "alpha": ["0", "2"]}
+    path = tmp_path / f"{kind}-flag.json"
+    path.write_text(json.dumps({"curve": {"genus": 2, "marked_points": 1},
+                                "problem": problem}))
+    assert main([kind, "--config", str(path)]) == 16
+    assert "point 0 has flag type (2," in capsys.readouterr().err
+
+
 def _with(update):
     cfg = json.loads(json.dumps(HIGGS_CFG))
     cfg.update(update)

@@ -14,6 +14,7 @@ import pytest
 from parahiggs.errors import (
     DeskScaleExceeded,
     EngineError,
+    InvalidFlagType,
     NonGenericWeights,
     UnboundedSearch,
 )
@@ -270,6 +271,17 @@ def test_non_generic_datum_rejected():
         higgs_moduli_class(HiggsProblem(curve, 2, 0, datum))
 
 
+def test_non_full_flags_rejected_before_the_certificate(genericity_calls):
+    """A repeated weight is a flag type the solver does not handle, not a
+    non-generic one: it raises InvalidFlagType naming the point before any
+    genericity search."""
+    a, b, c = Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)
+    datum = WeightDatum((((a, 1), (b, 1), (c, 1)), ((a, 2), (b, 1))))
+    with pytest.raises(InvalidFlagType, match=r"point 1 has flag type \(2, 1\)"):
+        higgs_computation(HiggsProblem(CurveData(2, 2), 3, 0, datum))
+    assert genericity_calls == []
+
+
 def test_genus0_rank2_empty():
     # dimension 2N = -4: the moduli space is empty
     curve = CurveData(0, 1)
@@ -413,6 +425,22 @@ def test_solved_problem_leaves_no_weight_data_alive():
         and weights & set(obj.all_weights())
     ]
     assert alive == []
+
+
+def test_weight_splits_share_their_parts():
+    """enumerate_weight_splits builds each distinct part once per call and
+    gives a part that takes every weight the datum itself, so one (2,1,3)
+    solve at degree 0 keeps 217 WeightDatum objects of 8 values alive (431
+    when every split built each of its parts anew)."""
+    datum = full_datum(3, 1)
+    engine = ChainEngine(CurveData(2, 1))
+    before = {id(obj) for obj in gc.get_objects() if isinstance(obj, WeightDatum)}
+    higgs_moduli_class(HiggsProblem(engine.curve, 3, 0, datum), engine)
+    gc.collect()
+    alive = [obj for obj in gc.get_objects()
+             if isinstance(obj, WeightDatum) and id(obj) not in before]
+    assert len(alive) <= 217
+    assert len(set(alive) | {datum}) == 8
 
 
 def test_engine_freed_by_reference_counting():

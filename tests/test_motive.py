@@ -496,6 +496,62 @@ def test_sym_cxp_line_identity():
             assert sym_cxp_coeff(curve, n, 1) == expected
 
 
+def reference_zeta_numerator_classes(curve):
+    """Test-only reference: every a_j of P(t) = (1-t)(1-Lt) Z(C,t), j = 0..2g,
+    expanded from the symmetric powers."""
+    R = ring(curve.genus)
+    return [R.C(j) - (R.one + R.L) * R.C(j - 1) + R.L * R.C(j - 2)
+            for j in range(2 * curve.genus + 1)]
+
+
+def reference_zeta_eval(curve, e):
+    """Test-only reference: P(L^e) as 2g + 1 binary adds of a_j L^{je}."""
+    R = ring(curve.genus)
+    p_val = R.zero
+    for j, a in enumerate(reference_zeta_numerator_classes(curve)):
+        p_val = p_val + a * R.L_pow(j * e)
+    return p_val / ((R.one - R.L_pow(e)) * (R.one - R.L_pow(e + 1)))
+
+
+def reference_sym_cxp_coeff(g, n, ell):
+    """Test-only reference: the full convolution of the n series
+    Z(C, L^j t), from [1, 0, ..., 0], truncated at t^ell."""
+    R = ring(g)
+    series = [R.one] + [R.zero] * ell
+    for j in range(n):
+        factor = [R.C(i) * R.L_pow(j * i) for i in range(ell + 1)]
+        new = [R.zero] * (ell + 1)
+        for a in range(ell + 1):
+            for b in range(ell + 1 - a):
+                new[a + b] = new[a + b] + series[a] * factor[b]
+        series = new
+    return series[ell]
+
+
+@pytest.mark.parametrize("g", range(11))
+def test_zeta_numerator_mirror_matches_the_full_expansion(g):
+    """a_{2g-j} = L^{g-j} a_j gives the same classes as expanding C^(j)."""
+    got = motive._zeta_numerator_classes(CurveData(g))
+    want = reference_zeta_numerator_classes(CurveData(g))
+    assert [str(a) for a in got] == [str(a) for a in want]
+
+
+@pytest.mark.parametrize("g", range(11))
+def test_zeta_eval_matches_binary_adds(g):
+    for e in (-2, -3, -5):
+        got, want = zeta_eval(CurveData(g), e), reference_zeta_eval(CurveData(g), e)
+        assert got == want and str(got) == str(want), (g, e)
+
+
+def test_sym_cxp_coeff_matches_the_full_convolution():
+    for g in range(4):
+        for n in range(1, 5):
+            for ell in range(9):
+                got = motive._sym_cxp_coeff(g, n, ell)
+                want = reference_sym_cxp_coeff(g, n, ell)
+                assert got == want and str(got) == str(want), (g, n, ell)
+
+
 # ---------------------------------------------------------------------------
 # specializations
 
@@ -776,6 +832,20 @@ def test_horner_realize_matches_term_by_term_at_the_packing_edges():
 
 def test_horner_realize_matches_term_by_term_on_moduli_classes():
     assert_specializations_match_reference(moduli_classes())
+
+
+@pytest.mark.parametrize("q", [1, 2, 2 ** 7, 2 ** 200, 3], ids=["1", "2", "2^7", "2^200", "3"])
+def test_realize_matches_term_by_term_at_each_kind_of_q(q):
+    """_realize shifts for q = 1, 2 and 2^k and multiplies for q = 3; both
+    give the term-by-term image on the seeded classes, with integer zeta
+    numerators of both signs."""
+    rng = random.Random(q)
+    for x in seeded_classes(q):
+        P = [1] + [rng.randint(-9, 9) for _ in range(2 * x.genus)]
+        want = term_by_term_realize(
+            x, poly.p_const(q, 0), [poly.p_const(a, 0) for a in P], 0
+        ).get((), 0)
+        assert motive._realize(x, q, P) == want, x
 
 
 def test_widest_benchmark_packing_is_pinned():

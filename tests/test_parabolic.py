@@ -9,7 +9,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parahiggs.errors import BudgetExceeded, RankMismatch
+from parahiggs.errors import BudgetExceeded, InvalidFlagType, RankMismatch
 from parahiggs.parabolic import (
     GENERICITY_BUDGET,
     ChainType,
@@ -20,6 +20,7 @@ from parahiggs.parabolic import (
     genericity_check,
     par_slope,
     pardeg,
+    require_full_flags,
 )
 
 
@@ -223,6 +224,23 @@ def test_split_identity():
     d = datum([(Fraction(1, 5), 1), (Fraction(2, 5), 1)])
     splits = enumerate_weight_splits(d, (2,))
     assert splits == [(d,)]
+
+
+def test_split_parts_are_built_once_per_call():
+    ws = generate_generic_weights(3, 3)
+    d = datum([(w, 1) for w in ws])
+    splits = enumerate_weight_splits(d, (0, 3))
+    assert [split[1] for split in splits] == [d] and splits[0][1] is d
+    parts = [part for split in enumerate_weight_splits(d, (1, 1, 1)) for part in split]
+    assert len(parts) == 18 and len({id(part) for part in parts}) == len(set(parts)) == 3
+
+
+def test_full_flag_check_names_the_point():
+    a, b, c = Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)
+    full = datum([(a, 1), (b, 1), (c, 1)])
+    require_full_flags([full, WeightDatum.empty(1)])
+    with pytest.raises(InvalidFlagType, match=r"point 1 has flag type \(1, 2\)"):
+        require_full_flags([full, datum([(a, 1), (b, 1), (c, 1)], [(a, 1), (b, 2)])])
 
 
 def test_split_multinomial_count():
