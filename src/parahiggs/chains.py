@@ -14,7 +14,7 @@ import math
 from operator import mul
 
 from .errors import RankMismatch, UnboundedSearch
-from .parabolic import Param, enumerate_weight_splits, par_slope
+from .parabolic import Param, par_slope
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +360,16 @@ def _has_interval_support(profile):
     return supp[-1] - supp[0] + 1 == len(supp)
 
 
-def index_weight_splits(weight_data, profiles):
-    """Per-index weight splits of a chain datum into the given rank profiles.
+def index_weight_splits(per_index):
+    """Weight splits of a chain datum from the splits of its indices.
 
-    profiles is a tuple of rank vectors (one per part); yields tuples of
-    per-part weight tuples, each a tuple of WeightDatum indexed by chain slot.
+    per_index holds, per chain index, that index's splits as
+    enumerate_weight_splits gives them (one WeightDatum per part); yields,
+    for each choice of one split per index, the per-part weight tuples, each
+    a tuple of WeightDatum indexed by chain slot.
     """
-    r = len(weight_data) - 1
-    per_index = []
-    for i in range(r + 1):
-        sizes = tuple(prof[i] for prof in profiles)
-        per_index.append(enumerate_weight_splits(weight_data[i], sizes))
     for combo in itertools.product(*per_index):
-        yield tuple(
-            tuple(combo[i][j] for i in range(r + 1)) for j in range(len(profiles))
-        )
+        yield tuple(zip(*combo))
 
 
 def slopes_decrease(parts, alpha):

@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import DivisionOutsideRing, EngineError, UnsupportedParabolicLink, WallHit
 from .motive import ring
-from .parabolic import ChainType, Param, par_slope, ratio_str
+from .parabolic import ChainType, Param, enumerate_weight_splits, par_slope, ratio_str
 from .chains import (
     _has_interval_support,
     chi_skyscrapers,
@@ -38,11 +38,11 @@ class ChainEngine:
     is idempotent: concurrent or re-ordered insertions of the same key can
     only store the identical canonical value, and results are independent of
     evaluation schedule.  One table, keyed by (function, args), holds the
-    chain types the recursion builds, the padded part degree boxes, gap
-    profiles and sub-types of this problem's weights, the seed-cache classes
-    parsed so far and the Hecke products of its base cases.  No key holds
-    the engine, so the table lives exactly as long as the engine and
-    dropping the last reference frees both.
+    chain types the recursion builds, the per-index weight splits, padded
+    part degree boxes, gap profiles and sub-types of this problem's weights,
+    the seed-cache classes parsed so far and the Hecke products of its base
+    cases.  No key holds the engine, so the table lives exactly as long as
+    the engine and dropping the last reference frees both.
     """
 
     def __init__(self, curve, trace_walls=False, seed_cache=None):
@@ -119,9 +119,32 @@ class ChainEngine:
             self.tables[key] = fn(*args)
         return self.tables[key]
 
+    def weight_splits(self, weights, profiles):
+        """index_weight_splits of the chain datum weights into the rank
+        profiles, each index split by enumerate_weight_splits once per
+        engine."""
+        return index_weight_splits([
+            self._table(enumerate_weight_splits, datum, sizes)
+            for datum, sizes in zip(weights, zip(*profiles))
+        ])
+
     def subtypes(self, tau):
-        """The table of _subtypes for tau's ranks and weights."""
-        return self._table(_subtypes, tau.ranks, tau.weights, tau.Q)
+        """Per proper sub-rank-profile of tau, (profile, size, groups): its
+        (first, rest) weight splits grouped as (W, splits) by the first
+        part's weight sum W over tau's Q, W ascending.  Built once per ranks
+        and weights, keyed like the _table entries by the plain function."""
+        key = (ChainEngine.subtypes, (tau.ranks, tau.weights))
+        if key not in self.tables:
+            table = []
+            for first in proper_subprofiles(tau.ranks):
+                rest = tuple(n - m for n, m in zip(tau.ranks, first))
+                groups = {}
+                for split in self.weight_splits(tau.weights, (first, rest)):
+                    W = sum(d.weight_num * (tau.Q // d.den) for d in split[0])
+                    groups.setdefault(W, []).append(split)
+                table.append((first, sum(first), tuple(sorted(groups.items()))))
+            self.tables[key] = tuple(table)
+        return self.tables[key]
 
     def _restrict(self, tau, indices):
         return self._table(
@@ -222,7 +245,7 @@ class ChainEngine:
             if len(comp) < 2:
                 continue
             profiles = tuple((m,) * (r + 1) for m in comp)
-            for weight_parts in index_weight_splits(tau.weights, profiles):
+            for weight_parts in self.weight_splits(tau.weights, profiles):
                 profile_lists = [
                     self._table(enumerate_gap_profiles, prof, alpha, weight_parts[j])
                     for j, prof in enumerate(profiles)
@@ -416,21 +439,6 @@ class ChainEngine:
                 "strata": strata_count,
                 "class_hash": hashlib.sha256(str(cls).encode()).hexdigest()[:16],
             })
-
-
-def _subtypes(ranks, weights, Q):
-    """Per proper sub-rank-profile, (profile, size, groups): its (first,
-    rest) weight splits grouped as (W, splits) by the first part's weight
-    sum W over Q, W ascending."""
-    table = []
-    for first in proper_subprofiles(ranks):
-        rest = tuple(n - m for n, m in zip(ranks, first))
-        groups = {}
-        for split in index_weight_splits(weights, (first, rest)):
-            W = sum(d.weight_num * (Q // d.den) for d in split[0])
-            groups.setdefault(W, []).append(split)
-        table.append((first, sum(first), tuple(sorted(groups.items()))))
-    return tuple(table)
 
 
 def _padded_box(profile, weights, alpha, total):

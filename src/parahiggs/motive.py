@@ -343,7 +343,8 @@ def _at_root(coeff, e):
 
 
 class Ring:
-    """Atom factory for a fixed genus."""
+    """Atom factory for a fixed genus.  The symmetric-power classes C(i)
+    are built once per ring and shared, as no class is mutated in place."""
 
     def __init__(self, genus):
         if genus < 0:
@@ -352,6 +353,7 @@ class Ring:
         self.nvars = num_vars(genus)
         self.zero = self.monomial(0)
         self.one = self.monomial(1)
+        self._C = {}
 
     def monomial(self, c, exps=()):
         """c times the atoms L, Pic, C1, ... to the exponents exps (missing
@@ -386,13 +388,19 @@ class Ring:
             return self.one
         if i < 0:
             return self.zero
-        g = self.genus
-        if i <= g - 1:
-            return self.monomial(1, (0,) * (1 + i) + (1,))
-        e = i - g + 1
-        # [P^{e-1}] = 1 + L + ... + L^{e-1}
-        proj = MotiveClass(g, u_to_multivar((1,) * e, self.nvars), DEN_ONE, _reduced=True)
-        return self.L_pow(e) * self.C(2 * g - 2 - i) + self.Pic * proj
+        if i not in self._C:
+            g = self.genus
+            if i <= g - 1:
+                cls = self.monomial(1, (0,) * (1 + i) + (1,))
+            else:
+                e = i - g + 1
+                # [P^{e-1}] = 1 + L + ... + L^{e-1}
+                proj = MotiveClass(
+                    g, u_to_multivar((1,) * e, self.nvars), DEN_ONE, _reduced=True
+                )
+                cls = self.L_pow(e) * self.C(2 * g - 2 - i) + self.Pic * proj
+            self._C[i] = cls
+        return self._C[i]
 
     def parse(self, text):
         return parse_class(text, self.genus)

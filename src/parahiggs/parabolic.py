@@ -288,7 +288,12 @@ def genericity_check(all_weights, N):
     c_i*w_i is integral iff c_i*a_i sums to 0 mod Q. The residues of the left
     half's coefficient vectors are tabulated; a relation with |c_i| <= N exists
     iff a nonzero left vector reaches 0 or a nonzero right vector reaches the
-    negative of a table entry, of size (2N+1)^ceil(count/2) <= GENERICITY_BUDGET.
+    negative of a table entry, of size (2N+1)^ceil(count/2) <= GENERICITY_BUDGET;
+    the table holds the negative of each entry, as c and -c are both bounded.
+    The right half is never tabulated whole: its sums over all but its last
+    weight (at most a (2N+1)-th of the table, equal sums merged) are looked
+    up, then those sums and zero, each plus each nonzero step of the last
+    weight, are streamed against the table up to the first hit.
     """
     if N < 1:
         raise ValueError("bound must be at least 1")
@@ -307,7 +312,16 @@ def genericity_check(all_weights, N):
     if 0 in left:
         return False
     left.add(0)
-    return all((-b) % Q not in left for b in _nonzero_sums(residues[half:], N, Q))
+    right = residues[half:]
+    if not right:
+        return True
+    head = _nonzero_sums(right[:-1], N, Q)
+    if not left.isdisjoint(head):
+        return False
+    steps = [c * right[-1] % Q for c in range(-N, N + 1) if c]
+    return left.isdisjoint(
+        (s + step) % Q for s in itertools.chain((0,), head) for step in steps
+    )
 
 
 def certify_generic(all_weights, N):
@@ -365,14 +379,14 @@ def generate_generic_weights(total_weight_count, N):
     return [Fraction(p, Q) for p in powers]
 
 
-def _point_splits(entries, part_ranks):
-    """Distribute one point's (w, 1) entries into parts of the given ranks,
-    each part's entries in the order given."""
+def _point_splits(positions, part_ranks):
+    """Distribute one point's weight positions into parts of the given
+    ranks, each part's positions ascending."""
     if not part_ranks:
         yield ()
         return
-    for chosen in itertools.combinations(entries, part_ranks[0]):
-        rest = tuple(x for x in entries if x not in chosen)
+    for chosen in itertools.combinations(positions, part_ranks[0]):
+        rest = tuple(x for x in positions if x not in chosen)
         for tail in _point_splits(rest, part_ranks[1:]):
             yield (chosen,) + tail
 
@@ -381,9 +395,10 @@ def enumerate_weight_splits(datum, part_ranks):
     """All ways to distribute the weights at each point into the given part ranks.
 
     Requires multiplicity-one data; returns a fresh list whose entries are
-    tuples of WeightDatum, one per part, in the order of part_ranks.  Each
-    distinct part is built once per call, and a part that takes every
-    weight is datum itself.
+    tuples of WeightDatum, one per part, in the order of part_ranks.  Parts
+    are keyed by the positions of their weights in datum, so each distinct
+    part is built once per call, and a part that takes every weight is
+    datum itself.
     """
     part_ranks = tuple(int(r) for r in part_ranks)
     if datum.points and sum(part_ranks) != datum.rank:
@@ -393,13 +408,17 @@ def enumerate_weight_splits(datum, part_ranks):
     for point in datum.points:
         if any(m != 1 for _, m in point):
             raise RankMismatch("weight splitting requires multiplicity-one data")
-    per_point = [list(_point_splits(point, part_ranks)) for point in datum.points]
-    built = {datum.points: datum}
+    whole = tuple(tuple(range(len(point))) for point in datum.points)
+    per_point = [list(_point_splits(at, part_ranks)) for at in whole]
+    built = {whole: datum}
 
-    def part(points):
-        if points not in built:
-            built[points] = WeightDatum(points)
-        return built[points]
+    def part(positions):
+        if positions not in built:
+            built[positions] = WeightDatum(tuple(
+                tuple(point[i] for i in at)
+                for point, at in zip(datum.points, positions)
+            ))
+        return built[positions]
 
     return [
         tuple(

@@ -17,6 +17,7 @@ from parahiggs.motive import CurveData
 from parahiggs.parabolic import (
     ChainType,
     WeightDatum,
+    enumerate_weight_splits,
     generate_generic_weights,
 )
 from parahiggs.chains import (
@@ -31,6 +32,15 @@ from parahiggs.chains import (
     necessary_conditions,
     slopes_decrease,
 )
+
+
+def index_splits(weights, profiles):
+    """index_weight_splits of the chain datum weights into the rank
+    profiles, each index split afresh."""
+    return index_weight_splits([
+        enumerate_weight_splits(datum, sizes)
+        for datum, sizes in zip(weights, zip(*profiles))
+    ])
 
 
 def full_flag(ws):
@@ -429,7 +439,7 @@ def product_filtration_types(tau, alpha, window=None):
     for profiles in profile_tuples(tau.ranks):
         if len(profiles) < 2:
             continue
-        for weight_parts in index_weight_splits(tau.weights, profiles):
+        for weight_parts in index_splits(tau.weights, profiles):
             choices = []
             for prof, wparts in zip(profiles, weight_parts):
                 if window is None:

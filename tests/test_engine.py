@@ -20,12 +20,11 @@ from parahiggs.stacks import pbundle_stack_class
 from parahiggs.chains import (
     compositions,
     ext_exponent,
-    index_weight_splits,
     slopes_decrease,
 )
 
 from fraction_reference import weight_sum
-from test_chains import product_filtration_types
+from test_chains import index_splits, product_filtration_types
 
 
 ZETA = (1, 0, 0, 0, 4)
@@ -213,8 +212,6 @@ def test_cache_key_bytes_pinned():
 def test_resummation_twist_periodicity_validated():
     """The resummation's premise: a part class equals the class of its twist
     by the period, here for the rank-one parts of a rank-2, one-point type."""
-    from parahiggs.chains import index_weight_splits
-
     curve = CurveData(2, 1)
     ws, d1, d2 = gen_pair()
     full = WeightDatum.full_flags([[ws[0], ws[1]]])
@@ -223,7 +220,7 @@ def test_resummation_twist_periodicity_validated():
     cls = eng.chain_class(ChainType((2,), (1,), (full,)), alpha)
     assert not cls.is_zero()
     period = 1  # lcm of the part ranks (1, 1)
-    for weight_parts in index_weight_splits((full,), [(1,), (1,)]):
+    for weight_parts in eng.weight_splits((full,), [(1,), (1,)]):
         for wp in weight_parts:
             for c in range(-2, 3):
                 part = eng.chain_class(ChainType((1,), (c,), wp), alpha)
@@ -315,7 +312,7 @@ def test_rank3_filtration_sum_matches_windowed_series():
     """
     import itertools
 
-    from parahiggs.chains import chi_ext_fiber, compositions, index_weight_splits
+    from parahiggs.chains import chi_ext_fiber, compositions
 
     datum3 = WeightDatum.full_flags([generate_generic_weights(3, 3)])
     cases = [
@@ -345,7 +342,7 @@ def test_rank3_filtration_sum_matches_windowed_series():
             closed = eng.R.zero
             profiles = [(m,) for m in comp]
             numeric = Fraction(0)
-            for weight_parts in index_weight_splits(tau.weights, profiles):
+            for weight_parts in eng.weight_splits(tau.weights, profiles):
                 closed = closed + eng._resum(
                     tau, alpha, comp, weight_parts, tuple((0,) for _ in comp)
                 )
@@ -392,7 +389,7 @@ def test_ext_exponent_moves_by_one_rate_along_each_cone_ray(seed):
         for _ in range(r1)
     )
     profiles = tuple((m,) * r1 for m in comp)
-    weight_parts = rnd.choice(list(index_weight_splits(weights, profiles)))
+    weight_parts = rnd.choice(list(index_splits(weights, profiles)))
     base = [[rnd.randint(-3, 3) for _ in range(r1)] for _ in comp]
 
     def chi_of(c):
@@ -459,7 +456,7 @@ def test_resum_raises_on_a_divergent_series(monkeypatch):
     tau = ChainType((2,), (1,), (datum,))
     alpha = (Fraction(0),)
     eng = ChainEngine(curve)
-    (weight_parts, *_) = index_weight_splits(tau.weights, [(1,), (1,)])
+    (weight_parts, *_) = eng.weight_splits(tau.weights, [(1,), (1,)])
     args = (tau, alpha, (1, 1), weight_parts, ((0,), (0,)))
     assert not eng._resum(*args).is_zero()
     monkeypatch.setattr(engine_module, "ext_exponent", lambda parts, g, k: 0)

@@ -7,6 +7,7 @@ import random
 import sys
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from parahiggs.errors import (
     NonGenericWeights,
     UnboundedSearch,
 )
+from parahiggs import engine as engine_module
 from parahiggs import parabolic
 from parahiggs.cli import run
 from parahiggs.motive import CurveData, ring, specialize_E, specialize_count
@@ -427,11 +429,34 @@ def test_solved_problem_leaves_no_weight_data_alive():
     assert alive == []
 
 
+@pytest.mark.parametrize("genus, points, rank, degree", [(2, 1, 3, 0), (1, 3, 2, 1)])
+def test_one_solve_splits_each_datum_once_per_part_ranks(
+    monkeypatch, genus, points, rank, degree
+):
+    """The engine reads every per-index weight split from its table, so one
+    solve calls enumerate_weight_splits once per (datum, part ranks)."""
+    calls = Counter()
+    split = engine_module.enumerate_weight_splits
+
+    def counting(datum, part_ranks):
+        calls[datum, part_ranks] += 1
+        return split(datum, part_ranks)
+
+    monkeypatch.setattr(engine_module, "enumerate_weight_splits", counting)
+    problem = HiggsProblem(
+        CurveData(genus, points), rank, degree, full_datum(rank, points)
+    )
+    higgs_moduli_class(problem, ChainEngine(problem.curve))
+    assert calls and max(calls.values()) == 1
+
+
 def test_weight_splits_share_their_parts():
     """enumerate_weight_splits builds each distinct part once per call and
-    gives a part that takes every weight the datum itself, so one (2,1,3)
-    solve at degree 0 keeps 217 WeightDatum objects of 8 values alive (431
-    when every split built each of its parts anew)."""
+    gives a part that takes every weight the datum itself, and the engine
+    splits each datum once per part ranks, so one (2,1,3) solve at degree 0
+    keeps 48 WeightDatum objects of 8 values alive (217 when every sub-type
+    and filtration sum split its data afresh, 431 when every split also
+    built each of its parts anew)."""
     datum = full_datum(3, 1)
     engine = ChainEngine(CurveData(2, 1))
     before = {id(obj) for obj in gc.get_objects() if isinstance(obj, WeightDatum)}
@@ -439,7 +464,7 @@ def test_weight_splits_share_their_parts():
     gc.collect()
     alive = [obj for obj in gc.get_objects()
              if isinstance(obj, WeightDatum) and id(obj) not in before]
-    assert len(alive) <= 217
+    assert len(alive) <= 48
     assert len(set(alive) | {datum}) == 8
 
 

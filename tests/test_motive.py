@@ -417,6 +417,23 @@ def test_sym_reduction_specialization_consistent():
             assert got == e_sym_series_coeff(i, g, u, v), (g, i)
 
 
+def test_symmetric_powers_built_once_per_ring(monkeypatch):
+    """Ring.C builds each class once per ring and shares it; the shared
+    classes equal those of a fresh ring built in the opposite order, and a
+    repeated call does no ring arithmetic."""
+    from parahiggs.motive import Ring
+
+    for g in range(4):
+        R, fresh = Ring(g), Ring(g)
+        indices = range(-1, 2 * g + 4)
+        first = [R.C(i) for i in indices]
+        assert [fresh.C(i) for i in reversed(indices)][::-1] == first
+        for op in ("__add__", "__mul__"):
+            monkeypatch.setattr(MotiveClass, op, None)
+        assert all(R.C(i) is cls for i, cls in zip(indices, first))
+        monkeypatch.undo()
+
+
 def test_sym_duality_relation_counts():
     # [Sym^2 C] = Pic + L at genus 2, checked against two real curves
     R = ring(2)

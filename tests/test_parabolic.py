@@ -177,6 +177,45 @@ def test_genericity_matches_brute_force():
     assert answers == {True, False}
 
 
+@pytest.mark.parametrize("right", [
+    (Fraction(1, 3), Fraction(2, 3)),     # needs the last weight
+    (Fraction(1, 2), Fraction(1, 1009)),  # 2 * (1/2) = 1, without it
+    (Fraction(1, 1009), Fraction(1, 2)),  # the last weight alone
+])
+def test_genericity_finds_a_relation_only_the_right_half_reaches(right):
+    """The right half is streamed against the left table, not tabulated
+    whole: a relation among the right-half weights alone is found, with no
+    relation in the left half and none through a nonzero left vector."""
+    ws = [Fraction(1, 101), Fraction(10, 101), *right]
+    assert brute_force_generic(ws[:2], 2)
+    assert all(
+        sum(map(operator.mul, combo, ws)).denominator != 1
+        for combo in itertools.product(range(-2, 3), repeat=4)
+        if any(combo[:2])
+    )
+    assert genericity_check(ws, 2) is brute_force_generic(ws, 2) is False
+
+
+def test_genericity_streamed_right_half_matches_brute_force():
+    """Random weights over a large prime with, in some draws, a planted
+    relation w + (1 - w) = 1 between two right-half weights, the last one
+    or not; the check agrees with brute force."""
+    rng = random.Random(2027)
+    P = 2**31 - 1
+    answers = set()
+    for _ in range(120):
+        count, N = rng.randint(2, 6), rng.randint(1, 2)
+        ws = [Fraction(rng.randrange(1, P), P) for _ in range(count)]
+        half = (count + 1) // 2
+        if count - half >= 2 and rng.random() < 0.5:
+            i, j = rng.sample(range(half, count), 2)
+            ws[j] = 1 - ws[i]
+        answer = genericity_check(ws, N)
+        assert answer is brute_force_generic(ws, N), (ws, N)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
 def test_genericity_inherited_by_sub_multisets():
     """Weights generic at bound N stay generic on every sub-multiset at every
     bound N' <= N, so one certificate at the entry covers every sub-type."""
@@ -233,6 +272,26 @@ def test_split_parts_are_built_once_per_call():
     assert [split[1] for split in splits] == [d] and splits[0][1] is d
     parts = [part for split in enumerate_weight_splits(d, (1, 1, 1)) for part in split]
     assert len(parts) == 18 and len({id(part) for part in parts}) == len(set(parts)) == 3
+
+
+@pytest.mark.parametrize("part_ranks", [(1, 2), (2, 1), (1, 1, 1), (0, 3), (3,)])
+def test_position_keyed_parts_equal_parts_built_from_their_weights(part_ranks):
+    """Parts are built from weight positions; each equals, and hashes as,
+    the WeightDatum built from fresh copies of its weights, the common
+    denominator of a part being its own, not the datum's."""
+    d = datum(
+        [(Fraction(1, 6), 1), (Fraction(1, 3), 1), (Fraction(1, 2), 1)],
+        [(Fraction(1, 10), 1), (Fraction(1, 5), 1), (Fraction(7, 10), 1)],
+    )
+    for split in enumerate_weight_splits(d, part_ranks):
+        for part in split:
+            copy = datum(*[
+                [(Fraction(w.numerator, w.denominator), m) for w, m in point]
+                for point in part.points
+            ])
+            assert part == copy and hash(part) == hash(copy)
+            assert (part.den, part.nums, part.weight_num) == (
+                copy.den, copy.nums, copy.weight_num)
 
 
 def test_full_flag_check_names_the_point():
