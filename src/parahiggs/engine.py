@@ -240,7 +240,7 @@ class ChainEngine:
         """
         n = tau.ranks[0]
         r = tau.length
-        total = self.R.zero
+        shapes = []
         for comp in compositions(n):
             if len(comp) < 2:
                 continue
@@ -254,9 +254,8 @@ class ChainEngine:
                 for combo in itertools.product(*profile_lists):
                     if all(sum(prof[i] for prof in combo) == d - tau.degrees[0]
                            for i, d in enumerate(tau.degrees)):
-                        total = total + self._resum(
-                            tau, alpha, comp, weight_parts, combo)
-        return total
+                        shapes.append(self._resum(tau, alpha, comp, weight_parts, combo))
+        return self.R.sum(shapes)
 
     def _resum(self, tau, alpha, comp, weight_parts, base_profiles):
         """Sum one filtration shape's strata over the lattice points of its cone.
@@ -323,7 +322,7 @@ class ChainEngine:
                   max(x[j] for x in corners) // E + 1)
             for j in range(h - 1)
         ]
-        total = R.zero
+        heads = []
         for head in itertools.product(*box):
             c = list(head) + [d0 - sum(head)]
             if not all(
@@ -341,9 +340,10 @@ class ChainEngine:
                 continue
             if any(rate >= 0 for rate in rates):
                 raise EngineError("divergent filtration series")
-            total = total + R.L_pow(chi_of(c)) * cls
+            heads.append(R.L_pow(chi_of(c)) * cls)
         # every head has the same rays, so their series divide the sum once;
         # a zero sum may have met no divergence check
+        total = R.sum(heads)
         if not total.is_zero():
             for rate in rates:
                 total = total / (R.one - R.L_pow(rate))
@@ -365,8 +365,7 @@ class ChainEngine:
         g = self.curve.genus
         k = tau.num_points
         order = {side: ray.at(t_wall + side) for side in (+1, -1)}
-        totals = {side: self.R.zero for side in order}
-        count = 0
+        strata = {side: [] for side in order}
         for parts in self.filtration_types(tau, ray.at(t_wall)):
             side = next(
                 (s for s, a in order.items() if slopes_decrease(parts, a)), None
@@ -380,9 +379,9 @@ class ChainEngine:
                     break
             if cls.is_zero():
                 continue
-            totals[side] = totals[side] + cls
-            count += 1
-        return (totals[+1], totals[-1]), count
+            strata[side].append(cls)
+        return ((self.R.sum(strata[+1]), self.R.sum(strata[-1])),
+                len(strata[+1]) + len(strata[-1]))
 
     def filtration_types(self, tau, alpha):
         """Filtration types of tau at a wall alpha: tuples of at least two

@@ -54,12 +54,13 @@ def chain_stability(r, g):
     return tuple(i * (2 * g - 2) for i in range(r + 1))
 
 
-def enumerate_fixed_types(problem):
+def enumerate_fixed_types(problem, engine):
     """All chain types of torus-fixed loci, with chain-side degrees.
 
     Chain degrees are the Higgs-side degrees shifted by n_i (r-i)(2g-2); the
     finitely many degree vectors come from the existence box at the staircase
-    parameter.
+    parameter.  Each composition's weight splits come from the engine's table,
+    which the filtration sums read too.
     """
     n = problem.rank
     d = problem.degree
@@ -69,7 +70,7 @@ def enumerate_fixed_types(problem):
         r = len(comp) - 1
         alpha = chain_stability(r, g)
         shift = (2 * g - 2) * sum(comp[i] * (r - i) for i in range(r + 1))
-        for split in enumerate_weight_splits(problem.datum, comp):
+        for split in engine._table(enumerate_weight_splits, problem.datum, comp):
             for dvec in enumerate_degree_vectors(comp, d + shift, alpha, split):
                 out.append(ChainType(comp, dvec, split))
     return out
@@ -99,16 +100,12 @@ def higgs_computation(problem, engine=None):
     certify_generic(problem.datum.all_weights(), problem.rank)
     R = ring(g)
     N = half_dimension(problem.rank, problem.datum, g)
-    total = R.zero
-    summands = []
     L_minus_one = R.L - R.one
-    for tau in enumerate_fixed_types(problem):
-        alpha = chain_stability(tau.length, g)
-        cls = engine.chain_class(tau, alpha)
-        contr = L_minus_one * cls
-        summands.append((tau, contr))
-        total = total + contr
-    result = R.L_pow(N) * total
+    summands = [
+        (tau, L_minus_one * engine.chain_class(tau, chain_stability(tau.length, g)))
+        for tau in enumerate_fixed_types(problem, engine)
+    ]
+    result = R.L_pow(N) * R.sum(contr for _, contr in summands)
     if not result.is_polynomial():
         raise NonPolynomialResult(
             f"moduli class has a residual denominator: {result}"

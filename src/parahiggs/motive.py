@@ -7,7 +7,7 @@ Such a denominator is L^b * prod Phi_e^{m_e}, Phi_e the e-th cyclotomic
 polynomial, and is kept factored as the pair (b, ((e, m_e), ...)), e
 ascending and every m_e >= 1, with (0, ()) for 1: sums, products and powers
 combine exponents, and _den_poly alone expands a denominator, for the
-numerator cofactors of + and inverse and for the specializations.
+numerator cofactors of Ring.sum and inverse and for the specializations.
 Fractions are kept in a canonical reduced form so equal ring elements compare
 equal as Python objects: every MotiveClass is in lowest terms, which
 MotiveClass(genus, num, den) establishes and the _reduced=True constructors
@@ -125,17 +125,7 @@ class MotiveClass:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        if self.den == other.den:
-            return MotiveClass(self.genus, p_add(self.num, other.num), self.den)
-        den = _den_merge(self.den, other.den, max)
-        nv = num_vars(self.genus)
-        num = p_add(_times_den(self.num, _den_merge(den, self.den, sub), nv),
-                    _times_den(other.num, _den_merge(den, other.den, sub), nv))
-        return MotiveClass(self.genus, num, den)
+        return ring(self.genus).sum((self, other))
 
     __radd__ = __add__
 
@@ -146,7 +136,7 @@ class MotiveClass:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return ring(self.genus).sum((self, -other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -266,12 +256,6 @@ def _den_poly(den):
     return out
 
 
-def _times_den(num, den, nvars):
-    if den == DEN_ONE:
-        return num
-    return p_mul(num, u_to_multivar(_den_poly(den), nvars))
-
-
 def _reduce(num, den):
     if den == DEN_ONE:
         return num, den
@@ -365,6 +349,38 @@ class Ring:
         b = max(-m[0], 0)
         m[0] += b
         return MotiveClass(self.genus, {tuple(m): c}, (b, ()), _reduced=True)
+
+    def sum(self, classes):
+        """The sum of classes of this genus, the one addition of the ring: over
+        the lcm of their denominators, each numerator times its cofactor, and
+        reduced once.  Zero terms are skipped, a lone nonzero term is returned
+        as it is and an empty sum is zero."""
+        terms, den = [], None
+        for x in classes:
+            if x.genus != self.genus:
+                raise ValueError("mixed-genus arithmetic")
+            if x.num:
+                terms.append(x)
+                if den is None:
+                    den = x.den
+                elif x.den != den:
+                    den = _den_merge(den, x.den, max)
+        if len(terms) < 2:
+            return terms[0] if terms else self.zero
+        num = {}
+        for x in terms:
+            part = x.num if x.den == den else p_mul(x.num, u_to_multivar(
+                _den_poly(_den_merge(den, x.den, sub)), self.nvars))
+            if not num:
+                num = dict(part)  # a copy: the terms' own dicts are shared
+                continue
+            for m, c in part.items():
+                c += num.get(m, 0)
+                if c:
+                    num[m] = c
+                else:
+                    num.pop(m, None)
+        return MotiveClass(self.genus, num, den)
 
     @property
     def L(self):
@@ -499,20 +515,12 @@ def _sym_cxp_coeff(g, n, ell):
     series = [R.C(i) for i in range(ell + 1)]
     for j in range(1, n - 1):
         factor = [R.C(i) * R.L_pow(j * i) for i in range(ell + 1)]
-        new = [R.zero] * (ell + 1)
-        for a in range(ell + 1):
-            if series[a].is_zero():
-                continue
-            for b in range(ell + 1 - a):
-                new[a + b] = new[a + b] + series[a] * factor[b]
-        series = new
+        series = [R.sum(series[a] * factor[k - a] for a in range(k + 1))
+                  for k in range(ell + 1)]
     if n == 1:
         return series[ell]
-    out = R.zero
-    for a in range(ell + 1):
-        if not series[a].is_zero():
-            out = out + series[a] * (R.C(ell - a) * R.L_pow((n - 1) * (ell - a)))
-    return out
+    return R.sum(series[a] * (R.C(ell - a) * R.L_pow((n - 1) * (ell - a)))
+                 for a in range(ell + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +797,8 @@ class _Parser:
     that only L takes negative) is read as a triple (coefficient, index,
     exponent), index None for an integer.  A run of them joined by * in one
     product accumulates into one coefficient and one exponent vector, and
-    the terms of a sum are added up into one numerator per denominator;
-    every other factor goes through MotiveClass arithmetic."""
+    the terms of a sum are added by one Ring.sum; every other factor goes
+    through MotiveClass arithmetic."""
 
     def __init__(self, text, genus):
         self.text = text
@@ -812,20 +820,12 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expr(self):
-        terms = [(1, self.term())]
+        terms = [self.term()]
         while self.peek() in ("+", "-"):
-            sign = 1 if self.text[self.pos] == "+" else -1
+            minus = self.text[self.pos] == "-"
             self.pos += 1
-            terms.append((sign, self.term()))
-        if len(terms) == 1:
-            return terms[0][1]
-        sums = {}
-        for sign, node in terms:
-            acc = sums.setdefault(node.den, {})
-            for m, c in node.num.items():
-                acc[m] = acc.get(m, 0) + sign * c
-        return sum((MotiveClass(self.R.genus, {m: c for m, c in num.items() if c}, den)
-                    for den, num in sums.items()), self.R.zero)
+            terms.append(-self.term() if minus else self.term())
+        return self.R.sum(terms)
 
     def term(self):
         floor, self.floor = self.floor, self.spent

@@ -215,6 +215,6 @@ def cross_ray(engine, tau, ray):
     cls = engine.chain_class(tau, ray.at(anchor))
     for t_c in reversed(walls):
         (plus, minus), count = engine.strata_at_wall(tau, ray, t_c)
-        cls = cls + plus - minus
+        cls = engine.R.sum((cls, plus, -minus))
         engine.record_wall(tau, t_c, count, cls)
     return cls

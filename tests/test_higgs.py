@@ -75,7 +75,7 @@ def test_chain_stability_staircase():
 def test_fixed_types_rank1():
     curve = CurveData(2, 1)
     prob = HiggsProblem(curve, 1, 5, full_datum(1, 1))
-    types = enumerate_fixed_types(prob)
+    types = enumerate_fixed_types(prob, ChainEngine(prob.curve))
     assert len(types) == 1
     assert types[0].ranks == (1,)
     assert types[0].degrees == (5,)
@@ -84,7 +84,7 @@ def test_fixed_types_rank1():
 def test_fixed_types_rank2_structure():
     curve = CurveData(2, 1)
     prob = HiggsProblem(curve, 2, 1, full_datum(2, 1))
-    types = enumerate_fixed_types(prob)
+    types = enumerate_fixed_types(prob, ChainEngine(prob.curve))
     ranks = {t.ranks for t in types}
     assert ranks == {(2,), (1, 1)}
     for t in types:
@@ -99,7 +99,7 @@ def test_fixed_types_rank2_structure():
 def test_fixed_types_rank3_rank_vectors():
     curve = CurveData(2, 1)
     prob = HiggsProblem(curve, 3, 1, full_datum(3, 1))
-    ranks = {t.ranks for t in enumerate_fixed_types(prob)}
+    ranks = {t.ranks for t in enumerate_fixed_types(prob, ChainEngine(prob.curve))}
     assert ranks == {(3,), (1, 2), (2, 1), (1, 1, 1)}
 
 

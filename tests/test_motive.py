@@ -193,6 +193,32 @@ def test_ring_laws(data):
         assert a * ring(g).one == a
         assert a + ring(g).zero == a
         assert a - a == ring(g).zero
+        # one n-ary sum, in any order, is the left fold of +
+        xs = data.draw(st.lists(elems, max_size=4))
+        fold = ring(g).zero
+        for x in xs:
+            fold = fold + x
+        got = ring(g).sum(data.draw(st.permutations(xs)))
+        assert got == fold and str(got) == str(fold)
+
+
+def test_ring_sum_edge_cases():
+    R = ring(2)
+    x = (R.Pic + 2 * R.L) / (R.L - 1)
+    assert R.sum([]) == R.zero
+    assert R.sum([R.zero, x]) is x
+    for mixed in ([x, ring(1).L], [ring(1).zero, x]):
+        with pytest.raises(ValueError):
+            R.sum(mixed)
+    with pytest.raises(ValueError):
+        x + ring(1).L
+    # a memoized class summed with itself, alone and next to a fraction,
+    # keeps its own numerator
+    shared = R.C(5)
+    before = dict(shared.num)
+    assert R.sum([shared, shared]) == 2 * shared
+    assert R.sum([shared, x, shared, -x]) == shared + shared
+    assert shared.num == before and R.C(5) is shared
 
 
 @pytest.mark.parametrize("n", range(10))
@@ -305,6 +331,16 @@ def test_reduced_form_matches_gcd(data):
             for got, want in ((x + y, MotiveClass(g, total, den)),
                               (x * y, MotiveClass(g, poly.p_mul(x.num, y.num), den))):
                 assert got == want and str(got) == str(want), (x, y)
+        # the three-term sum against the fraction over the product of the
+        # three denominators
+        dens = [motive._den_poly(x.den) for x in (a, b, c)]
+        total = {}
+        for x, (d1, d2) in zip((a, b, c), [dens[1:], dens[::2], dens[:2]]):
+            cofactor = poly.u_to_multivar(poly.u_mul(d1, d2), nv)
+            total = poly.p_add(total, poly.p_mul(x.num, cofactor))
+        den = poly.u_factor_cyclotomic(poly.u_mul(poly.u_mul(*dens[:2]), dens[2]))[1:]
+        got, want = ring(g).sum((a, b, c)), MotiveClass(g, total, den)
+        assert got == want and str(got) == str(want), (a, b, c)
         for x in (a, b, c, a + b, a * b - c, (a + b) * c):
             assert motive._den_poly(x.den)[-1] == 1
             # the gcd of den with all L-coefficient polynomials of num is 1
