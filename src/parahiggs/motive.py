@@ -12,7 +12,9 @@ Fractions are kept in a canonical reduced form so equal ring elements compare
 equal as Python objects: every MotiveClass is in lowest terms, which
 MotiveClass(genus, num, den) establishes and the _reduced=True constructors
 keep.  The product relies on it: for a/b and c/d in lowest terms,
-gcd(ac, bd) = gcd(a, d) gcd(c, b).
+gcd(ac, bd) = gcd(a, d) gcd(c, b).  A numerator is also read as one
+L-polynomial per tail, its monomial in the other atoms: _l_coefficients alone
+splits it so, for _reduce, inverse and the division in specialize_E.
 
 Symmetric powers are not independent: the Abel-Jacobi stratification gives
     [C^(d)] = L^{d-g+1} [C^(2g-2-d)] + Pic * [P^{d-g}]   for d >= g,
@@ -56,7 +58,6 @@ from .poly import (
     u_factor_cyclotomic,
     u_mul,
     u_to_multivar,
-    u_trim,
 )
 
 DEN_ONE = (0, ())
@@ -168,18 +169,20 @@ class MotiveClass:
             return self.inverse() ** (-n)
         b, factors = self.den
         den = (n * b, tuple((e, n * m) for e, m in factors) if n else ())
-        return MotiveClass(self.genus, p_pow(self.num, n, num_vars(self.genus)), den)
+        # L and each Phi_e are prime: a power of a class in lowest terms is one
+        num = p_pow(self.num, n, num_vars(self.genus))
+        return MotiveClass(self.genus, num, den, _reduced=True)
 
     def inverse(self):
         """Invert; only unit multiples of admissible denominator factors allow it."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero motive class")
-        uni = _univariate_part(self.num)
-        if uni is None:
+        (tail, uni), *rest = _l_coefficients(self.num, 0).items()
+        if rest or any(tail):
             raise DivisionOutsideRing(
                 "divisor involves Pic or symmetric-power atoms; quotient leaves the ring"
             )
-        fact = u_factor_cyclotomic(uni)
+        fact = u_factor_cyclotomic(tuple(uni))
         if fact is None:
             raise DivisionOutsideRing(
                 "divisor numerator is not a unit times L-powers and (L^a - 1) factors"
@@ -204,21 +207,6 @@ class MotiveClass:
 
     def __repr__(self):
         return f"MotiveClass({self})"
-
-
-def _univariate_part(num):
-    """Return num as a univariate L-tuple when no other atom occurs, else None."""
-    if not num:
-        return ()
-    deg = 0
-    for m in num:
-        if any(m[1:]):
-            return None
-        deg = max(deg, m[0])
-    out = [0] * (deg + 1)
-    for m, c in num.items():
-        out[m[0]] = c
-    return u_trim(out)
 
 
 def _den_merge(a, b, op):
@@ -256,16 +244,30 @@ def _den_poly(den):
     return out
 
 
+def _l_coefficients(num, shift):
+    """num / L^shift split by tail, the exponents of the atoms after L:
+    {tail: [c_0, c_1, ...]}, the L-coefficients of that tail, built fresh."""
+    coeffs = {}
+    for m, c in num.items():
+        k = m[0] - shift
+        coeff = coeffs.setdefault(m[1:], [])
+        if len(coeff) <= k:
+            coeff += [0] * (k + 1 - len(coeff))
+        coeff[k] = c
+    return coeffs
+
+
 def _reduce(num, den):
     if den == DEN_ONE:
         return num, den
     if not num:
         return {}, DEN_ONE
     # Cancel L, then each Phi_e, while it divides den and every L-coefficient
-    # polynomial of num.  The factors are distinct irreducibles, so this
-    # divides out exactly the gcd of den with those polynomials.  Phi_1 and
-    # Phi_2 divide an integer polynomial exactly when it vanishes at L = 1 and
-    # L = -1, so they are tested by evaluation, first in one pass over num.
+    # list of num that _l_coefficients splits off.  The factors are distinct
+    # irreducibles, so this divides out exactly the gcd of den with those
+    # polynomials.  Phi_1 and Phi_2 divide an integer polynomial exactly when
+    # it vanishes at L = 1 and L = -1: a first pass over num evaluates every
+    # tail there and returns before the split when nothing can cancel.
     b, factors = den
     shift = b
     at_roots = {}  # per tail, its polynomial at L = 1 and at L = -1
@@ -281,15 +283,7 @@ def _reduce(num, den):
         e <= 2 and any(v[e - 1] for v in at_roots.values()) for e, _ in factors
     ):
         return num, den
-    groups = {}
-    for m, c in num.items():
-        groups.setdefault(m[1:], {})[m[0]] = c
-    coeffs = {}
-    for tail, terms in groups.items():
-        coeff = [0] * (max(terms) + 1 - shift)
-        for e, c in terms.items():
-            coeff[e - shift] = c
-        coeffs[tail] = coeff
+    coeffs = _l_coefficients(num, shift)
     kept = []
     for e, mult in factors:
         phi = poly.cyclotomic(e)
@@ -684,15 +678,10 @@ def specialize_E(x):
     # the denominator is a polynomial in uv, so it divides num iff it divides
     # each diagonal {u^i v^j : i - j = d}, read as a polynomial in uv
     den = _den_poly(x.den)
-    diagonals = {}
-    for (i, j), c in num.items():
-        diagonals.setdefault(i - j, {})[min(i, j)] = c
+    diagonals = _l_coefficients({(min(i, j), i - j): c for (i, j), c in num.items()}, 0)
     quot = {}
-    for d, terms in diagonals.items():
-        coeffs = [0] * (max(terms) + 1)
-        for k, c in terms.items():
-            coeffs[k] = c
-        qd = u_div_exact(tuple(coeffs), den)
+    for (d,), coeffs in diagonals.items():
+        qd = u_div_exact(coeffs, den)
         if qd is None:
             return EPoly(num, {(e, e): c for e, c in enumerate(den) if c})
         for k, c in enumerate(qd):

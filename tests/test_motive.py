@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import parser_reference
 import reduce_reference
 
-from parahiggs import motive, poly
+from parahiggs import motive, poly, stacks
 from parahiggs.errors import (
     DivisionOutsideRing,
     InconsistentZeta,
@@ -34,7 +34,7 @@ from parahiggs.motive import (
     zeta_eval,
 )
 from parahiggs.oracles import split_zeta_numerator
-from parahiggs.parabolic import WeightDatum
+from parahiggs.parabolic import WeightDatum, generate_generic_weights
 from parahiggs.stacks import bundle_stack_class, flag_class, gl_class
 
 ZETA_G1 = (1, 0, 2)          # elliptic curve over F_2 with a_1 = 0
@@ -82,6 +82,10 @@ def test_unit_cancellation():
     R = ring(2)
     x = R.C(1) * (R.L - 1) / (R.L - 1)
     assert x == R.C(1)
+    # a divisor with a leading L power and a negative sign
+    y = -R.L ** 2 * (R.L - 1)
+    assert str(R.one / y) == "(-1) / (L^2 * (L - 1))"
+    assert (R.one / y) * y == R.one and R.C(1) * y / y == R.C(1)
 
 
 def test_polynomial_division():
@@ -130,6 +134,11 @@ def test_division_outside_ring():
         R.one / R.C(1)
     with pytest.raises(DivisionOutsideRing):
         R.one / (R.L + 2)
+    # an admissible L-polynomial next to a Pic tail, with and without a
+    # common power of L
+    for divisor in ((R.L - 1) * (R.one + R.Pic), R.L ** 2 + R.Pic * R.L):
+        with pytest.raises(DivisionOutsideRing):
+            R.one / divisor
 
 
 def motive_elements(genus):
@@ -247,6 +256,20 @@ def test_p_pow_squares_only_while_bits_remain(monkeypatch):
         assert len(squarings) == want, n
 
 
+def random_reduced_class(rng, genus):
+    """A class in lowest terms from the reducing constructor: a numerator of
+    up to three terms, sometimes times L, Phi_1, Phi_2 or Phi_3 so that a
+    factor cancels, over L^b Phi_1^m1 Phi_2^m2 Phi_3^m3 with exponents 0-2."""
+    nvars = num_vars(genus)
+    num = {tuple(rng.randint(0, 2) for _ in range(nvars)): rng.choice((-2, -1, 1, 3))
+           for _ in range(rng.randint(1, 3))}
+    factor = rng.choice([(1,), (0, 1)] + [poly.cyclotomic(e) for e in (1, 2, 3)])
+    num = poly.p_mul(num, poly.u_to_multivar(factor, nvars))
+    mults = {e: rng.randint(0, 2) for e in (1, 2, 3)}
+    factors = tuple((e, m) for e, m in mults.items() if m)
+    return MotiveClass(genus, num, (rng.randint(0, 2), factors))
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_class_pow_matches_repeated_products(n):
     R = ring(2)
@@ -256,6 +279,24 @@ def test_class_pow_matches_repeated_products(n):
         want = want * x
     got = x ** n
     assert got == want and str(got) == str(want)
+    # x ** n skips the reduction, as L and each Phi_e are prime: for n in
+    # 0-4 it equals the reducing constructor on its numerator and denominator
+    if n > 4:
+        return
+    rng = random.Random(n)
+    seen = set()
+    for g in (0, 1, 2):
+        for _ in range(30):
+            x = random_reduced_class(rng, g)
+            b, factors = x.den
+            seen.update(e for e, _ in factors)
+            if b:
+                seen.add("L")
+            den = (n * b, tuple((e, n * m) for e, m in factors) if n else ())
+            want = MotiveClass(g, poly.p_pow(x.num, n, num_vars(g)), den)
+            got = x ** n
+            assert got == want and str(got) == str(want), (g, str(x))
+    assert seen == {"L", 1, 2, 3}
 
 
 def test_class_pow_of_large_denominator_is_fast():
@@ -470,6 +511,27 @@ def test_symmetric_powers_built_once_per_ring(monkeypatch):
         monkeypatch.undo()
 
 
+def test_trial_divisions_of_one_solve(monkeypatch):
+    """The (2,1,3) solve at degree 1 makes 232 trial divisions in the motive
+    ring once the caches of its building blocks are cleared.  Phi_1 and
+    Phi_2 are tested by evaluation at L = 1 and L = -1 before any division,
+    so a reduction that divided by them instead would raise the count."""
+    calls = []
+    divide = motive.u_div_exact
+
+    def counting(a, b):
+        calls.append(b)
+        return divide(a, b)
+
+    monkeypatch.setattr(motive, "u_div_exact", counting)
+    for cached in (motive._sym_cxp_coeff, stacks._bundle_stack_class,
+                   stacks.gl_class, stacks.flag_class):
+        cached.cache_clear()
+    datum = WeightDatum.full_flags([generate_generic_weights(3, 3)])
+    higgs_computation(HiggsProblem(CurveData(2, 1), 3, 1, datum))
+    assert len(calls) == 232
+
+
 def test_sym_duality_relation_counts():
     # [Sym^2 C] = Pic + L at genus 2, checked against two real curves
     R = ring(2)
@@ -644,6 +706,12 @@ def test_specialize_E_divides_a_denominator_out():
     assert str(x) == "(-2 * L * C1 - 3 * L + 4 * Pic - C1^2 - 2 * C1 - 1) / ((L - 1))"
     assert str(specialize_E(x)) == "u*v"
     assert specialize_count(x, CurveData(2, 0, split_zeta_numerator(2, 2, 3)), 6) == 6
+    # without the L term the class is in the kernel of the E-map: the
+    # numerator's image is zero, and so is the quotient
+    kernel = x - R.L
+    assert not kernel.is_polynomial()
+    e = specialize_E(kernel)
+    assert e.is_polynomial and str(e) == "0"
 
 
 def test_specialize_count_examples():
