@@ -221,10 +221,11 @@ def _den_merge(a, b, op):
     return op(a[0], b[0]), tuple(sorted((e, m) for e, m in mults.items() if m))
 
 
-def _top_degree(x):
+def _top_degree(x, l_weight=1):
     """Largest weighted degree of a monomial of x.num, 0 for zero: L counts
-    1, Pic counts g, C^(i) counts i (at genus 0 the monomials are L alone)."""
-    weights = [1, x.genus] + list(range(1, max_atom(x.genus) + 1))
+    l_weight, Pic counts g, C^(i) counts i (at genus 0 the monomials are L
+    alone)."""
+    weights = [l_weight, x.genus] + list(range(1, max_atom(x.genus) + 1))
     return max((sum(map(mul, weights, m)) for m in x.num), default=0)
 
 
@@ -632,45 +633,58 @@ def _realize(x, q, P):
 
 
 def _packing(x):
-    """Byte width w and stride S of specialize_E's packing of x.
+    """Byte width w, degree bound S, band half-width K and stride W of
+    specialize_E's packing of x.
 
     A coefficient of E(x) is at most sum |c_m| prod ||img_i||_1^e_i, which is
     _realize of x with |c_m| for c_m at q = 1 and P_j = ||P_j||_1 = C(2g, j);
-    its degree in u and in v is at most x's weighted top degree.
+    its degree in u and in v is below S, one more than x's weighted top
+    degree.  An atom image moves |a - b| of a term u^a v^b by at most the
+    atom's weight with L counted 0 (uv by 0, P(1) = (1-u)^g (1-v)^g by g, the
+    image of C^(i) by i), so E(x) lies in the band |a - b| <= K, K that
+    weighted top degree.  u^a v^b -> aW + b, W = min(S, 2K) and at least 1,
+    is one-to-one there: with d = b - a, (W + 1)(a - a') = d' - d and
+    |d' - d| <= 2K forces a = a' once W >= 2K, and W = S is one-to-one on
+    the whole S x S square.
     """
     g = x.genus
     plus = MotiveClass(g, {m: abs(c) for m, c in x.num.items()}, _reduced=True)
     bound = _realize(plus, 1, [comb(2 * g, j) for j in range(2 * g + 1)])
+    S, K = _top_degree(x) + 1, _top_degree(x, 0)
     # bound < 2^(8w - 1), so every coefficient is a signed 8w-bit digit
-    return bound.bit_length() // 8 + 1, _top_degree(x) + 1
+    return bound.bit_length() // 8 + 1, S, K, max(min(S, 2 * K), 1)
 
 
 def specialize_E(x):
     """Hodge specialization: L -> uv and zeta numerator (1-ut)^g (1-vt)^g.
 
     The numerator is evaluated once, at the Kronecker packing
-    u^a v^b -> 2^(B(aS + b)), B = 8w, with (w, S) from _packing, and each
-    coefficient is read back from the bytes of that integer plus 2^(B-1) in
-    every digit, which makes every digit nonnegative.
+    u^a v^b -> 2^(B(aW + b)), B = 8w, with (w, S, K, W) from _packing, and
+    each coefficient in the band |a - b| <= K is read back, row by row, from
+    the bytes of that integer plus 2^(B-1) in every digit, which makes every
+    digit nonnegative.
     """
     g = x.genus
-    w, S = _packing(x)
+    w, S, K, W = _packing(x)
     B = 8 * w
     P = [
-        sum(comb(g, a) * comb(g, j - a) * (-1) ** j << B * (a * S + j - a)
+        sum(comb(g, a) * comb(g, j - a) * (-1) ** j << B * (a * W + j - a)
             for a in range(max(0, j - g), min(g, j) + 1))
         for j in range(2 * g + 1)
     ]
-    packed = _realize(x, 1 << B * (S + 1), P)
+    packed = _realize(x, 1 << B * (W + 1), P)
     half = 1 << (B - 1)
     zero = half.to_bytes(w, "little")
-    raw = (packed + int.from_bytes(zero * S * S, "little")).to_bytes(w * S * S, "little")
+    # u^(S-1) v^(S-1) is the last digit
+    digits = (S - 1) * (W + 1) + 1
+    raw = (packed + int.from_bytes(zero * digits, "little")).to_bytes(w * digits, "little")
     num = {}
     for a in range(S):
-        row = raw[a * S * w : (a + 1) * S * w]
-        if row != zero * S:
-            for b in range(S):
-                chunk = row[b * w : b * w + w]
+        lo, hi = max(0, a - K), min(S, a + K + 1)
+        row = raw[(a * W + lo) * w : (a * W + hi) * w]
+        if row != zero * (hi - lo):
+            for b in range(lo, hi):
+                chunk = row[(b - lo) * w : (b - lo + 1) * w]
                 if chunk != zero:
                     num[a, b] = int.from_bytes(chunk, "little") - half
     if x.is_polynomial():

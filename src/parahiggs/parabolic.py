@@ -293,12 +293,18 @@ def genericity_check(all_weights, N):
     The right half is never tabulated whole: its sums over all but its last
     weight (at most a (2N+1)-th of the table, equal sums merged) are looked
     up, then those sums and zero, each plus each nonzero step of the last
-    weight, are streamed against the table up to the first hit.
+    weight, are streamed against the table up to the first hit.  Residues
+    that pass _balanced_digits, as generate_generic_weights' do, are
+    certified before the search and its budget.
     """
     if N < 1:
         raise ValueError("bound must be at least 1")
     ws = [frac(w) for w in all_weights]
     if not ws:
+        return True
+    Q = math.lcm(*(w.denominator for w in ws))
+    residues = [w.numerator * (Q // w.denominator) % Q for w in ws]
+    if _balanced_digits(residues, N, Q):
         return True
     half = (len(ws) + 1) // 2
     if (2 * N + 1) ** half > GENERICITY_BUDGET:
@@ -306,8 +312,6 @@ def genericity_check(all_weights, N):
             f"genericity table size (2*{N}+1)^{half} for {len(ws)} weights "
             f"exceeds budget {GENERICITY_BUDGET}"
         )
-    Q = math.lcm(*(w.denominator for w in ws))
-    residues = [w.numerator * (Q // w.denominator) % Q for w in ws]
     left = _nonzero_sums(residues[:half], N, Q)
     if 0 in left:
         return False
@@ -347,6 +351,23 @@ def require_full_flags(data):
                     f"point {p} has flag type {flag}; only full flags "
                     f"(every multiplicity 1) are supported"
                 )
+
+
+def _balanced_digits(residues, N, Q):
+    """True when r_i = min(a_i, Q - a_i), sorted, has each r_i > N*sum_{j<i} r_j
+    and N*sum r_i < Q: then no nonzero |c_i| <= N sums c_i*a_i to 0 mod Q.
+
+    As a_i = +-r_i mod Q, such a sum is congruent to some sum c_i' r_i with
+    |c_i'| <= N, whose absolute value is below Q, so that sum would be 0
+    exactly; but its last nonzero term outweighs all the terms before it.
+    No search; False only declines to certify.
+    """
+    total = 0
+    for r in sorted(min(a, Q - a) for a in residues):
+        if r <= N * total:
+            return False
+        total += r
+    return N * total < Q
 
 
 def _nonzero_sums(residues, N, Q):

@@ -321,6 +321,22 @@ def test_genus0_rank2_five_points_degree_independent():
     assert cls[0].dimension() == 4
 
 
+def test_genus0_rank2_ten_points_degree_independent():
+    """(0,10,2) needs 20 weights at bound 2, a 5^10-residue table above the
+    genericity budget; the linear digit certificate passes its generated
+    weights, and the class does not depend on the degree."""
+    assert 5 ** 10 > parabolic.GENERICITY_BUDGET
+    curve = CurveData(0, 10)
+    datum = full_datum(2, 10)
+    cls = {
+        d: higgs_moduli_class(HiggsProblem(curve, 2, d, datum)) for d in (1, 3)
+    }
+    assert cls[1] == cls[3]
+    assert str(cls[1]) == str(cls[3])
+    assert cls[1].is_polynomial()
+    assert cls[1].dimension() == 14
+
+
 def test_degree_independence_genus3():
     curve = CurveData(3, 1)
     datum = full_datum(2, 1)

@@ -816,17 +816,23 @@ def term_by_term_realize(x, q, P, nvars):
     return out
 
 
-def reference_E(x):
-    """specialize_E on (u, v) dicts: the term-by-term map at q = uv and
-    P(t) = (1-ut)^g (1-vt)^g, then the exact division of each diagonal
-    {u^i v^j : i - j = d} by the denominator read as a polynomial in uv."""
+def reference_numerator(x):
+    """The term-by-term map of x.num at q = uv and P(t) = (1-ut)^g (1-vt)^g,
+    as a {(a, b): coefficient} dict for u^a v^b."""
     g = x.genus
     P = [
         {(a, j - a): comb(g, a) * comb(g, j - a) * (-1) ** j
          for a in range(max(0, j - g), min(g, j) + 1)}
         for j in range(2 * g + 1)
     ]
-    num = term_by_term_realize(x, {(1, 1): 1}, P, 2)
+    return term_by_term_realize(x, {(1, 1): 1}, P, 2)
+
+
+def reference_E(x):
+    """specialize_E on (u, v) dicts: reference_numerator, then the exact
+    division of each diagonal {u^i v^j : i - j = d} by the denominator read
+    as a polynomial in uv."""
+    num = reference_numerator(x)
     if x.is_polynomial():
         return motive.EPoly(num)
     den = motive._den_poly(x.den)
@@ -943,8 +949,8 @@ def test_horner_realize_matches_term_by_term_at_the_packing_edges():
     # full and one that overflows, coefficients of 2^64 and more of both
     # signs, and a negative digit right below a positive one
     assert any(not e.num for e in epolys)
-    assert motive._packing(ring(0).L ** 3 * 127) == (1, 4)
-    assert motive._packing(ring(0).L ** 3 * 128) == (2, 4)
+    assert motive._packing(ring(0).L ** 3 * 127) == (1, 4, 0, 1)
+    assert motive._packing(ring(0).L ** 3 * 128) == (2, 4, 0, 1)
     assert max(coeffs) >= 2 ** 64 and min(coeffs) <= -(2 ** 64)
     assert any(c < 0 and e.num.get((i, j + 1), 0) > 0
                for e in epolys for (i, j), c in e.num.items())
@@ -969,14 +975,93 @@ def test_realize_matches_term_by_term_at_each_kind_of_q(q):
         assert motive._realize(x, q, P) == want, x
 
 
+def band_classes(seed):
+    """Classes at genus 0-6 whose monomials carry L up to 4 and up to three
+    other atoms, Pic and each C_i up to 3, with one in three over L^b times
+    one or two (L^a - 1)."""
+    rng = random.Random(seed)
+    for i in range(21):
+        g = i % 7
+        nv = num_vars(g)
+        num = {}
+        for _ in range(rng.randint(3, 8)):
+            m = [rng.randint(0, 4)] + [0] * (nv - 1)
+            for idx in rng.sample(range(1, nv), min(rng.randint(1, 3), nv - 1)):
+                m[idx] = rng.randint(1, 3)
+            num[tuple(m)] = rng.choice([-4, -1, 1, 3])
+        den = poly.U_ONE
+        if i % 3 == 2:
+            den = (0,) * rng.randint(0, 1) + den
+            for _ in range(rng.randint(1, 2)):
+                den = poly.u_mul(den, poly.u_lpower_minus_one(rng.randint(1, 3)))
+        yield MotiveClass(g, num, poly.u_factor_cyclotomic(den)[1:])
+
+
+def assert_in_band(x):
+    """specialize_E(x) equals reference_E(x), and every term u^a v^b of the
+    reference numerator has |a - b| <= K; returns _packing(x) and that
+    numerator."""
+    w, S, K, W = packing = motive._packing(x)
+    e, want = specialize_E(x), reference_E(x)
+    assert e == want, x
+    assert str(e) == str(want)
+    num = reference_numerator(x)
+    assert all(abs(a - b) <= K for (a, b), c in num.items() if c), x
+    return packing, num
+
+
+def test_band_packing_on_seeded_classes():
+    """The band |a - b| <= K of _packing holds every term of E(x) on classes
+    with Pic and C_i powers up to 3, over denominators or not, and
+    specialize_E reads each of them back."""
+    classes = list(band_classes(30))
+    assert {x.genus for x in classes} == set(range(7))
+    assert any(not x.is_polynomial() for x in classes)
+    assert any(max(m[1:], default=0) == 3 for x in classes for m in x.num)
+    regimes = set()
+    for x in classes:
+        (w, S, K, W), _ = assert_in_band(x)
+        regimes.add("band" if W == 2 * K < S else "square" if W == S else "K = 0")
+    assert {"band", "square"} <= regimes
+
+
+@pytest.mark.parametrize("g, k", [(1, 1), (1, 2), (2, 3), (3, 1), (4, 3), (6, 2)])
+def test_band_is_reached_by_powers_of_pic(g, k):
+    """Pic^k's E-polynomial ((1-u)(1-v))^(gk) has u^(gk) and v^(gk), so the
+    band cannot be narrower than K = gk."""
+    (w, S, K, W), num = assert_in_band(ring(g).Pic ** k)
+    assert K == g * k
+    assert max(abs(a - b) for a, b in num) == K
+    assert num[K, 0] == num[0, K] == (-1) ** K
+
+
+def test_band_stride_regimes():
+    """W = 2K < S on the (g,0,2) moduli classes from genus 2 up, W = S where
+    2K >= S (Pic^2 at genus 1), and W = 1 at K = 0: a genus-0 class and an
+    L-only polynomial at genus 3."""
+    for x in list(moduli_classes())[2:]:
+        w, S, K, W = motive._packing(x)
+        assert W == 2 * K < S, (x.genus, S, K)
+    (w, S, K, W), _ = assert_in_band(ring(1).Pic ** 2)
+    assert (S, K, W) == (3, 2, 3)
+    R0, R3 = ring(0), ring(3)
+    for x in (3 * R0.L ** 4 - R0.L + 7, (R0.L ** 2 - 5) / (R0.L - 1) ** 2,
+              R3.L ** 3 - 2 * R3.L, R3.one, R3.zero):
+        (w, S, K, W), num = assert_in_band(x)
+        assert K == 0 and W == 1, x
+        assert all(a == b for a, b in num)
+    assert specialize_E(R3.L ** 3 - 2 * R3.L) == motive.EPoly({(3, 3): 1, (1, 1): -2})
+
+
 def test_widest_benchmark_packing_is_pinned():
     """(10,0,2) at degree 1 is the widest packing the benchmark reaches:
-    48-bit digits at stride 75, so the packed integer has 5,625 digits, far
-    above the 640 decimal digits allowed here.  Its E-polynomial string is
+    48-bit digits, degree bound 75 and band |a - b| <= 20 at stride 40, so
+    the packed integer has 3,035 digits, far above the 640 decimal digits
+    allowed here.  Its E-polynomial string is
     the one recorded before the packing, and no packed integer goes through
     a decimal string."""
     x = list(moduli_classes())[10]
-    assert motive._packing(x) == (6, 75)
+    assert motive._packing(x) == (6, 75, 20, 40)
     limit = getattr(sys, "get_int_max_str_digits", None)
     if limit is None:  # Python 3.10 has no limit on int <-> str conversion
         text = str(specialize_E(x))

@@ -9,6 +9,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parahiggs import parabolic
 from parahiggs.errors import BudgetExceeded, InvalidFlagType, RankMismatch
 from parahiggs.parabolic import (
     GENERICITY_BUDGET,
@@ -214,6 +215,77 @@ def test_genericity_streamed_right_half_matches_brute_force():
         assert answer is brute_force_generic(ws, N), (ws, N)
         answers.add(answer)
     assert answers == {True, False}
+
+
+def superincreasing(rng, count, N):
+    """count values, each above N times the sum of the ones before it."""
+    rs, total = [], 0
+    for _ in range(count):
+        rs.append(N * total + 1 + rng.randrange(3))
+        total += rs[-1]
+    return rs
+
+
+def test_balanced_digit_certificate_matches_brute_force():
+    """Every input the linear certificate accepts is generic by brute force,
+    and genericity_check answers as brute force does either way.  Drawn:
+    superincreasing residues on random sides of Q/2, with N times their sum
+    below Q (accepted) or reaching it; the same with a zero or a repeated
+    residue put in; and random residues, generic or not."""
+    rng = random.Random(31)
+    seen = {"accepted": 0, "declined generic": 0, "declined relation": 0}
+    for _ in range(400):
+        count, N = rng.randint(1, 5), rng.randint(1, 3)
+        rs = superincreasing(rng, count, N)
+        kind = rng.randrange(4)
+        if kind == 0:
+            Q = N * sum(rs) + 1 + rng.randrange(50)
+        elif kind == 1:
+            Q = rng.randint(max(rs) + 1, max(max(rs) + 1, N * sum(rs)))
+        elif kind == 2:
+            Q = N * sum(rs) + 1 + rng.randrange(50)
+            rs[rng.randrange(count)] = rng.choice([0, rs[0]])
+        else:
+            Q = rng.choice([29, 101, 2**31 - 1])
+            rs = [rng.randrange(1, Q) for _ in rs]
+        residues = [r if rng.random() < 0.5 else (Q - r) % Q for r in rs]
+        rng.shuffle(residues)
+        ws = [Fraction(a, Q) for a in residues]
+        generic = brute_force_generic(ws, N)
+        accepted = parabolic._balanced_digits(residues, N, Q)
+        if accepted:
+            assert generic, (residues, N, Q)
+            seen["accepted"] += 1
+        else:
+            seen["declined generic" if generic else "declined relation"] += 1
+        assert genericity_check(ws, N) is generic, (residues, N, Q)
+    assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("residues, N, Q", [
+    ([0, 3, 9], 2, 29),           # a zero weight
+    ([3, 3, 9], 2, 29),           # a repeated residue
+    ([3, 26, 9], 2, 29),          # 3 and 29 - 3 share r = 3
+    ([5, 9, 31], 2, 101),         # 9 <= 2 * 5: not superincreasing
+    ([1, 3, 9, 27], 2, 79),       # 2 * (1 + 3 + 9 + 27) = 80 >= 79
+])
+def test_balanced_digit_certificate_declines(residues, N, Q):
+    assert parabolic._balanced_digits(residues, N, Q) is False
+    ws = [Fraction(a, Q) for a in residues]
+    assert genericity_check(ws, N) is brute_force_generic(ws, N)
+
+
+def test_generated_weights_certified_by_balanced_digits():
+    """generate_generic_weights draws B^j over a prime above N * sum B^j
+    with B = N + 1, so 20 weights at bound 2 are certified without the
+    5^10-residue table that the budget forbids."""
+    ws = generate_generic_weights(20, 2)
+    Q = ws[0].denominator
+    assert parabolic._balanced_digits([w.numerator for w in ws], 2, Q)
+    assert 5 ** 10 > GENERICITY_BUDGET
+    assert genericity_check(ws, 2) is True
+    with pytest.raises(BudgetExceeded):
+        genericity_check(ws[:19] + [1 - ws[0]], 2)
 
 
 def test_genericity_inherited_by_sub_multisets():
