@@ -12,7 +12,7 @@ import hashlib
 import itertools
 from math import gcd
 
-from .errors import DivisionOutsideRing, EngineError, UnsupportedParabolicLink, WallHit
+from .errors import DivisionOutsideRing, EngineError, UnsupportedParabolicLink
 from .motive import ring
 from .parabolic import ChainType, Param, enumerate_weight_splits, par_slope, ratio_str
 from .chains import (
@@ -359,8 +359,10 @@ class ChainEngine:
         the (non-strict) conditions there, which contain every side-chamber
         solution.  A type goes to the side t_wall + 1 or t_wall - 1 whose
         parameter makes its slopes strictly decrease.  All part slopes agree
-        at the wall, so that happens on at most one side.  Returns
-        ((plus, minus), count), count being the strata kept on both sides.
+        at the wall, so that happens on at most one side.  Each part is
+        evaluated once, at its walls.chamber_point on that side, which lies
+        off the part's own walls.  Returns ((plus, minus), count), count
+        being the strata kept on both sides.
         """
         g = self.curve.genus
         k = tau.num_points
@@ -374,7 +376,8 @@ class ChainEngine:
                 continue
             cls = self.R.L_pow(ext_exponent(parts, g, k))
             for p in parts:
-                cls = cls * self._part_class_near(p, ray, t_wall, side)
+                t_eval = wallmod.chamber_point(self, p, ray, t_wall, side)
+                cls = cls * self.chain_class(p, ray.at(t_eval))
                 if cls.is_zero():
                     break
             if cls.is_zero():
@@ -414,20 +417,6 @@ class ChainEngine:
                         yield (part, remainder)
                     for tail in self.filtration_types(remainder, alpha):
                         yield (part,) + tail
-
-    def _part_class_near(self, part, ray, t_wall, side):
-        """Part class in its own chamber next to the wall, at
-        walls.chamber_point, retrying past deeper accidental wall
-        coincidences."""
-        t_eval = wallmod.chamber_point(self, part, ray, t_wall, side)
-        for _ in range(40):
-            try:
-                return self.chain_class(part, ray.at(t_eval))
-            except WallHit:
-                t_eval = (t_wall + t_eval) / 2
-        raise EngineError(
-            f"could not find an evaluation point near wall t={t_wall} for {part}"
-        )
 
     def record_wall(self, tau, t, strata_count, cls):
         self.stats["walls_crossed"] += 1

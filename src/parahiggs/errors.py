@@ -65,7 +65,8 @@ class NonGenericWeights(EngineError):
 
 
 class WallHit(EngineError):
-    """The stability parameter sits exactly on a wall; caller must perturb."""
+    """A stability parameter the caller chose sits exactly on a wall; the
+    engine picks its own points off walls, so nothing catches it."""
 
     exit_code = 2
 

@@ -48,7 +48,6 @@ from .poly import (
     U_ONE,
     bundle_cyclotomic,
     euler_phi,
-    p_add,
     p_items_sorted,
     p_mul,
     p_neg,
@@ -475,7 +474,7 @@ def zeta_eval(curve, arg_exponent):
 
     The numerator P(L^e) = sum_j a_j L^{je} is L^{2ge} times the polynomial
     sum_j a_j L^{(j-2g)e}, whose L exponents are all nonnegative for e < 0,
-    so it is one sum of polynomials and one power of L."""
+    so it is one Ring.sum of the shifted polynomials a_j and one power of L."""
     if arg_exponent >= -1:
         raise NonConvergentEvaluation(
             "Z(C, L^e) is evaluated only for e <= -2 in the completed ring"
@@ -483,11 +482,12 @@ def zeta_eval(curve, arg_exponent):
     g = curve.genus
     R = ring(g)
     e = arg_exponent
-    num = {}
-    for j, a in enumerate(_zeta_numerator_classes(curve)):
-        shift = (j - 2 * g) * e
-        num = p_add(num, {(m[0] + shift,) + m[1:]: c for m, c in a.num.items()})
-    p_val = MotiveClass(g, num, (-2 * g * e, ()))
+    shifted = R.sum(
+        MotiveClass(g, {(m[0] + (j - 2 * g) * e,) + m[1:]: c for m, c in a.num.items()},
+                    _reduced=True)
+        for j, a in enumerate(_zeta_numerator_classes(curve))
+    )
+    p_val = MotiveClass(g, shifted.num, (-2 * g * e, ()))
     den = (R.one - R.L_pow(e)) * (R.one - R.L_pow(e + 1))
     return p_val / den
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as igcd
+from math import comb, gcd as igcd
 from operator import add
 
 
@@ -26,17 +26,6 @@ def p_const(c, nvars):
     if c == 0:
         return {}
     return {(0,) * nvars: c}
-
-
-def p_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
 
 
 def p_neg(a):
@@ -224,10 +213,11 @@ def u_factor_cyclotomic(u):
     """Factor u as sign * L^b * prod Phi_e^{m_e}; None if not of that shape.
 
     Returns (sign, b, ((e, m_e), ...)) with e ascending; the result is cached
-    and immutable.  Every product of Phi_e is monic and +-palindromic (Phi_1
-    antipalindromic, the others palindromic), so any other u is None at once.
-    Cyclotomic indices can exceed the degree (deg Phi_e = phi(e)), so the
-    search runs while phi(e) fits the remaining degree.
+    and immutable.  Every product of Phi_e is monic, and once L^b and the
+    sign are removed a monic u is decided by _only_roots_of_unity before any
+    division.  Cyclotomic indices can exceed the degree
+    (deg Phi_e = phi(e)), so the division runs while phi(e) fits the
+    remaining degree.
     """
     u = u_trim(u)
     if not u:
@@ -237,25 +227,40 @@ def u_factor_cyclotomic(u):
     sign = 1 if u[-1] > 0 else -1
     if sign < 0:
         u = tuple(-c for c in u)
-    if u[-1] != 1 or u[::-1] not in (u, tuple(-c for c in u)):
+    if u[-1] != 1 or not _only_roots_of_unity(u):
         return None
     factors = {}
-    d0 = u_deg(u)
-    limit = 2 * d0 * d0 + 2
     e = 1
-    while len(u) > 1 and e <= limit:
+    while len(u) > 1:
         if euler_phi(e) <= u_deg(u):
             phi = cyclotomic(e)
-            while True:
-                q = u_div_exact(u, phi)
-                if q is None:
-                    break
-                u = q
+            q = u_div_exact(u, phi)
+            while q is not None:
+                u, q = q, u_div_exact(q, phi)
                 factors[e] = factors.get(e, 0) + 1
         e += 1
-    if u != U_ONE:
-        return None
     return sign, b, tuple(factors.items())
+
+
+def _only_roots_of_unity(u):
+    """Whether every root of u, monic with u(0) != 0, is a root of unity.
+
+    A Graeffe step v(L^2) = (-1)^d u(L) u(-L) squares the roots.  One that
+    returns its input leaves no root off the unit circle (none outside, so
+    none inside as |u(0)| >= 1), so u is a product of Phi_e (Kronecker), and
+    those reach it once every root has odd order.  A root outside makes some
+    coefficient exceed comb(d, d // 2), the bound for roots in the unit disc,
+    after enough steps (Bradford-Davenport, ISSAC 1988).
+    """
+    d = u_deg(u)
+    bound = comb(d, d // 2)
+    while all(abs(c) <= bound for c in u):
+        w = u_mul(u, tuple(-c if i % 2 else c for i, c in enumerate(u)))
+        v = w[::2] if d % 2 == 0 else tuple(-c for c in w[::2])
+        if v == u:
+            return True
+        u = v
+    return False
 
 
 def bundle_cyclotomic(factors):

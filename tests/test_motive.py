@@ -41,6 +41,16 @@ ZETA_G1 = (1, 0, 2)          # elliptic curve over F_2 with a_1 = 0
 ZETA_G2_Q2 = (1, 0, 0, 0, 4)  # y^2 + y = x^5 over F_2
 
 
+def p_add(a, b):
+    """Sum of two multivariate poly dicts, zero coefficients dropped."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+        if not out[m]:
+            del out[m]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # independent series oracles
 
@@ -367,7 +377,7 @@ def test_reduced_form_matches_gcd(data):
         for x, y in [(a, b), (b, c)] + fast_path_pairs(g):
             xd, yd = motive._den_poly(x.den), motive._den_poly(y.den)
             den = poly.u_factor_cyclotomic(poly.u_mul(xd, yd))[1:]
-            total = poly.p_add(poly.p_mul(x.num, poly.u_to_multivar(yd, nv)),
+            total = p_add(poly.p_mul(x.num, poly.u_to_multivar(yd, nv)),
                                poly.p_mul(y.num, poly.u_to_multivar(xd, nv)))
             for got, want in ((x + y, MotiveClass(g, total, den)),
                               (x * y, MotiveClass(g, poly.p_mul(x.num, y.num), den))):
@@ -378,7 +388,7 @@ def test_reduced_form_matches_gcd(data):
         total = {}
         for x, (d1, d2) in zip((a, b, c), [dens[1:], dens[::2], dens[:2]]):
             cofactor = poly.u_to_multivar(poly.u_mul(d1, d2), nv)
-            total = poly.p_add(total, poly.p_mul(x.num, cofactor))
+            total = p_add(total, poly.p_mul(x.num, cofactor))
         den = poly.u_factor_cyclotomic(poly.u_mul(poly.u_mul(*dens[:2]), dens[2]))[1:]
         got, want = ring(g).sum((a, b, c)), MotiveClass(g, total, den)
         assert got == want and str(got) == str(want), (a, b, c)
@@ -790,17 +800,17 @@ def term_by_term_realize(x, q, P, nvars):
     q_m = partial[0]
     for _ in range(max_atom(g)):
         q_m = poly.p_mul(q_m, q)
-        partial.append(poly.p_add(partial[-1], q_m))
+        partial.append(p_add(partial[-1], q_m))
     images = [q]
     if g >= 1:
         pic = {}
         for a in P:
-            pic = poly.p_add(pic, a)
+            pic = p_add(pic, a)
         images.append(pic)
     for i in range(1, max_atom(g) + 1):
         sym = {}
         for j in range(i + 1):
-            sym = poly.p_add(sym, poly.p_mul(P[j], partial[i - j]))
+            sym = p_add(sym, poly.p_mul(P[j], partial[i - j]))
         images.append(sym)
 
     pow_cache = {}
@@ -812,7 +822,7 @@ def term_by_term_realize(x, q, P, nvars):
                 if (idx, e) not in pow_cache:
                     pow_cache[idx, e] = poly.p_pow(images[idx], e, nvars)
                 term = poly.p_mul(term, pow_cache[idx, e])
-        out = poly.p_add(out, term)
+        out = p_add(out, term)
     return out
 
 
@@ -1091,6 +1101,24 @@ def test_parser_round_trip(data):
         assert str(parse_class(s, g)) == s
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_printed_divisors_parse_back(seed):
+    """Every denominator the printer writes, (L^a - 1) bundles and leftover
+    Phi_e alike, parses back to the same class through the certificate."""
+    rnd = random.Random(seed)
+    for g in (0, 2):
+        R = ring(g)
+        for _ in range(25):
+            factors = {}
+            for e in rnd.sample(range(1, 25), rnd.randint(1, 4)):
+                factors[e] = rnd.randint(1, 2)
+            den = (rnd.randint(0, 2), tuple(sorted(factors.items())))
+            exps = [(rnd.randint(0, 4), rnd.randint(0, 2))[:R.nvars] for _ in range(3)]
+            num = R.sum(R.monomial(rnd.randint(-3, 3), m) for m in exps).num
+            x = MotiveClass(g, num, den)
+            assert parse_class(str(x), g) == x, x
+
+
 def test_parser_accepts_rewritten_atoms():
     # indices above g-1 are accepted on input and rewritten
     R = ring(2)
@@ -1130,9 +1158,9 @@ def test_parser_accepts_exponents_at_the_bound():
 
 @pytest.mark.parametrize("text", ["1 / (L^999 + 2)", "1 / (L^200 + 2)"])
 def test_parser_rejects_non_palindromic_divisors_fast(text):
-    """Once L^b and the sign are removed, a divisor that is not monic and
-    +-palindromic is no product of cyclotomic polynomials, and is rejected
-    without searching for one."""
+    """Once L^b and the sign are removed, a monic divisor with a root off the
+    unit circle is rejected by the root-squaring certificate, without any
+    trial division."""
     start = time.perf_counter()
     with pytest.raises(DivisionOutsideRing):
         parse_class(text, 2)
@@ -1145,6 +1173,89 @@ def test_cyclotomic_factoring_keeps_palindromic_products():
     assert poly.u_factor_cyclotomic((2, 0, 1)) is None
     assert poly.u_factor_cyclotomic((1, 0, 2)) is None
     assert poly.u_factor_cyclotomic((1, 3, 1)) is None
+
+
+@pytest.mark.parametrize("text", ["1 / (L^200 + 3*L^100 + 1)", "1 / (L^500 + 3*L^250 + 1)"])
+def test_parser_rejects_palindromic_non_cyclotomic_divisors_fast(text):
+    """A monic palindromic divisor that is no cyclotomic product is decided
+    by the root-squaring certificate before any division."""
+    times = []
+    for _ in range(3):
+        poly.u_factor_cyclotomic.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(DivisionOutsideRing):
+            parse_class(text, 2)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01
+
+
+def test_cyclotomic_factoring_rejects_lehmers_polynomial():
+    """Lehmer's polynomial is monic and palindromic, and its one root off the
+    unit circle has modulus 1.176..., the smallest Mahler measure known."""
+    lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+    assert poly.u_factor_cyclotomic(lehmer) is None
+    assert poly.u_factor_cyclotomic(poly.u_mul(lehmer, poly.cyclotomic(12))) is None
+
+
+def scan_factor_cyclotomic(u):
+    """The trial-division scan the certificate replaced: a monic
+    +-palindromic u is divided by Phi_e for every e <= 2 d^2 + 2 whose
+    phi(e) fits, and is a product of them when nothing is left."""
+    u = poly.u_trim(u)
+    if not u:
+        return None
+    b = next(i for i, c in enumerate(u) if c)
+    u = u[b:]
+    sign = 1 if u[-1] > 0 else -1
+    if sign < 0:
+        u = tuple(-c for c in u)
+    if u[-1] != 1 or u[::-1] not in (u, tuple(-c for c in u)):
+        return None
+    factors = {}
+    d0 = poly.u_deg(u)
+    for e in range(1, 2 * d0 * d0 + 3):
+        while len(u) > 1 and poly.euler_phi(e) <= poly.u_deg(u):
+            q = poly.u_div_exact(u, poly.cyclotomic(e))
+            if q is None:
+                break
+            u = q
+            factors[e] = factors.get(e, 0) + 1
+    if u != (1,):
+        return None
+    return sign, b, tuple(factors.items())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cyclotomic_factoring_matches_the_trial_division_scan(seed):
+    """Seeded cyclotomic products, their +-palindromic perturbations and
+    random monic polynomials factor as the trial-division scan factors them."""
+    rnd = random.Random(seed)
+    small = [e for e in range(1, 31) if poly.euler_phi(e) <= 8]
+    cyclotomic_products = 0
+    for _ in range(150):
+        u = (1,)
+        for e in rnd.sample(small, rnd.randint(0, 4)):
+            u = poly.u_mul(u, poly.cyclotomic(e))
+        d = poly.u_deg(u)
+        kind = rnd.randrange(3)
+        if kind == 1 and d >= 3:
+            # move a coefficient pair i, d - i alike, or oppositely when u is
+            # antipalindromic, so the +-palindrome stays
+            anti = u[::-1] != u
+            i = rnd.choice([i for i in range(1, d) if 2 * i != d])
+            c = rnd.choice((-2, -1, 1, 2))
+            u = list(u)
+            u[i] += c
+            u[d - i] += -c if anti else c
+            u = tuple(u)
+        elif kind == 2:
+            u = tuple(rnd.randint(-3, 3) for _ in range(rnd.randint(1, 9))) + (1,)
+        sign = rnd.choice((1, -1))
+        u = (0,) * rnd.randint(0, 2) + tuple(sign * c for c in u)
+        want = scan_factor_cyclotomic(u)
+        cyclotomic_products += want is not None
+        assert poly.u_factor_cyclotomic(u) == want
+    assert 30 < cyclotomic_products < 150
 
 
 def test_parser_rejects_products_above_the_bound_fast():

@@ -1,6 +1,7 @@
 """Ray selection, wall location and crossing-walk consistency."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from parahiggs.walls import (
     wall_positions,
 )
 from parahiggs.engine import ChainEngine
+from parahiggs.higgs import HiggsProblem, higgs_computation
 from parahiggs.oracles import rank11_chain_oracle
 
 
@@ -154,42 +156,57 @@ def test_conservation_across_wall():
     assert below == above + plus - minus
 
 
-def test_part_class_near_retries_halfway_after_a_wall_hit(monkeypatch):
-    """A WallHit at one part's first evaluation point near a wall makes
-    ChainEngine._part_class_near evaluate that part again halfway between the
-    wall and that point, and the crossed class is the unforced run's."""
+def test_wall_hit_at_a_chamber_point_propagates_from_strata_at_wall(monkeypatch):
+    """strata_at_wall evaluates each part once, at its chamber point beside
+    the wall: a WallHit forced there leaves strata_at_wall after that one
+    chain_class call, with no second evaluation point tried."""
     a, b, d1, d2 = gen_types()
-    curve = CurveData(2, 1)
     tau = ChainType((1, 1), (3, 0), (d1, d2))
     ray = Ray((Fraction(0), Fraction(2)), (0, 1), Fraction(8))
     t_wall = Fraction(3) + a - b - 2
-    unforced = ChainEngine(curve)
-    want = unforced.strata_at_wall(tau, ray, t_wall)
-    assert want[1] >= 1
+    assert ChainEngine(CurveData(2, 1)).strata_at_wall(tau, ray, t_wall)[1] >= 1
 
-    eng = ChainEngine(curve)
-    chain_class = eng.chain_class
+    eng = ChainEngine(CurveData(2, 1))
     calls = []
 
     def forced(part, alpha):
         calls.append((part, alpha))
-        if len(calls) == 1:
-            raise WallHit("forced at the first evaluation point")
-        return chain_class(part, alpha)
+        raise WallHit("forced at the chamber point")
 
     monkeypatch.setattr(eng, "chain_class", forced)
-    (plus, minus), count = eng.strata_at_wall(tau, ray, t_wall)
-    assert ((plus, minus), count) == want
-    # the first call is the first part's first evaluation point; the retry
-    # evaluates the same part at (t_wall + t_eval)/2 on the same side
-    (part, first), (again, second) = calls[:2]
-    t_eval = Fraction(first.nums[1], first.den) - 2
-    assert first == ray.at(t_eval) and t_eval != t_wall
-    assert again == part
-    assert second == ray.at((t_wall + t_eval) / 2)
-    above = unforced.chain_class(tau, ray.at(t_wall + Fraction(1, 97)))
-    below = unforced.chain_class(tau, ray.at(t_wall - Fraction(1, 97)))
-    assert above + plus - minus == below
+    with pytest.raises(WallHit, match="forced at the chamber point"):
+        eng.strata_at_wall(tau, ray, t_wall)
+    ((part, alpha),) = calls
+    assert alpha in [ray.at(chamber_point(eng, part, ray, t_wall, side))
+                     for side in (+1, -1)]
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+@pytest.mark.parametrize("seed", range(2))
+def test_every_part_strata_at_wall_evaluates_is_off_its_walls(genus, seed):
+    """The parts of every wall stratum on (g,1,3) at d = 0, 1, 2 are evaluated
+    at their chamber points, which lie off each part's own walls: no WallHit
+    can arise there, so strata_at_wall needs no fallback point."""
+    rnd = random.Random(f"{seed}/{genus}")
+    prime = 2_147_483_647
+    datum = WeightDatum.full_flags(
+        [sorted(Fraction(rnd.randrange(1, prime), prime) for _ in range(3))]
+    )
+    curve = CurveData(genus, 1)
+    for degree in range(3):
+        eng = ChainEngine(curve)
+        chain_class, evaluated = eng.chain_class, []
+
+        def watched(part, alpha):
+            if sys._getframe(1).f_code.co_name == "strata_at_wall":
+                evaluated.append((part, alpha))
+            return chain_class(part, alpha)
+
+        eng.chain_class = watched
+        higgs_computation(HiggsProblem(curve, 3, degree, datum), eng)
+        assert eng.stats["walls_crossed"] and evaluated
+        for part, alpha in evaluated:
+            assert not is_on_wall(eng, part, alpha)
 
 
 def test_ray_independence():
