@@ -19,7 +19,6 @@ from .errors import (
     NonIntegerDimension,
     NonPolynomialResult,
     RankMismatch,
-    UnboundedCandidates,
     UnboundedSearch,
     UnsupportedParabolicLink,
     WallHit,

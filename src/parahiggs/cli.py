@@ -190,7 +190,7 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     if kind == "higgs":
         rank = _int(_req(problem, "rank", "problem"), "rank")
         degree = _int(_req(problem, "degree", "problem"), "degree")
-        require_desk_scale(rank)
+        require_desk_scale(rank, curve.num_marked)
         datum = parse_datum(
             _req(problem, "weights", "problem"), rank, curve.num_marked, rank
         )

@@ -49,10 +49,6 @@ class UnboundedSearch(EngineError):
     exit_code = 17
 
 
-class UnboundedCandidates(UnboundedSearch):
-    exit_code = 18
-
-
 class UnsupportedParabolicLink(EngineError):
     """A chain link of rank 2 or more whose maps must vanish at some marked
     point: its local factor in the constant-rank base case is not known."""
@@ -65,8 +61,10 @@ class NonGenericWeights(EngineError):
 
 
 class WallHit(EngineError):
-    """A stability parameter the caller chose sits exactly on a wall; the
-    engine picks its own points off walls, so nothing catches it."""
+    """A stability parameter the caller chose sits exactly on a wall, or a
+    Higgs rank and degree without marked points share a factor, so that no
+    parameter is off every wall; the engine picks its own points off walls,
+    so nothing catches it."""
 
     exit_code = 2
 
@@ -82,10 +80,8 @@ class NonPolynomialResult(EngineError):
 
 
 class DeskScaleExceeded(EngineError):
-    """Higgs rank 4 or more, raised by higgs_computation before any work.
-
-    Chain stack classes of any rank are resummed, but the rank-4 moduli sum
-    does not yet come out polynomial.
-    """
+    """Higgs rank 5 or more, or 4 with marked points, raised before any work:
+    rank-2 links with forced vanishing lack a local factor, and rank 5
+    without points meets sub-chains tied at every parameter."""
 
     exit_code = 21

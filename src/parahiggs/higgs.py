@@ -8,9 +8,10 @@ parameter (0, 2g-2, ..., r(2g-2)) after the degree twist d_i + n_i (r-i)(2g-2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import DeskScaleExceeded, NonIntegerDimension, NonPolynomialResult
+from .errors import DeskScaleExceeded, NonIntegerDimension, NonPolynomialResult, WallHit
 from .motive import CurveData, ring
 from .parabolic import (
     ChainType,
@@ -83,17 +84,25 @@ class HiggsComputation:
     summands: list  # (ChainType, MotiveClass) pairs
 
 
-def require_desk_scale(rank):
-    """DeskScaleExceeded for Higgs moduli of rank 4 or more; callers check
-    it before any weights are generated or types enumerated."""
-    if rank >= 4:
+def require_desk_scale(rank, num_points):
+    """DeskScaleExceeded for Higgs moduli of rank 5 or more, or of rank 4
+    with marked points; callers check it before any weights are generated
+    or types enumerated."""
+    if rank >= 5 or (rank == 4 and num_points):
         raise DeskScaleExceeded(
-            f"Higgs moduli of rank {rank} are out of scope (rank <= 3)"
+            f"Higgs moduli of rank {rank} with k = {num_points} marked points "
+            "are out of scope (rank <= 3, or rank 4 with k = 0)"
         )
 
 
 def higgs_computation(problem, engine=None):
-    require_desk_scale(problem.rank)
+    require_desk_scale(problem.rank, problem.curve.num_marked)
+    common = math.gcd(problem.rank, problem.degree)
+    if not problem.datum.points and common > 1:
+        raise WallHit(
+            f"gcd(rank {problem.rank}, degree {problem.degree}) = {common} "
+            "without marked points: every stability parameter is on a wall"
+        )
     g = problem.curve.genus
     engine = engine or ChainEngine(problem.curve)
     require_full_flags((problem.datum,))

@@ -380,14 +380,37 @@ def _nonzero_sums(residues, N, Q):
     return reached
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n):
+    """Miller-Rabin on the first 13 primes as bases: exact below
+    3.3e24 (Sorenson-Webster 2015), a strong probable prime above."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _next_prime(n):
     candidate = max(n + 1, 2)
-    while True:
-        if candidate >= 2 and all(
-            candidate % p for p in range(2, int(candidate ** 0.5) + 1)
-        ):
-            return candidate
+    while not _is_prime(candidate):
         candidate += 1
+    return candidate
 
 
 def generate_generic_weights(total_weight_count, N):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Tuple
 
-from .errors import UnboundedCandidates, WallHit
+from .errors import WallHit
 from .parabolic import Param, frac, par_slope
 
 
@@ -145,20 +145,13 @@ def wall_positions(engine, tau, ray, lo, hi):
 
     Exhaustive over the pins of equal_slope_pins along the ray: multiplied
     by the sign of rate, the degree totals T with t in (lo, hi] form a
-    range.  A pin with rate 0 has no wall, unless it admits an integer
-    total at the base, where N and K are those of t = 0 whatever delta is,
-    and so all along the ray: a degenerate family, excluded by genericity.
+    range.  A pin with rate 0 never moves, so it has no wall.
     """
     lo, hi = frac(lo), frac(hi)
     walls = set()
     pins = equal_slope_pins(engine, tau, ray.base, ray.delta)
     for _, N, K, rate, whole, _ in pins:
         if rate == 0:
-            T, off = divmod(K, N)
-            if not off and whole in (None, T):
-                raise UnboundedCandidates(
-                    "degenerate wall family: sub-type slope parallel and equal"
-                )
             continue
         # N s T runs over (s K + lo |rate|, s K + hi |rate|]
         s = -1 if rate < 0 else 1

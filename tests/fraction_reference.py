@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from parahiggs.chains import proper_subprofiles
-from parahiggs.errors import RankMismatch, UnboundedCandidates, UnboundedSearch
+from parahiggs.errors import RankMismatch, UnboundedSearch
 
 
 def fracs(alpha):
@@ -242,8 +242,6 @@ def wall_positions(tau, ray, lo, hi):
         d_rate = sum(p * d for p, d in zip(profile, ray.delta))
         sub_rate = Fraction(d_rate, size)
         if sub_rate == mu_rate:
-            if pinned_total(tau, profile, size * mu0 - wsum - a0):
-                raise UnboundedCandidates("degenerate wall family")
             continue
         t_lo_val = size * (mu0 + lo * mu_rate) - wsum - a0 - lo * d_rate
         t_hi_val = size * (mu0 + hi * mu_rate) - wsum - a0 - hi * d_rate

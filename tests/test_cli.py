@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,8 +218,8 @@ def test_malformed_config_exit_code(tmp_path, capsys, argv, cfg):
 
 
 def test_higgs_rank_gate_precedes_weight_generation(tmp_path, monkeypatch):
-    """Rank 14 exits 21 before the weights are generated: the prime search
-    behind generate_generic_weights at that rank runs for well over 30 s."""
+    """Rank 14 exits 21 before the weights are generated: the gate reads
+    only the rank and the number of marked points."""
 
     def refuse(*args):
         raise AssertionError("weights generated before the rank gate")
@@ -231,6 +232,29 @@ def test_higgs_rank_gate_precedes_weight_generation(tmp_path, monkeypatch):
     path = tmp_path / "rank14.json"
     path.write_text(json.dumps(cfg))
     assert main(["higgs", "--config", str(path)]) == 21
+
+
+def test_higgs_weight_generation_fails_fast(tmp_path, monkeypatch):
+    """Rank 3 at nine points of genus 0 generates its 27 weights over a
+    17-digit prime at once, then exits 17 on an unbounded degree box."""
+    spent = []
+
+    def timed(*args):
+        start = time.perf_counter()
+        try:
+            return generate_generic_weights(*args)
+        finally:
+            spent.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(cli, "generate_generic_weights", timed)
+    cfg = {
+        "curve": {"genus": 0, "marked_points": 9},
+        "problem": {"kind": "higgs", "rank": 3, "degree": 1, "weights": "generate"},
+    }
+    path = tmp_path / "higgs093.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["higgs", "--config", str(path)]) == 17
+    assert len(spent) == 1 and spent[0] < 1.0
 
 
 def test_stack_e_polynomial_denominator_text(tmp_path, capsys):

@@ -18,8 +18,10 @@ from parahiggs.errors import (
     InvalidFlagType,
     NonGenericWeights,
     UnboundedSearch,
+    WallHit,
 )
 from parahiggs import engine as engine_module
+from parahiggs import higgs as higgs_module
 from parahiggs import parabolic
 from parahiggs.cli import run
 from parahiggs.motive import CurveData, ring, specialize_E, specialize_count
@@ -37,6 +39,7 @@ from parahiggs.higgs import (
     half_dimension,
     higgs_computation,
     higgs_moduli_class,
+    require_desk_scale,
 )
 from parahiggs.oracles import rank1_higgs_oracle
 
@@ -216,15 +219,19 @@ def test_moduli_point_counts_over_f2m_are_positive_integers(points, rank, datum)
         assert count.denominator == 1 and count > 0, (m, count)
 
 
+def poincare_series(e):
+    """Coefficients of E(-t, -t), by degree in t."""
+    series = Counter()
+    for (i, j), c in e.num.items():
+        series[i + j] += c * (-1) ** (i + j)
+    return series
+
+
 def test_poincare_sign_substitution_nonnegative():
     curve = CurveData(2, 1)
     datum = full_datum(2, 1)
     cls = higgs_moduli_class(HiggsProblem(curve, 2, 1, datum))
-    e = specialize_E(cls)
-    series = {}
-    for (i, j), c in e.num.items():
-        series[i + j] = series.get(i + j, 0) + c * (-1) ** (i + j)
-    assert all(c >= 0 for c in series.values())
+    assert all(c >= 0 for c in poincare_series(specialize_E(cls)).values())
 
 
 @pytest.fixture
@@ -361,6 +368,64 @@ def test_nonparabolic_rank3_degree_independent(genus, e_degree):
     assert max(i + j for i, j in specialize_E(cls[1]).num) == e_degree
 
 
+# sha256 of the rank-4 moduli classes without marked points at genus 2 and 3
+DIGEST_204 = "a20207f3f6dbdcf4541bd7adb4761825cca633480daf69c8ab88fca7e6830ef0"
+DIGEST_304 = "3de6379bc19008e6f9f620aa64142e1931c473c99d0feee2efca1973628ae255"
+
+
+def is_pure(e):
+    """A polynomial symmetric in u and v, palindromic, with every
+    (-1)^(p+q) [u^p v^q] >= 0: the E-polynomial of a smooth projective
+    variety."""
+    if not e.is_polynomial:
+        return False
+    top = max(i + j for i, j in e.num)
+    return top % 2 == 0 and all(
+        e.num.get((j, i)) == c
+        and e.num.get((top // 2 - i, top // 2 - j)) == c
+        and (-1) ** (i + j) * c >= 0
+        for (i, j), c in e.num.items()
+    )
+
+
+@pytest.mark.parametrize("genus, degrees, digest, types", [
+    (2, (1, 3, 5), DIGEST_204, 22),
+    (3, (1, 3), DIGEST_304, 95),
+], ids=["2-0-4", "3-0-4"])
+def test_rank4_without_points_degree_independent(genus, degrees, digest, types):
+    """Rank 4 without marked points computes at every odd degree; at genus
+    2 E(-t,-t) is the HLRV count of degree 68 and coefficient sum 305,152,
+    and every fixed-point summand is pure."""
+    curve = CurveData(genus, 0)
+    for d in degrees:
+        start = time.perf_counter()
+        comp = higgs_computation(HiggsProblem(curve, 4, d, WeightDatum.empty(0)))
+        assert time.perf_counter() - start < 1.0
+        assert hashlib.sha256(str(comp.total).encode()).hexdigest() == digest
+        assert len(comp.summands) == types
+        assert all(is_pure(specialize_E(summand)) for _, summand in comp.summands)
+        if genus == 2:
+            series = poincare_series(specialize_E(comp.total))
+            assert max(series) == 68 and sum(series.values()) == 305_152
+            assert [series[68 - i] for i in range(8)] == [1, 4, 7, 12, 26, 48, 78, 128]
+
+
+@pytest.mark.parametrize("genus, rank, degree", [(2, 2, 0), (2, 4, 2), (3, 3, 3)])
+def test_non_coprime_without_points_fails_before_enumeration(
+    genus, rank, degree, monkeypatch
+):
+    """Without marked points a rank and degree with a common factor raise
+    WallHit naming it, before any fixed type is enumerated."""
+
+    def refuse(*args):
+        raise AssertionError("fixed types enumerated before the gcd check")
+
+    monkeypatch.setattr(higgs_module, "enumerate_fixed_types", refuse)
+    problem = HiggsProblem(CurveData(genus, 0), rank, degree, WeightDatum.empty(0))
+    with pytest.raises(WallHit, match=rf"gcd\(rank {rank}, degree {degree}\) = "):
+        higgs_computation(problem)
+
+
 def drawn_datum(rng, n, k):
     """Full flags of distinct weights p/(2^31 - 1), sorted per point and
     certified generic at bound n."""
@@ -420,6 +485,14 @@ def test_out_of_scope_inputs_fail_fast(genus, points, rank, error):
     with pytest.raises(error):
         higgs_computation(problem)
     assert time.perf_counter() - start < 1.0
+
+
+def test_rank_gate_admits_rank4_only_without_points():
+    for rank, points in ((3, 4), (4, 0)):
+        require_desk_scale(rank, points)
+    for rank, points in ((4, 1), (5, 0), (6, 2)):
+        with pytest.raises(DeskScaleExceeded):
+            require_desk_scale(rank, points)
 
 
 def test_solved_problem_leaves_no_weight_data_alive():
@@ -557,10 +630,10 @@ SWEEP = {
     (2, 3, 0): ("WallHit", "3d267763b503a3a2"),
     (2, 3, 1): ("cc78b55e4989e946", "cc78b55e4989e946"),
     (2, 3, 2): ("405579b58e2f23ac", "405579b58e2f23ac"),
-    (3, 0, 0): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
+    (3, 0, 0): ("WallHit", "UnboundedSearch", "UnboundedSearch"),
     (3, 0, 1): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
     (3, 0, 2): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
-    (3, 1, 0): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
+    (3, 1, 0): ("WallHit", "UnboundedSearch", "UnboundedSearch"),
     (3, 1, 1): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
     (3, 1, 2): ("UnboundedSearch", "UnboundedSearch", "UnboundedSearch"),
     (3, 2, 0): ("WallHit", "fa1bc715a970a47c", "fa1bc715a970a47c"),
@@ -568,12 +641,17 @@ SWEEP = {
     (3, 2, 2): ("0ed721edb329c25f", "0ed721edb329c25f", "0ed721edb329c25f"),
     (3, 3, 0): ("WallHit", "dab89926efb0d12f", "dab89926efb0d12f"),
     (3, 3, 1): ("38eb1838384562c4", "38eb1838384562c4", "38eb1838384562c4"),
+    (4, 0, 0): ("WallHit", "UnboundedSearch", "WallHit", "UnboundedSearch"),
+    (4, 1, 0): ("WallHit", "UnboundedSearch", "WallHit", "UnboundedSearch"),
+    (4, 2, 0): ("WallHit", "da077220216cfedb", "WallHit", "da077220216cfedb"),
+    (4, 3, 0): ("WallHit", "63a584323c213d1d", "WallHit", "63a584323c213d1d"),
 }
 
 
 def test_canonical_bytes_sweep():
     """Every rank <= 3 input of genus <= 3 with at most two points (at rank 3,
-    genus plus points <= 4) and every degree mod the rank, with generated
+    genus plus points <= 4), every rank-4 input of genus <= 3 without points,
+    and every degree mod the rank, with generated
     full-flag weights, keeps the class and E-polynomial bytes and the error
     outcomes recorded here; the moduli classes go through the whole ring."""
     got = {}
@@ -591,4 +669,5 @@ def test_canonical_bytes_sweep():
         got[n, g, k] = tuple(outcomes)
     assert got == SWEEP
     flat = [o for outcomes in SWEEP.values() for o in outcomes]
-    assert (len(flat), flat.count("UnboundedSearch"), flat.count("WallHit")) == (69, 18, 6)
+    counts = (len(flat), flat.count("UnboundedSearch"), flat.count("WallHit"))
+    assert counts == (85, 20, 16)

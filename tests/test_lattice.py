@@ -19,10 +19,17 @@ from parahiggs.chains import (
     necessary_conditions,
 )
 from parahiggs.engine import ChainEngine
-from parahiggs.errors import RankMismatch, UnboundedCandidates, UnboundedSearch
+from parahiggs.errors import RankMismatch, UnboundedSearch, WallHit
 from parahiggs.motive import CurveData
 from parahiggs.parabolic import ChainType, Param, WeightDatum
-from parahiggs.walls import Ray, is_on_wall, wall_positions
+from parahiggs.walls import (
+    Ray,
+    chamber_point,
+    cross_ray,
+    equal_slope_pins,
+    is_on_wall,
+    wall_positions,
+)
 
 DENOMINATORS = (7, 11, 13, 17, 19, 23)
 
@@ -181,19 +188,15 @@ def test_wall_positions_match_fraction_reference():
         ray = random_ray(rng, tau.length + 1)
         lo = Fraction(rng.randint(-8, 4), rng.randint(1, 4))
         hi = lo + Fraction(rng.randint(1, 16), rng.randint(1, 3))
-
-        def walls(fn, *args):
-            try:
-                return fn(*args)
-            except UnboundedCandidates:
-                return UnboundedCandidates
-
-        got = walls(wall_positions, engine, tau, ray, lo, hi)
-        want = walls(ref.wall_positions, tau, ray, lo, hi)
-        assert got == want, (tau, ray, lo, hi)
-        if got is UnboundedCandidates:
-            seen.add("parallel")
-            continue
+        got = wall_positions(engine, tau, ray, lo, hi)
+        assert got == ref.wall_positions(tau, ray, lo, hi), (tau, ray, lo, hi)
+        pins = list(equal_slope_pins(engine, tau, ray.base, ray.delta))
+        if all(rate == 0 for _, _, _, rate, _, _ in pins):
+            # no pin moves, so there is no wall, even where a sub-type ties
+            # tau's slope at the base and so all along the ray
+            assert got == []
+            if is_on_wall(engine, tau, ray.base):
+                seen.add("parallel")
         seen.add(bool(got))
         for t in got[:3]:
             assert is_on_wall(engine, tau, ray.at(t))
@@ -227,17 +230,21 @@ def test_subtype_weight_sums_match_fraction_reference():
 
 
 def test_parallel_slope_family():
-    """A direction along which every sub-type slope stays parallel: an
-    integral gap raises UnboundedCandidates, a fractional one has no walls."""
+    """A direction constant on the support moves every sub-type slope with
+    the type's, so it crosses no wall, whether or not a sub-type ties at the
+    base; a tie at the base is still a WallHit when the walk starts there."""
     engine = ChainEngine(CurveData(0, 0))
     ray = Ray((Fraction(0),), (0,), Fraction(5))
     even = ChainType((2,), (0,), (WeightDatum.empty(0),))
     odd = ChainType((2,), (1,), (WeightDatum.empty(0),))
-    for fn, args in ((wall_positions, (engine, even)), (ref.wall_positions, (even,))):
-        with pytest.raises(UnboundedCandidates):
-            fn(*args, ray, 0, 5)
-    assert wall_positions(engine, odd, ray, 0, 5) == []
-    assert ref.wall_positions(odd, ray, 0, 5) == []
+    assert is_on_wall(engine, even, ray.base)
+    assert not is_on_wall(engine, odd, ray.base)
+    for tau in (even, odd):
+        assert wall_positions(engine, tau, ray, 0, 5) == []
+        assert ref.wall_positions(tau, ray, 0, 5) == []
+        assert chamber_point(engine, tau, ray, 0, +1) == Fraction(1, 2)
+    with pytest.raises(WallHit):
+        cross_ray(engine, even, ray)
 
 
 def test_multiplicity_above_one_rejected():

@@ -1,6 +1,7 @@
 """Weight data, slopes, duality, genericity and weight splitting."""
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -306,6 +307,33 @@ def test_genericity_inherited_by_sub_multisets():
                     assert brute_force_generic(list(sub), bound), (sub, bound)
                     assert genericity_check(list(sub), bound) is True, (sub, bound)
     assert certified >= 50
+
+
+def trial_division_next_prime(n):
+    """The least prime above n, by trial division up to its square root."""
+    candidate = max(n + 1, 2)
+    while any(candidate % p == 0 for p in range(2, math.isqrt(candidate) + 1)):
+        candidate += 1
+    return candidate
+
+
+def test_next_prime_matches_trial_division():
+    """Every n below 10,000 and every generate_generic_weights prime search
+    below 2^32 finds the prime trial division finds."""
+    generated = (
+        N * sum((N + 1) ** j for j in range(1, count + 1))
+        for N in range(1, 6)
+        for count in range(1, 40)
+    )
+    for n in itertools.chain(range(-2, 10_000), (m for m in generated if m < 2 ** 32)):
+        assert parabolic._next_prime(n) == trial_division_next_prime(n), n
+
+
+def test_strong_pseudoprimes_to_leading_bases_are_composite():
+    """Strong pseudoprimes to the bases 2..7, 2..23 and 2..37 are rejected
+    by a later base."""
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not parabolic._is_prime(n)
 
 
 def test_generate_generic_weights_examples():
