@@ -8,13 +8,14 @@ polynomial, and is kept factored as the pair (b, ((e, m_e), ...)), e
 ascending and every m_e >= 1, with (0, ()) for 1: sums, products and powers
 combine exponents, and _den_poly alone expands a denominator, for the
 numerator cofactors of Ring.sum and inverse and for the specializations.
+A numerator is a dict {tail: (c_0, c_1, ...)}: the tail holds the exponents
+of Pic, C1 .. C_{g-1}, the tuple that tail's ascending L-coefficients with
+no trailing zero, and a tail whose coefficients cancel is dropped.
 Fractions are kept in a canonical reduced form so equal ring elements compare
 equal as Python objects: every MotiveClass is in lowest terms, which
 MotiveClass(genus, num, den) establishes and the _reduced=True constructors
 keep.  The product relies on it: for a/b and c/d in lowest terms,
-gcd(ac, bd) = gcd(a, d) gcd(c, b).  A numerator is also read as one
-L-polynomial per tail, its monomial in the other atoms: _l_coefficients alone
-splits it so, for _reduce, inverse and the division in specialize_E.
+gcd(ac, bd) = gcd(a, d) gcd(c, b).
 
 Symmetric powers are not independent: the Abel-Jacobi stratification gives
     [C^(d)] = L^{d-g+1} [C^(2g-2-d)] + Pic * [P^{d-g}]   for d >= g,
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Optional
 
 from .errors import (
@@ -48,15 +49,10 @@ from .poly import (
     U_ONE,
     bundle_cyclotomic,
     euler_phi,
-    p_items_sorted,
-    p_mul,
-    p_neg,
-    p_pow,
-    p_scale,
+    u_add,
     u_div_exact,
     u_factor_cyclotomic,
     u_mul,
-    u_to_multivar,
 )
 
 DEN_ONE = (0, ())
@@ -84,8 +80,8 @@ def var_names(genus):
 
 
 class MotiveClass:
-    """Canonical fraction num/den with num multivariate and den a factored
-    L^b * prod Phi_e^{m_e}."""
+    """Canonical fraction num/den with num an L-tuple per tail and den a
+    factored L^b * prod Phi_e^{m_e}."""
 
     __slots__ = ("genus", "num", "den")
 
@@ -130,7 +126,8 @@ class MotiveClass:
     __radd__ = __add__
 
     def __neg__(self):
-        return MotiveClass(self.genus, p_neg(self.num), self.den, _reduced=True)
+        num = {t: tuple(map(neg, u)) for t, u in self.num.items()}
+        return MotiveClass(self.genus, num, self.den, _reduced=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -147,7 +144,7 @@ class MotiveClass:
             return NotImplemented
         a, d = _reduce(self.num, other.den)
         c, b = _reduce(other.num, self.den)
-        return MotiveClass(self.genus, p_mul(a, c), _den_merge(b, d, add), _reduced=True)
+        return MotiveClass(self.genus, _mul(a, c), _den_merge(b, d, add), _reduced=True)
 
     __rmul__ = __mul__
 
@@ -168,27 +165,32 @@ class MotiveClass:
             return self.inverse() ** (-n)
         b, factors = self.den
         den = (n * b, tuple((e, n * m) for e, m in factors) if n else ())
-        # L and each Phi_e are prime: a power of a class in lowest terms is one
-        num = p_pow(self.num, n, num_vars(self.genus))
+        # L and each Phi_e are prime: a power of a class in lowest terms is one;
+        # the numerator is squared once per bit after the leading one
+        num = self.num if n else {(0,) * (num_vars(self.genus) - 1): U_ONE}
+        for bit in bin(n)[3:]:
+            num = _mul(num, num)
+            if bit == "1":
+                num = _mul(num, self.num)
         return MotiveClass(self.genus, num, den, _reduced=True)
 
     def inverse(self):
         """Invert; only unit multiples of admissible denominator factors allow it."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero motive class")
-        (tail, uni), *rest = _l_coefficients(self.num, 0).items()
+        (tail, uni), *rest = self.num.items()
         if rest or any(tail):
             raise DivisionOutsideRing(
                 "divisor involves Pic or symmetric-power atoms; quotient leaves the ring"
             )
-        fact = u_factor_cyclotomic(tuple(uni))
+        fact = u_factor_cyclotomic(uni)
         if fact is None:
             raise DivisionOutsideRing(
                 "divisor numerator is not a unit times L-powers and (L^a - 1) factors"
             )
         # self is in lowest terms, so no factor of uni divides self.den
         sign, b, factors = fact
-        num = p_scale(u_to_multivar(_den_poly(self.den), num_vars(self.genus)), sign)
+        num = {tail: tuple(sign * c for c in _den_poly(self.den))}
         return MotiveClass(self.genus, num, (b, factors), _reduced=True)
 
     # -- inspection ----------------------------------------------------------
@@ -222,10 +224,10 @@ def _den_merge(a, b, op):
 
 def _top_degree(x, l_weight=1):
     """Largest weighted degree of a monomial of x.num, 0 for zero: L counts
-    l_weight, Pic counts g, C^(i) counts i (at genus 0 the monomials are L
-    alone)."""
-    weights = [l_weight, x.genus] + list(range(1, max_atom(x.genus) + 1))
-    return max((sum(map(mul, weights, m)) for m in x.num), default=0)
+    l_weight, Pic counts g, C^(i) counts i (at genus 0 the tails are empty)."""
+    weights = [x.genus] + list(range(1, max_atom(x.genus) + 1))
+    return max((l_weight * (len(u) - 1) + sum(map(mul, weights, t))
+                for t, u in x.num.items()), default=0)
 
 
 def _den_degree(den):
@@ -244,17 +246,23 @@ def _den_poly(den):
     return out
 
 
-def _l_coefficients(num, shift):
-    """num / L^shift split by tail, the exponents of the atoms after L:
-    {tail: [c_0, c_1, ...]}, the L-coefficients of that tail, built fresh."""
-    coeffs = {}
-    for m, c in num.items():
-        k = m[0] - shift
-        coeff = coeffs.setdefault(m[1:], [])
-        if len(coeff) <= k:
-            coeff += [0] * (k + 1 - len(coeff))
-        coeff[k] = c
-    return coeffs
+def _mul(a, b):
+    """The product of two numerators: tails add and their tuples convolve,
+    and a tail whose tuples cancel is dropped."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for s, u in a.items():
+        for t, v in b.items():
+            m = tuple(map(add, s, t))
+            w = u_mul(u, v)
+            if m in out:
+                w = u_add(out[m], w)
+            if w:
+                out[m] = w
+            else:
+                del out[m]
+    return out
 
 
 def _reduce(num, den):
@@ -262,28 +270,20 @@ def _reduce(num, den):
         return num, den
     if not num:
         return {}, DEN_ONE
-    # Cancel L, then each Phi_e, while it divides den and every L-coefficient
-    # list of num that _l_coefficients splits off.  The factors are distinct
-    # irreducibles, so this divides out exactly the gcd of den with those
-    # polynomials.  Phi_1 and Phi_2 divide an integer polynomial exactly when
-    # it vanishes at L = 1 and L = -1: a first pass over num evaluates every
-    # tail there and returns before the split when nothing can cancel.
+    # Cancel L, then each Phi_e, while it divides den and every L-tuple of
+    # num.  The factors are distinct irreducibles, so this divides out exactly
+    # the gcd of den with those tuples.  Phi_1 and Phi_2 divide an integer
+    # polynomial exactly when it vanishes at L = 1 and L = -1, which is
+    # tested first: nothing is sliced or divided when nothing can cancel.
     b, factors = den
     shift = b
-    at_roots = {}  # per tail, its polynomial at L = 1 and at L = -1
-    for m, c in num.items():
-        if m[0] < shift:
-            shift = m[0]
-        v = at_roots.get(m[1:])
-        if v is None:
-            v = at_roots[m[1:]] = [0, 0]
-        v[0] += c
-        v[1] += -c if m[0] & 1 else c
+    for u in num.values():
+        shift = next((i for i, c in enumerate(u[:shift]) if c), shift)
     if not shift and all(
-        e <= 2 and any(v[e - 1] for v in at_roots.values()) for e, _ in factors
+        e <= 2 and any(_at_root(u, e) for u in num.values()) for e, _ in factors
     ):
         return num, den
-    coeffs = _l_coefficients(num, shift)
+    coeffs = {t: u[shift:] for t, u in num.items()} if shift else num
     kept = []
     for e, mult in factors:
         phi = poly.cyclotomic(e)
@@ -305,9 +305,7 @@ def _reduce(num, den):
     kept = tuple(kept)
     if not shift and kept == factors:
         return num, den
-    num = {(i,) + tail: c for tail, coeff in coeffs.items()
-           for i, c in enumerate(coeff) if c}
-    return num, (b - shift, kept)
+    return coeffs, (b - shift, kept)
 
 
 def _at_root(coeff, e):
@@ -341,8 +339,8 @@ class Ring:
             return MotiveClass(self.genus, {}, DEN_ONE, _reduced=True)
         m = list(exps) + [0] * (self.nvars - len(exps))
         b = max(-m[0], 0)
-        m[0] += b
-        return MotiveClass(self.genus, {tuple(m): c}, (b, ()), _reduced=True)
+        num = {tuple(m[1:]): (0,) * (m[0] + b) + (c,)}
+        return MotiveClass(self.genus, num, (b, ()), _reduced=True)
 
     def sum(self, classes):
         """The sum of classes of this genus, the one addition of the ring: over
@@ -363,17 +361,16 @@ class Ring:
             return terms[0] if terms else self.zero
         num = {}
         for x in terms:
-            part = x.num if x.den == den else p_mul(x.num, u_to_multivar(
-                _den_poly(_den_merge(den, x.den, sub)), self.nvars))
-            if not num:
-                num = dict(part)  # a copy: the terms' own dicts are shared
-                continue
-            for m, c in part.items():
-                c += num.get(m, 0)
-                if c:
-                    num[m] = c
+            cofactor = None if x.den == den else _den_poly(_den_merge(den, x.den, sub))
+            for t, u in x.num.items():
+                if cofactor:
+                    u = u_mul(u, cofactor)
+                if t in num:
+                    u = u_add(num[t], u)
+                if u:
+                    num[t] = u
                 else:
-                    num.pop(m, None)
+                    del num[t]
         return MotiveClass(self.genus, num, den)
 
     @property
@@ -405,9 +402,7 @@ class Ring:
             else:
                 e = i - g + 1
                 # [P^{e-1}] = 1 + L + ... + L^{e-1}
-                proj = MotiveClass(
-                    g, u_to_multivar((1,) * e, self.nvars), DEN_ONE, _reduced=True
-                )
+                proj = MotiveClass(g, {(0,) * (self.nvars - 1): (1,) * e}, _reduced=True)
                 cls = self.L_pow(e) * self.C(2 * g - 2 - i) + self.Pic * proj
             self._C[i] = cls
         return self._C[i]
@@ -483,7 +478,7 @@ def zeta_eval(curve, arg_exponent):
     R = ring(g)
     e = arg_exponent
     shifted = R.sum(
-        MotiveClass(g, {(m[0] + (j - 2 * g) * e,) + m[1:]: c for m, c in a.num.items()},
+        MotiveClass(g, {t: (0,) * ((j - 2 * g) * e) + u for t, u in a.num.items()},
                     _reduced=True)
         for j, a in enumerate(_zeta_numerator_classes(curve))
     )
@@ -594,42 +589,43 @@ def _realize(x, q, P):
         sym = times_q(sym, 1) + head
         images.append(sym)
 
-    order = list(range(1, len(images))) + [0]
+    if not x.num:
+        return 0
+    # x.num is L^k times a class with no common L factor; q^k multiplies the
+    # finished sum once instead of each tuple before the larger images do
+    k = min(next(i for i, c in enumerate(u) if c) for u in x.num.values())
     pow_cache = {}
 
     def times(idx, v, e):
-        # v times images[idx]^e
-        if not idx:
-            return times_q(v, e)
+        # v times images[idx]^e, idx >= 1
         if (idx, e) not in pow_cache:
             pow_cache[idx, e] = images[idx] ** e
         return v * pow_cache[idx, e]
 
-    def horner(terms, depth):
-        # terms: the (monomial, coefficient) pairs that agree on the
-        # exponents of order[:depth]
-        if depth == len(order):
-            ((_, c),) = terms
-            return c
-        idx = order[depth]
+    def horner(items, depth):
+        # items: the (tail, tuple) pairs that agree on tail[:depth]; the tail
+        # holds the exponents of images[1:], the tuple those of L
+        if depth == len(images) - 1:
+            ((_, u),) = items
+            out, prev = 0, len(u) - 1
+            for e in range(prev, k - 1, -1):
+                if u[e]:
+                    out, prev = times_q(out, prev - e) + u[e], e
+            return times_q(out, prev - k)
         groups = {}
-        for m, c in terms:
-            groups.setdefault(m[idx], []).append((m, c))
+        for item in items:
+            groups.setdefault(item[0][depth], []).append(item)
         out, prev = 0, 0
         for e in sorted(groups, reverse=True):
             if out:  # 0 before the first group; 0 * image^gap = 0
-                out = times(idx, out, prev - e)
+                out = times(depth + 1, out, prev - e)
             out += horner(groups[e], depth + 1)
             prev = e
         if out and prev:
-            out = times(idx, out, prev)
+            out = times(depth + 1, out, prev)
         return out
 
-    # x.num is L^k times a class with no common L factor; q^k multiplies the
-    # finished sum once instead of each innermost group before the larger
-    # images do
-    k = min((m[0] for m in x.num), default=0)
-    return times_q(horner([((m[0] - k,) + m[1:], c) for m, c in x.num.items()], 0), k)
+    return times_q(horner(list(x.num.items()), 0), k)
 
 
 def _packing(x):
@@ -648,7 +644,7 @@ def _packing(x):
     the whole S x S square.
     """
     g = x.genus
-    plus = MotiveClass(g, {m: abs(c) for m, c in x.num.items()}, _reduced=True)
+    plus = MotiveClass(g, {t: tuple(map(abs, u)) for t, u in x.num.items()}, _reduced=True)
     bound = _realize(plus, 1, [comb(2 * g, j) for j in range(2 * g + 1)])
     S, K = _top_degree(x) + 1, _top_degree(x, 0)
     # bound < 2^(8w - 1), so every coefficient is a signed 8w-bit digit
@@ -692,9 +688,12 @@ def specialize_E(x):
     # the denominator is a polynomial in uv, so it divides num iff it divides
     # each diagonal {u^i v^j : i - j = d}, read as a polynomial in uv
     den = _den_poly(x.den)
-    diagonals = _l_coefficients({(min(i, j), i - j): c for (i, j), c in num.items()}, 0)
+    diagonals = {}
+    for (i, j), c in num.items():  # min(i, j) ascends along each diagonal
+        coeffs = diagonals.setdefault(i - j, [])
+        coeffs += [0] * (min(i, j) - len(coeffs)) + [c]
     quot = {}
-    for (d,), coeffs in diagonals.items():
+    for d, coeffs in diagonals.items():
         qd = u_div_exact(coeffs, den)
         if qd is None:
             return EPoly(num, {(e, e): c for e, c in enumerate(den) if c})
@@ -745,7 +744,8 @@ def _format_poly(num, genus):
     # exchange format lists L, then symmetric powers, then Pic
     names = var_names(genus)
     order = [0] + list(range(2, len(names))) + ([1] if genus >= 1 else [])
-    return _format_terms(p_items_sorted(num), [(i, names[i]) for i in order], " * ")
+    terms = (((i,) + t, c) for t, u in num.items() for i, c in enumerate(u) if c)
+    return _format_terms(sorted(terms, reverse=True), [(i, names[i]) for i in order], " * ")
 
 
 def _format_den(den):
@@ -761,7 +761,7 @@ def _format_den(den):
         m = bundles[a]
         parts.append(base if m == 1 else f"{base}^{m}")
     for e in sorted(leftover, reverse=True):
-        body = _format_poly(u_to_multivar(poly.cyclotomic(e), 1), 0)
+        body = _format_poly({(): poly.cyclotomic(e)}, 0)
         m = leftover[e]
         parts.append(f"({body})" if m == 1 else f"({body})^{m}")
     return " * ".join(parts)
@@ -780,7 +780,8 @@ PARSE_DEPTH = 100
 
 def _parse_degree(x):
     """The larger of the total degrees of x's numerator and denominator."""
-    return max(_den_degree(x.den), max(map(sum, x.num), default=0))
+    return max(_den_degree(x.den),
+               max((len(u) - 1 + sum(t) for t, u in x.num.items()), default=0))
 
 
 class _Parser:
@@ -897,7 +898,7 @@ class _Parser:
                 node = self.R.monomial(c, () if idx is None else (0,) * idx + (e1,))
             # the power of a k-term sum has up to comb(k + e - 1, e) terms,
             # and e times the degree of its base
-            k = len(node.num)
+            k = sum(len(u) - u.count(0) for u in node.num.values())
             degree = _parse_degree(node)
             if (k >= 2 and comb(k + e - 1, e) > PARSE_BOUND) or e * degree > PARSE_BOUND:
                 self.error(f"the power {e} of a {k}-term class of degree {degree} "

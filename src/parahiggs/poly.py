@@ -1,13 +1,11 @@
-"""Sparse polynomial arithmetic used by the motive ring.
+"""Univariate polynomial arithmetic in L used by the motive ring.
 
-Multivariate polynomials are dicts mapping exponent tuples to nonzero int
-coefficients.  Univariate polynomials in L are tuples of ints, ascending
-degree.  The motive ring keeps every denominator factored, as
-L^b * prod Phi_e^{m_e} of L and cyclotomic factors; a tuple is its expansion
-or a divisor that u_factor_cyclotomic factors, and numerators are divided in
-integers, one factor at a time.  The specializations use no multivariate
-helper: they evaluate a class on plain integers (motive._realize).
-Everything is exact; no floats.
+A polynomial is a tuple of ints, its coefficients in ascending degree, with
+no trailing zero; () is zero.  The motive ring keeps each numerator as one
+such tuple per monomial in the other atoms, and every denominator factored,
+as L^b * prod Phi_e^{m_e} of L and cyclotomic factors; a tuple is its
+expansion or a divisor that u_factor_cyclotomic factors, and numerators are
+divided in integers, one factor at a time.  Everything is exact; no floats.
 """
 
 from __future__ import annotations
@@ -16,62 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd as igcd
 from operator import add
-
-
-# ---------------------------------------------------------------------------
-# multivariate sparse polynomials
-
-
-def p_const(c, nvars):
-    if c == 0:
-        return {}
-    return {(0,) * nvars: c}
-
-
-def p_neg(a):
-    return {m: -c for m, c in a.items()}
-
-
-def p_scale(a, c):
-    if c == 0:
-        return {}
-    return {m: c * v for m, v in a.items()}
-
-
-def p_mul(a, b):
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(map(add, m1, m2))
-            s = out.get(m, 0) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
-
-
-def p_pow(a, n, nvars):
-    out = p_const(1, nvars)
-    base = a
-    while n:
-        if n & 1:
-            out = p_mul(out, base)
-        n >>= 1
-        if n:
-            base = p_mul(base, base)
-    return out
-
-
-def p_items_sorted(p):
-    """Deterministic term order: exponent tuples descending lexicographically."""
-    return sorted(p.items(), key=lambda kv: kv[0], reverse=True)
-
-
-# ---------------------------------------------------------------------------
-# univariate (in L) helpers; tuples of ints, ascending, no trailing zeros
 
 
 def u_trim(c):
@@ -88,13 +30,23 @@ def u_deg(u):
     return len(u) - 1
 
 
+def u_add(a, b):
+    """a + b; the longer tuple's top coefficient survives the sum."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) > len(b):
+        return tuple(map(add, a, b)) + a[len(b):]
+    return u_trim(map(add, a, b))
+
+
 def u_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return u_trim(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    # trimmed nonzero factors have a trimmed product
+    return tuple(out) if out and out[-1] else u_trim(out)
 
 
 def u_content(a):
@@ -284,6 +236,3 @@ def bundle_cyclotomic(factors):
             break
     return bundles, pool
 
-
-def u_to_multivar(u, nvars):
-    return {(i,) + (0,) * (nvars - 1): c for i, c in enumerate(u) if c}

@@ -8,6 +8,7 @@ exception class on every text it rejects.
 
 from math import comb
 
+from dict_reference import to_dict
 from parahiggs.motive import PARSE_BOUND, PARSE_DEPTH, _den_degree, ring
 
 
@@ -82,8 +83,9 @@ class _Parser:
             e = self.integer(PARSE_BOUND)
             # the power of a k-term sum has up to comb(k + e - 1, e) terms,
             # and e times the degree of its base
-            k = len(node.num)
-            degree = max(_den_degree(node.den), max(map(sum, node.num), default=0))
+            monomials = to_dict(node.num)
+            k = len(monomials)
+            degree = max(_den_degree(node.den), max(map(sum, monomials), default=0))
             if (k >= 2 and comb(k + e - 1, e) > PARSE_BOUND) or e * degree > PARSE_BOUND:
                 self.error(f"the power {e} of a {k}-term class of degree {degree} "
                            f"exceeds the bound {PARSE_BOUND} on its terms and degree")

@@ -4,14 +4,17 @@ import hashlib
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import parser_reference
 import reduce_reference
+from dict_reference import from_dict, l_poly, p_add, p_const, p_mul, p_pow, to_dict
 
 from parahiggs import motive, poly, stacks
 from parahiggs.errors import (
@@ -39,16 +42,6 @@ from parahiggs.stacks import bundle_stack_class, flag_class, gl_class
 
 ZETA_G1 = (1, 0, 2)          # elliptic curve over F_2 with a_1 = 0
 ZETA_G2_Q2 = (1, 0, 0, 0, 4)  # y^2 + y = x^5 over F_2
-
-
-def p_add(a, b):
-    """Sum of two multivariate poly dicts, zero coefficients dropped."""
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, 0) + c
-        if not out[m]:
-            del out[m]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,27 +235,27 @@ def test_ring_sum_edge_cases():
 
 @pytest.mark.parametrize("n", range(10))
 def test_p_pow_matches_repeated_products(n):
+    """The numerator of x ** n, raised by squaring in MotiveClass.__pow__,
+    is the dict reference's p_pow, n repeated products."""
     a = {(1, 0): 2, (0, 1): -1, (0, 0): 3}
-    want = poly.p_const(1, 2)
-    for _ in range(n):
-        want = poly.p_mul(want, a)
-    assert poly.p_pow(a, n, 2) == want
+    x = MotiveClass(1, from_dict(a))
+    assert (x ** n).num == from_dict(p_pow(a, n, 2))
 
 
-def test_p_pow_squares_only_while_bits_remain(monkeypatch):
+def test_pow_squares_only_while_bits_remain(monkeypatch):
     squarings = []
-    p_mul = poly.p_mul
+    mul = motive._mul
 
     def counting(a, b):
         if a is b:
             squarings.append(a)
-        return p_mul(a, b)
+        return mul(a, b)
 
-    monkeypatch.setattr(poly, "p_mul", counting)
-    a = {(1,): 1, (0,): -1}
+    monkeypatch.setattr(motive, "_mul", counting)
+    x = ring(0).L - 1
     for n, want in ((1, 0), (2, 1), (3, 1), (4, 2), (5, 2)):
         squarings.clear()
-        poly.p_pow(a, n, 1)
+        x ** n
         assert len(squarings) == want, n
 
 
@@ -274,10 +267,10 @@ def random_reduced_class(rng, genus):
     num = {tuple(rng.randint(0, 2) for _ in range(nvars)): rng.choice((-2, -1, 1, 3))
            for _ in range(rng.randint(1, 3))}
     factor = rng.choice([(1,), (0, 1)] + [poly.cyclotomic(e) for e in (1, 2, 3)])
-    num = poly.p_mul(num, poly.u_to_multivar(factor, nvars))
+    num = p_mul(num, l_poly(factor, nvars))
     mults = {e: rng.randint(0, 2) for e in (1, 2, 3)}
     factors = tuple((e, m) for e, m in mults.items() if m)
-    return MotiveClass(genus, num, (rng.randint(0, 2), factors))
+    return MotiveClass(genus, from_dict(num), (rng.randint(0, 2), factors))
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -303,7 +296,7 @@ def test_class_pow_matches_repeated_products(n):
             if b:
                 seen.add("L")
             den = (n * b, tuple((e, n * m) for e, m in factors) if n else ())
-            want = MotiveClass(g, poly.p_pow(x.num, n, num_vars(g)), den)
+            want = MotiveClass(g, from_dict(p_pow(to_dict(x.num), n, num_vars(g))), den)
             got = x ** n
             assert got == want and str(got) == str(want), (g, str(x))
     assert seen == {"L", 1, 2, 3}
@@ -317,9 +310,115 @@ def test_class_pow_of_large_denominator_is_fast():
     assert got == R.L_pow(-30000)
 
 
-def test_p_mul_explicit_zero_coefficient():
-    assert poly.p_mul({(): 0}, {(): 1}) == {}
-    assert poly.p_mul({(1,): 2, (0,): 0}, {(0,): 3}) == {(1,): 6}
+def test_power_of_l_minus_one_is_the_binomial_expansion():
+    """(L - 1)^999, built and parsed, is sum_i C(999, i) (-1)^(999 - i) L^i."""
+    want = MotiveClass(2, from_dict(
+        {(i, 0, 0): comb(999, i) * (-1) ** (999 - i) for i in range(1000)}))
+    assert (ring(2).L - 1) ** 999 == want
+    assert parse_class("(L - 1)^999", 2) == want
+
+
+def test_mul_drops_cancelled_tails():
+    """_mul trims a tuple whose top coefficients cancel and drops a tail
+    whose tuples cancel altogether."""
+    pic, one_plus_pic = {(1,): (1,)}, {(0,): (1,), (1,): (1,)}
+    # (1 + Pic)(1 - Pic) = 1 - Pic^2: the two Pic terms cancel
+    assert motive._mul(one_plus_pic, {(0,): (1,), (1,): (-1,)}) == {(0,): (1,), (2,): (-1,)}
+    # (L + Pic)(L - Pic) = L^2 - Pic^2: the two L Pic terms cancel
+    assert motive._mul({(0,): (0, 1), **pic}, {(0,): (0, 1), (1,): (-1,)}) == {
+        (0,): (0, 0, 1), (2,): (-1,)}
+    # (1 + L + Pic)(Pic - L) = -L - L^2 + Pic + Pic^2: the L Pic terms cancel
+    assert motive._mul({(0,): (1, 1), **pic}, {(0,): (0, -1), **pic}) == {
+        (0,): (0, -1, -1), (1,): (1,), (2,): (1,)}
+
+
+def is_canonical(x):
+    """Every tail has one exponent per atom after L and a nonempty tuple with
+    a nonzero last entry, so no tail whose tuple cancelled is kept."""
+    n = num_vars(x.genus) - 1
+    return all(len(t) == n and u and u[-1] for t, u in x.num.items())
+
+
+def invariant_classes(rng, g):
+    """Seeded classes at genus g, in pairs x, m - x: one to five monomials
+    in L (up to 4) and up to two other atoms (up to 2 each), over 1, L^b
+    or L^b (L^a - 1), and m one such monomial, so that a sum of the pair
+    cancels every tail of x but m's."""
+    nv = num_vars(g)
+    R = ring(g)
+    out = []
+    for _ in range(6):
+        num = {}
+        for _ in range(rng.randint(1, 5)):
+            m = [rng.randint(0, 4)] + [0] * (nv - 1)
+            for idx in rng.sample(range(1, nv), min(rng.randint(0, 2), nv - 1)):
+                m[idx] = rng.randint(1, 2)
+            num[tuple(m)] = rng.choice([-3, -1, 1, 2])
+        den = rng.choice([motive.DEN_ONE, (rng.randint(1, 2), ()),
+                          (rng.randint(0, 1), ((1, 1),)), (0, ((1, 1), (2, 1)))])
+        x = MotiveClass(g, from_dict(num), den)
+        m = R.monomial(rng.choice([-1, 1]), [rng.randint(0, 2)] + [rng.randint(0, 1)] * (nv - 1))
+        out += [x, m - x]
+    return out
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 10])
+def test_numerator_format_matches_the_dict_reference(g):
+    """*, Ring.sum, **, inverse and / give the fraction that dict arithmetic
+    gives, compared term by term after cross-multiplying by the expanded
+    denominators, and every result is canonical."""
+    rng = random.Random(f"format/{g}")
+    R, nv = ring(g), num_vars(g)
+    classes = invariant_classes(rng, g)
+    units = [R.L, -R.L ** 2 * (R.L - 1), (R.L ** 2 - 1) * R.L_pow(-1), R.monomial(-1),
+             (R.L ** 3 - 1) ** 2 / (R.L + 1)]
+
+    def num(x):
+        return to_dict(x.num)
+
+    def den(x):
+        return l_poly(motive._den_poly(x.den), nv)
+
+    dropped = Counter()
+    for _ in range(40):
+        x, y, z = rng.choice(classes), rng.choice(classes), rng.choice(classes)
+        # the pair x, m - x makes a sum drop x's tails, minus their sum drops
+        # every tail, and the product (x + m)(x - m) drops the tails of xm
+        pair = classes[classes.index(x) ^ 1]
+        m = x + pair
+        for a, b in ((x, y), (x + m, x - m)):
+            got = a * b
+            assert p_mul(num(got), p_mul(den(a), den(b))) == p_mul(p_mul(num(a), num(b)),
+                                                                    den(got))
+            assert is_canonical(got)
+            dropped["*"] += not set(got.num) >= {
+                tuple(map(add, s, t)) for s in a.num for t in b.num}
+        for terms in ((x, y, z), (x, pair, y), (x, pair, -(x + pair))):
+            got = R.sum(terms)
+            dens = [den(t) for t in terms]
+            want = {}
+            for i, t in enumerate(terms):
+                part = num(t)
+                for d in dens[:i] + dens[i + 1:]:
+                    part = p_mul(part, d)
+                want = p_add(want, part)
+            whole = p_mul(p_mul(dens[0], dens[1]), dens[2])
+            assert p_mul(num(got), whole) == p_mul(want, den(got))
+            assert is_canonical(got)
+            dropped["sum"] += not set(got.num) >= set().union(*(t.num for t in terms))
+        n = rng.randint(0, 3)
+        got = x ** n
+        assert p_mul(num(got), p_pow(den(x), n, nv)) == p_mul(p_pow(num(x), n, nv), den(got))
+        assert is_canonical(got)
+        u = rng.choice(units)
+        got = u.inverse()
+        assert p_mul(num(got), num(u)) == p_mul(den(u), den(got))
+        assert is_canonical(got)
+        got = x / u
+        assert p_mul(p_mul(num(got), num(u)), den(x)) == p_mul(p_mul(num(x), den(u)), den(got))
+        assert is_canonical(got)
+    # at genus 0 every class has the one tail (), which a product keeps
+    assert dropped["sum"] and (dropped["*"] or g == 0)
 
 
 def test_u_div_exact_over_integers():
@@ -377,26 +476,26 @@ def test_reduced_form_matches_gcd(data):
         for x, y in [(a, b), (b, c)] + fast_path_pairs(g):
             xd, yd = motive._den_poly(x.den), motive._den_poly(y.den)
             den = poly.u_factor_cyclotomic(poly.u_mul(xd, yd))[1:]
-            total = p_add(poly.p_mul(x.num, poly.u_to_multivar(yd, nv)),
-                               poly.p_mul(y.num, poly.u_to_multivar(xd, nv)))
-            for got, want in ((x + y, MotiveClass(g, total, den)),
-                              (x * y, MotiveClass(g, poly.p_mul(x.num, y.num), den))):
+            xn, yn = to_dict(x.num), to_dict(y.num)
+            total = p_add(p_mul(xn, l_poly(yd, nv)), p_mul(yn, l_poly(xd, nv)))
+            for got, want in ((x + y, MotiveClass(g, from_dict(total), den)),
+                              (x * y, MotiveClass(g, from_dict(p_mul(xn, yn)), den))):
                 assert got == want and str(got) == str(want), (x, y)
         # the three-term sum against the fraction over the product of the
         # three denominators
         dens = [motive._den_poly(x.den) for x in (a, b, c)]
         total = {}
         for x, (d1, d2) in zip((a, b, c), [dens[1:], dens[::2], dens[:2]]):
-            cofactor = poly.u_to_multivar(poly.u_mul(d1, d2), nv)
-            total = p_add(total, poly.p_mul(x.num, cofactor))
+            cofactor = l_poly(poly.u_mul(d1, d2), nv)
+            total = p_add(total, p_mul(to_dict(x.num), cofactor))
         den = poly.u_factor_cyclotomic(poly.u_mul(poly.u_mul(*dens[:2]), dens[2]))[1:]
-        got, want = ring(g).sum((a, b, c)), MotiveClass(g, total, den)
+        got, want = ring(g).sum((a, b, c)), MotiveClass(g, from_dict(total), den)
         assert got == want and str(got) == str(want), (a, b, c)
         for x in (a, b, c, a + b, a * b - c, (a + b) * c):
             assert motive._den_poly(x.den)[-1] == 1
             # the gcd of den with all L-coefficient polynomials of num is 1
             coeffs = {}
-            for m, v in x.num.items():
+            for m, v in to_dict(x.num).items():
                 coeffs.setdefault(m[1:], {})[m[0]] = v
             common = motive._den_poly(x.den)
             for terms in coeffs.values():
@@ -410,7 +509,8 @@ def test_reduced_form_matches_gcd(data):
 
 
 def _seeded_reduction(rng):
-    """A numerator and factored denominator for _reduce at genus 2.
+    """A numerator as a monomial dict and a factored denominator for _reduce
+    at genus 2.
 
     One to four tails (monomials in Pic and C1) carry random L-polynomials,
     some shifted by a power of L; the denominator is L^b Phi_1^i Phi_2^j
@@ -452,14 +552,16 @@ def test_reduce_matches_long_division_reference(monkeypatch):
     # at L = 1, so nothing cancels
     mixed = ({(2, 1, 0): 1, (1, 1, 0): 1, (0, 1, 0): -2, (1, 0, 1): 1, (0, 0, 1): 2},
              (0, ((1, 1),)))
-    assert motive._reduce(*mixed) == mixed
+    assert motive._reduce(from_dict(mixed[0]), mixed[1]) == (from_dict(mixed[0]), mixed[1])
     reached = set()
-    for num, den in [mixed] + [_seeded_reduction(rng) for _ in range(600)]:
+    for monomials, den in [mixed] + [_seeded_reduction(rng) for _ in range(600)]:
+        num = from_dict(monomials)
         divisions.clear()
         got = motive._reduce(num, den)
-        want = reduce_reference._reduce(num, den)
-        assert got == want, (num, den)
-        assert all(ok for b, ok in divisions if len(b) == 2), (num, den)
+        want = reduce_reference._reduce(monomials, den)
+        assert (to_dict(got[0]), got[1]) == want, (monomials, den)
+        assert all(u and u[-1] for u in got[0].values()), (monomials, den)
+        assert all(ok for b, ok in divisions if len(b) == 2), (monomials, den)
         before, after = dict(den[1]), dict(got[1][1])
         if got[0] is num and got[1] is den and not divisions:
             reached.add("early return")
@@ -796,10 +898,10 @@ def term_by_term_realize(x, q, P, nvars):
     poly dicts in nvars variables, with each monomial of x.num evaluated on
     its own as a product of cached powers."""
     g = x.genus
-    partial = [poly.p_const(1, nvars)]
+    partial = [p_const(1, nvars)]
     q_m = partial[0]
     for _ in range(max_atom(g)):
-        q_m = poly.p_mul(q_m, q)
+        q_m = p_mul(q_m, q)
         partial.append(p_add(partial[-1], q_m))
     images = [q]
     if g >= 1:
@@ -810,18 +912,18 @@ def term_by_term_realize(x, q, P, nvars):
     for i in range(1, max_atom(g) + 1):
         sym = {}
         for j in range(i + 1):
-            sym = p_add(sym, poly.p_mul(P[j], partial[i - j]))
+            sym = p_add(sym, p_mul(P[j], partial[i - j]))
         images.append(sym)
 
     pow_cache = {}
     out = {}
-    for m, c in x.num.items():
-        term = poly.p_const(c, nvars)
+    for m, c in to_dict(x.num).items():
+        term = p_const(c, nvars)
         for idx, e in enumerate(m):
             if e:
                 if (idx, e) not in pow_cache:
-                    pow_cache[idx, e] = poly.p_pow(images[idx], e, nvars)
-                term = poly.p_mul(term, pow_cache[idx, e])
+                    pow_cache[idx, e] = p_pow(images[idx], e, nvars)
+                term = p_mul(term, pow_cache[idx, e])
         out = p_add(out, term)
     return out
 
@@ -860,8 +962,8 @@ def reference_E(x):
 
 def reference_count(x, curve, q):
     """specialize_count through the term-by-term map on constant dicts."""
-    P = [poly.p_const(a, 0) for a in curve.zeta_numerator]
-    num = term_by_term_realize(x, poly.p_const(q, 0), P, 0)
+    P = [p_const(a, 0) for a in curve.zeta_numerator]
+    num = term_by_term_realize(x, p_const(q, 0), P, 0)
     den = sum(c * q ** e for e, c in enumerate(motive._den_poly(x.den)))
     return Fraction(num.get((), 0), den)
 
@@ -893,7 +995,7 @@ def seeded_classes(seed):
             den = (0,) * rng.randint(0, 2) + den
             for _ in range(rng.randint(1, 2)):
                 den = poly.u_mul(den, poly.u_lpower_minus_one(rng.randint(1, 4)))
-        yield MotiveClass(g, num, poly.u_factor_cyclotomic(den)[1:])
+        yield MotiveClass(g, from_dict(num), poly.u_factor_cyclotomic(den)[1:])
 
 
 def packing_edge_classes(seed):
@@ -918,7 +1020,7 @@ def packing_edge_classes(seed):
                 m = [rng.randint(0, 4)] + [rng.randint(0, 2) for _ in range(num_vars(g) - 1)]
                 num[tuple(m)] = rng.choice([-1, 1]) * rng.randint(2 ** 64, 2 ** 70)
             den = [motive.DEN_ONE, (0, ((1, 2),)), motive.DEN_ONE, (1, ((1, 1), (2, 1)))][i]
-            yield MotiveClass(g, num, den)
+            yield MotiveClass(g, from_dict(num), den)
 
 
 def moduli_classes():
@@ -944,7 +1046,7 @@ def assert_specializations_match_reference(classes):
 def test_horner_realize_matches_term_by_term_on_seeded_classes():
     classes = list(seeded_classes(10))
     assert {x.genus for x in classes} == set(range(6))
-    assert all(10 <= len(x.num) <= 40 or x.genus == 0 for x in classes)
+    assert all(10 <= len(to_dict(x.num)) <= 40 or x.genus == 0 for x in classes)
     epolys = assert_specializations_match_reference(classes)
     # polynomial classes and flagged rational E-polynomials both occur
     assert any(x.is_polynomial() for x in classes)
@@ -979,9 +1081,7 @@ def test_realize_matches_term_by_term_at_each_kind_of_q(q):
     rng = random.Random(q)
     for x in seeded_classes(q):
         P = [1] + [rng.randint(-9, 9) for _ in range(2 * x.genus)]
-        want = term_by_term_realize(
-            x, poly.p_const(q, 0), [poly.p_const(a, 0) for a in P], 0
-        ).get((), 0)
+        want = term_by_term_realize(x, p_const(q, 0), [p_const(a, 0) for a in P], 0).get((), 0)
         assert motive._realize(x, q, P) == want, x
 
 
@@ -1004,7 +1104,7 @@ def band_classes(seed):
             den = (0,) * rng.randint(0, 1) + den
             for _ in range(rng.randint(1, 2)):
                 den = poly.u_mul(den, poly.u_lpower_minus_one(rng.randint(1, 3)))
-        yield MotiveClass(g, num, poly.u_factor_cyclotomic(den)[1:])
+        yield MotiveClass(g, from_dict(num), poly.u_factor_cyclotomic(den)[1:])
 
 
 def assert_in_band(x):
@@ -1027,7 +1127,7 @@ def test_band_packing_on_seeded_classes():
     classes = list(band_classes(30))
     assert {x.genus for x in classes} == set(range(7))
     assert any(not x.is_polynomial() for x in classes)
-    assert any(max(m[1:], default=0) == 3 for x in classes for m in x.num)
+    assert any(max(m[1:], default=0) == 3 for x in classes for m in to_dict(x.num))
     regimes = set()
     for x in classes:
         (w, S, K, W), _ = assert_in_band(x)

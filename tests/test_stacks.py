@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dict_reference import to_dict
 from parahiggs import motive, stacks
 from parahiggs.errors import InvalidFlagType
 from parahiggs.higgs import HiggsProblem, higgs_computation
@@ -59,7 +60,7 @@ def test_flag_polynomial_nonnegative():
         for comp in compositions(n):
             cls = flag_class(n, comp)
             assert cls.is_polynomial()
-            assert all(c > 0 for c in cls.num.values())
+            assert all(c > 0 for c in to_dict(cls.num).values())
 
 
 def test_flag_reversal_symmetry():
