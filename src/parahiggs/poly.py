@@ -235,4 +235,3 @@ def bundle_cyclotomic(factors):
         else:
             break
     return bundles, pool
-
