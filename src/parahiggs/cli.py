@@ -249,7 +249,8 @@ def run(config, trace_walls=False, q_override=None, cache_path=None):
     report["specializations"] = specs
     report["diagnostics"]["wall_count"] = engine.stats["walls_crossed"]
     report["diagnostics"]["memo_entries"] = len(engine.memo)
-    report["diagnostics"]["seed_cache_hits"] = engine.stats["seed_cache_hits"]
+    for name in ("seed_cache_hits", "memo_hits", "base_cases"):
+        report["diagnostics"][name] = engine.stats[name]
     if trace_walls:
         report["diagnostics"]["walls"] = engine.wall_trace
     if verify:

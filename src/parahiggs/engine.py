@@ -40,9 +40,11 @@ class ChainEngine:
     evaluation schedule.  One table, keyed by (function, args), holds the
     chain types the recursion builds, the per-index weight splits, padded
     part degree boxes, gap profiles and sub-types of this problem's weights,
-    the seed-cache classes parsed so far and the Hecke products of its base
-    cases.  No key holds the engine, so the table lives exactly as long as
-    the engine and dropping the last reference frees both.
+    the seed-cache classes parsed so far, the Hecke products of its base
+    cases and, per (type, ray), the sorted walls that walls.chamber_point
+    reads its chambers from.  No key holds the engine, so the table lives
+    exactly as long as the engine and dropping the last reference frees
+    both.
     """
 
     def __init__(self, curve, trace_walls=False, seed_cache=None):
@@ -360,9 +362,11 @@ class ChainEngine:
         solution.  A type goes to the side t_wall + 1 or t_wall - 1 whose
         parameter makes its slopes strictly decrease.  All part slopes agree
         at the wall, so that happens on at most one side.  Each part is
-        evaluated once, at its walls.chamber_point on that side, which lies
-        off the part's own walls.  Returns ((plus, minus), count), count
-        being the strata kept on both sides.
+        evaluated once, at walls.chamber_point: the midpoint of its own
+        chamber beside the wall on that side, which lies off its walls and
+        is the same parameter at every wall that chamber reaches, so the
+        memo answers the part's later visits.  Returns ((plus, minus),
+        count), count being the strata kept on both sides.
         """
         g = self.curve.genus
         k = tau.num_points

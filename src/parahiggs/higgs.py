@@ -8,6 +8,7 @@ parameter (0, 2g-2, ..., r(2g-2)) after the degree twist d_i + n_i (r-i)(2g-2).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,7 +62,10 @@ def enumerate_fixed_types(problem, engine):
     Chain degrees are the Higgs-side degrees shifted by n_i (r-i)(2g-2); the
     finitely many degree vectors come from the existence box at the staircase
     parameter.  Each composition's weight splits come from the engine's table,
-    which the filtration sums read too.
+    which the filtration sums read too.  Whether a box is bounded turns on
+    the ranks, the parameter and the point count alone, so the box of the
+    first split, each part taking consecutive weights at every point, is
+    found before the others are built: an UnboundedSearch comes at once.
     """
     n = problem.rank
     d = problem.degree
@@ -71,8 +75,14 @@ def enumerate_fixed_types(problem, engine):
         r = len(comp) - 1
         alpha = chain_stability(r, g)
         shift = (2 * g - 2) * sum(comp[i] * (r - i) for i in range(r + 1))
+        cuts = tuple(itertools.accumulate(comp, initial=0))
+        first = tuple(WeightDatum(tuple(point[a:b] for point in problem.datum.points))
+                      for a, b in zip(cuts, cuts[1:]))
+        first_box = enumerate_degree_vectors(comp, d + shift, alpha, first)
         for split in engine._table(enumerate_weight_splits, problem.datum, comp):
-            for dvec in enumerate_degree_vectors(comp, d + shift, alpha, split):
+            box = (first_box if split == first
+                   else enumerate_degree_vectors(comp, d + shift, alpha, split))
+            for dvec in box:
                 out.append(ChainType(comp, dvec, split))
     return out
 

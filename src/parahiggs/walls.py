@@ -7,11 +7,15 @@ and weight sum, come from one engine table, ChainEngine.subtypes;
 equal_slope_pins states the equal-slope pin on their degree totals along a
 ray, equal_slope_subtypes reads it at one parameter, for the on-wall test
 and the filtration types, and wall_positions solves it for the totals whose
-crossing t lies in a window, for the walk and for chamber_point.
+crossing t lies in a window, for the walk and for chamber_point.  The class
+is constant between walls, so chamber_point gives one point per chamber: the
+midpoint between consecutive walls of a type along a ray, read from a table
+built once per (type, ray).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -176,14 +180,29 @@ def require_off_wall(engine, tau, alpha):
 
 
 def chamber_point(engine, tau, ray, t, side):
-    """The ray parameter halfway from t to tau's nearest wall on the given
-    side (+1 above, -1 below), or to t + side when no wall is nearer: a point
-    of the chamber next to t on that side."""
-    t = frac(t)
-    walls = [w for w in wall_positions(engine, tau, ray, *sorted((t, t + side)))
-             if w != t]
-    edge = (walls[0] if side > 0 else walls[-1]) if walls else t + side
-    return (t + edge) / 2
+    """The midpoint of tau's chamber along the ray beside t on the given side
+    (+1 above, -1 below).
+
+    The chambers are cut by the candidates of wall_positions(engine, tau,
+    ray, 0, t_max + 1) and end at the window's ends 0 and t_max + 1; a t
+    that is a candidate is the end of the chamber on that side.  So every t
+    in one chamber, and both sides of a t that is no candidate, give one
+    point, which lies on no wall of tau.  The sorted ends are kept in
+    engine.tables once per (type, ray), keyed like ChainEngine.subtypes by
+    the plain function.  ValueError when t lies outside the window or at
+    its end on the given side.
+    """
+    key = (chamber_point, (tau, ray))
+    ends = engine.tables.get(key)
+    if ends is None:
+        top = ray.t_max + 1
+        ends = engine.tables[key] = sorted(
+            {Fraction(0), top, *wall_positions(engine, tau, ray, 0, top)})
+    i = (bisect_right if side > 0 else bisect_left)(ends, frac(t))
+    if not 0 < i < len(ends):
+        raise ValueError(f"no chamber of the window [0, {ends[-1]}] lies on side "
+                         f"{side} of ray parameter {t}")
+    return (ends[i - 1] + ends[i]) / 2
 
 
 # ---------------------------------------------------------------------------

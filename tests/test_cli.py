@@ -506,6 +506,38 @@ def test_seed_cache_hits_counted(tmp_path):
     assert warm["class"] == cold["class"]
 
 
+def test_json_diagnostics_report_the_engine_memo_stats(tmp_path, monkeypatch):
+    """--format json diagnostics carry the engine's memo_hits, base_cases and
+    seed_cache_hits, on a cold run that writes the cache and a warm one that
+    reads it."""
+    engines = []
+
+    class Kept(engine.ChainEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(cli, "ChainEngine", Kept)
+    path = tmp_path / "higgs213.json"
+    path.write_text(json.dumps({
+        "curve": {"genus": 2, "marked_points": 1},
+        "problem": {"kind": "higgs", "rank": 3, "degree": 1, "weights": "generate"},
+    }))
+    names = ("memo_hits", "base_cases", "seed_cache_hits")
+    reports = []
+    for run_name in ("cold", "warm"):
+        out = tmp_path / f"{run_name}.json"
+        assert main(["higgs", "--config", str(path), "--cache", str(tmp_path / "memo.jsonl"),
+                     "--format", "json", "--out", str(out)]) == 0
+        diag = json.loads(out.read_text())["diagnostics"]
+        assert {name: diag[name] for name in names} == {
+            name: engines[-1].stats[name] for name in names}
+        reports.append(diag)
+    cold, warm = reports
+    assert cold["memo_hits"] > 0 and cold["base_cases"] > 0
+    assert warm["seed_cache_hits"] > 0
+
+
 def test_trace_walls_diagnostics():
     cfg = {
         "curve": {"genus": 2, "marked_points": 1},

@@ -106,6 +106,25 @@ def test_fixed_types_rank3_rank_vectors():
     assert ranks == {(3,), (1, 2), (2, 1), (1, 1, 1)}
 
 
+def test_unbounded_fixed_type_box_raises_before_the_splits_are_built(monkeypatch):
+    """Rank 3 at nine points of genus 0: the box of ranks (1, 2) is unbounded,
+    and its first split's box raises UnboundedSearch before the 3^9 splits
+    of (1, 2) are built; only the one split of (3) is."""
+    built = []
+
+    def counted(datum, part_ranks):
+        built.append(tuple(part_ranks))
+        return parabolic.enumerate_weight_splits(datum, part_ranks)
+
+    monkeypatch.setattr(higgs_module, "enumerate_weight_splits", counted)
+    datum = WeightDatum.full_flags(
+        [[Fraction(3 * p + i + 1, 29) for i in range(3)] for p in range(9)])
+    prob = HiggsProblem(CurveData(0, 9), 3, 1, datum)
+    with pytest.raises(UnboundedSearch, match=r"rank vector \(1, 2\)"):
+        enumerate_fixed_types(prob, ChainEngine(prob.curve))
+    assert built == [(3,)]
+
+
 def test_rank1_closed_form_grid():
     for g in range(4):
         for k in (1, 2):

@@ -232,7 +232,8 @@ def test_subtype_weight_sums_match_fraction_reference():
 def test_parallel_slope_family():
     """A direction constant on the support moves every sub-type slope with
     the type's, so it crosses no wall, whether or not a sub-type ties at the
-    base; a tie at the base is still a WallHit when the walk starts there."""
+    base, and the whole window (0, t_max + 1) is one chamber with one point;
+    a tie at the base is still a WallHit when the walk starts there."""
     engine = ChainEngine(CurveData(0, 0))
     ray = Ray((Fraction(0),), (0,), Fraction(5))
     even = ChainType((2,), (0,), (WeightDatum.empty(0),))
@@ -242,7 +243,9 @@ def test_parallel_slope_family():
     for tau in (even, odd):
         assert wall_positions(engine, tau, ray, 0, 5) == []
         assert ref.wall_positions(tau, ray, 0, 5) == []
-        assert chamber_point(engine, tau, ray, 0, +1) == Fraction(1, 2)
+        points = {chamber_point(engine, tau, ray, t, side)
+                  for t in range(7) for side in (+1, -1) if 0 < t + side < 7}
+        assert points == {Fraction(3)}
     with pytest.raises(WallHit):
         cross_ray(engine, even, ray)
 

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -186,7 +187,9 @@ def test_wall_hit_at_a_chamber_point_propagates_from_strata_at_wall(monkeypatch)
 def test_every_part_strata_at_wall_evaluates_is_off_its_walls(genus, seed):
     """The parts of every wall stratum on (g,1,3) at d = 0, 1, 2 are evaluated
     at their chamber points, which lie off each part's own walls: no WallHit
-    can arise there, so strata_at_wall needs no fallback point."""
+    can arise there, so strata_at_wall needs no fallback point.  Each
+    (part, ray, chamber) is evaluated at exactly one parameter, the chamber
+    read from wall_positions beside the wall on the stratum's side."""
     rnd = random.Random(f"{seed}/{genus}")
     prime = 2_147_483_647
     datum = WeightDatum.full_flags(
@@ -198,15 +201,23 @@ def test_every_part_strata_at_wall_evaluates_is_off_its_walls(genus, seed):
         chain_class, evaluated = eng.chain_class, []
 
         def watched(part, alpha):
-            if sys._getframe(1).f_code.co_name == "strata_at_wall":
-                evaluated.append((part, alpha))
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "strata_at_wall":
+                at = frame.f_locals
+                evaluated.append((part, alpha, at["ray"], at["t_wall"], at["side"]))
             return chain_class(part, alpha)
 
         eng.chain_class = watched
         higgs_computation(HiggsProblem(curve, 3, degree, datum), eng)
         assert eng.stats["walls_crossed"] and evaluated
-        for part, alpha in evaluated:
+        cells = {}
+        for part, alpha, ray, t_wall, side in evaluated:
             assert not is_on_wall(eng, part, alpha)
+            ends = wall_positions(eng, part, ray, 0, ray.t_max + 1)
+            chamber = (bisect_right if side > 0 else bisect_left)(ends, t_wall)
+            cells.setdefault((part, ray, chamber), set()).add(alpha)
+        assert all(len(alphas) == 1 for alphas in cells.values())
+        assert len(evaluated) > len(cells)
 
 
 def test_ray_independence():
@@ -249,19 +260,39 @@ def test_cross_ray_moves_an_on_wall_anchor():
 @pytest.mark.parametrize("ranks", [(1, 1), (1, 2), (2, 1)])
 @pytest.mark.parametrize("seed", range(4))
 def test_chamber_point_leaves_no_wall_before_it(ranks, seed):
-    """From a wall or a point between walls, chamber_point lands within 1/2
-    on the asked side, with no wall of tau strictly between or at it."""
+    """chamber_point lands at the midpoint of the chamber beside t, strictly
+    inside it and on the asked side of a wall t, with no wall of tau between
+    t and it and none at it; every t in one chamber, both sides of a t on no
+    wall included, gives that one point.  The chambers are cut by the walls
+    in (0, t_max + 1] and end at the window's ends."""
     rnd = random.Random(seed)
     ws = iter(generate_generic_weights(sum(ranks), 2))
     data = tuple(WeightDatum.full_flags([[next(ws) for _ in range(n)]]) for n in ranks)
     tau = ChainType(ranks, (rnd.randint(-3, 3), rnd.randint(-3, 3)), data)
     ray = Ray((0, rnd.randint(1, 3)), rnd.choice([(0, 1), (0, 2), (-1, 0)]), 8)
     eng = ChainEngine(CurveData(2, 1))
-    walls = wall_positions(eng, tau, ray, -2, 10)
-    starts = walls + [Fraction(rnd.randint(0, 80), 10) for _ in range(4)]
+    top = ray.t_max + 1
+    walls = wall_positions(eng, tau, ray, 0, top)
+    ends = sorted({Fraction(0), top, *walls})
+    starts = walls + [Fraction(rnd.randint(1, 80), 10) for _ in range(4)]
     for t in starts:
         for side in (+1, -1):
+            if t == top and side > 0:
+                continue
             p = chamber_point(eng, tau, ray, t, side)
-            assert 0 < side * (p - t) <= Fraction(1, 2)
+            assert t not in walls or 0 < side * (p - t)
             assert not any(min(t, p) < w < max(t, p) or w == p for w in walls)
             assert not is_on_wall(eng, tau, ray.at(p))
+            lo = max(e for e in ends if e < p)
+            hi = min(e for e in ends if e > p)
+            assert p == (lo + hi) / 2
+    for lo, hi in zip(ends, ends[1:]):
+        inside = [lo + (hi - lo) * Fraction(j, 7) for j in range(1, 7)]
+        points = {chamber_point(eng, tau, ray, t, side)
+                  for t in inside for side in (+1, -1)}
+        points |= {chamber_point(eng, tau, ray, lo, +1),
+                   chamber_point(eng, tau, ray, hi, -1)}
+        assert points == {(lo + hi) / 2}
+    for t, side in ((0, -1), (top, +1), (-1, +1), (top + 1, -1)):
+        with pytest.raises(ValueError):
+            chamber_point(eng, tau, ray, t, side)
